@@ -87,11 +87,8 @@ def _run_catalog_entry(entry_name):
             config.integrator,
             seed=config.seed,
         )
-        ambient = integrate(
-            entry.scenario.system, entry.default_x0, *entry.t_span, config.integrator
-        )
         csv_path = outdir / "ambient.csv"
-        ambient.to_csv(csv_path)
+        report.ambient.to_csv(csv_path)
         diag_path = outdir / "diagram.json"
         diag_path.write_text(report.to_json())
         scen_path = outdir / "scenario.json"
@@ -303,19 +300,18 @@ def _run_dirac_two_particle(config, rng, outdir):
     kill_max = 0.0
     gen_gap = 0.0
     points = [dirac.sample_on_shell(cset, rng, masses) for _ in range(20)]
-    for z in points:
-        for c in cset.constraints:
-            for alpha in (0, 1):
-                for mu in range(4):
-                    f = dirac.coordinate_fn(space, "x", alpha, mu)
-                    kill_max = max(
-                        kill_max, abs(float(dirac.dirac_bracket(cset, f, c.fn, z)))
-                    )
+    xs = [dirac.coordinate_fn(space, "x", alpha, mu) for alpha in (0, 1) for mu in range(4)]
     gens = dirac.poincare_generators(space)
-    for z in points[:3]:
+    for k, z in enumerate(points):
+        frame = dirac.DiracFrame(cset, z)
+        for c in cset.constraints:
+            for f in xs:
+                kill_max = max(kill_max, abs(float(frame.bracket(f, c.fn))))
+        if k >= 3:
+            continue
         for i, j in ((0, 1), (0, 6), (3, 8), (2, 5)):
             pb = float(dirac.canonical_pb(space, gens[i].fn, gens[j].fn, z))
-            db = float(dirac.dirac_bracket(cset, gens[i].fn, gens[j].fn, z))
+            db = float(frame.bracket(gens[i].fn, gens[j].fn))
             gen_gap = max(gen_gap, abs(pb - db))
     z = points[0]
     jacobi_max = 0.0
@@ -700,8 +696,10 @@ def run(config: ScenarioConfig) -> RunReport:
     started = time.perf_counter()
     metrics, artifacts, partial = spec.runner(config, rng, outdir)
     wall = time.perf_counter() - started
+    # fail closed: a gated metric that is missing or not finite fails
     failed = any(
-        metrics.get(key, 0.0) > limit for key, limit in gates.items()
+        not np.isfinite(metrics.get(key, np.nan)) or metrics[key] > limit
+        for key, limit in gates.items()
     )
     status = FAIL if failed else (PARTIAL if partial else PASS)
     report = RunReport(

@@ -18,10 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from geored.calc import ScalarField
-from geored.dualnum import Dual, is_dual, real_part
+from geored.calc import ScalarField, gradient
+from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import (
     ConstraintDrift,
+    GeoredError,
     OffSurface,
     SingularConstraintMatrix,
 )
@@ -65,19 +66,9 @@ def coordinate_fn(space: PhaseSpace, kind: str, alpha: int, mu: int) -> Callable
     return fn
 
 
-def _plain(value):
-    return value if is_dual(value) else float(value)
-
-
 def _grad_z(fn: Callable, z, tau):
     """Gradient of a phase function in the coordinates, tau held fixed."""
-    n = len(z)
-    out = []
-    for i in range(n):
-        seeded = [Dual(_plain(z[j]), 1.0 if j == i else 0.0) for j in range(n)]
-        v = fn(seeded, tau)
-        out.append(v.b if is_dual(v) else 0.0)
-    return out
+    return gradient(ScalarField(len(z), lambda xs: fn(xs, tau)), z)
 
 
 def canonical_pb(space: PhaseSpace, f, g, point, tau: float = 0.0):
@@ -197,51 +188,97 @@ class ConstraintSet:
     def classification_matrix(self, point, tau: float = 0.0):
         """Pairwise canonical brackets of every constraint with every other;
         the set is second class where this matrix is invertible."""
-        return _pairwise_matrix(self.space, self.constraints, list(point), tau)
+        frame = DiracFrame(self, point, tau)
+        return frame.matrix, frame.grads
 
 
-def _pairwise_matrix(space: PhaseSpace, constraints, z, tau):
-    grads = [_grad_z(c.fn, z, tau) for c in constraints]
-    k = len(constraints)
-    M = [[0.0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            val = _pb_from_grads(space, grads[a], grads[b])
-            M[a][b] = val
-            M[b][a] = -val
-    return M, grads
+class DiracFrame:
+    """Constraint data at one phase-space point, built once: the constraint
+    gradients and their pairwise canonical-bracket matrix.  Gradients of the
+    phase functions bracketed here are cached per function object, so
+    brackets at the same point share them.  The conditioning of the matrix
+    is checked on the first bracket, except at dual points (Jacobi checks
+    nest brackets there)."""
+
+    def __init__(self, cset: ConstraintSet, point, tau: float = 0.0):
+        self.cset, self.z, self.tau = cset, list(point), tau
+        self._grads = {}
+        self.grads = [self.grad(c.fn) for c in cset.constraints]
+        k = len(self.grads)
+        self.matrix = [[0.0] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                val = _pb_from_grads(cset.space, self.grads[a], self.grads[b])
+                self.matrix[a][b] = val
+                self.matrix[b][a] = -val
+        roles = [c.role for c in cset.constraints]
+        self.gauge_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.GAUGE]
+        self.shell_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.MASS_SHELL]
+        self._checked = any(is_dual(u) for u in self.z)
+
+    def grad(self, f):
+        # keyed by id with the function held alive, so the id cannot be reused
+        hit = self._grads.get(id(f))
+        if hit is None:
+            hit = self._grads[id(f)] = (f, _grad_z(as_phase_fn(f), self.z, self.tau))
+        return hit[1]
+
+    def bracket(self, f, g):
+        """{f,g} minus the correction through the inverse of the pairwise
+        constraint matrix (computed by linear solves, never inversion)."""
+        if not self._checked:
+            M_float = np.asarray([[real_part(v) for v in row] for row in self.matrix])
+            cond = float(np.linalg.cond(M_float))
+            if not np.isfinite(cond) or cond >= 1e10:
+                raise SingularConstraintMatrix(cond)
+            self._checked = True
+        space = self.cset.space
+        df, dg = self.grad(f), self.grad(g)
+        plain = _pb_from_grads(space, df, dg)
+        fv = [_pb_from_grads(space, df, gr) for gr in self.grads]  # {f, v_a}
+        vg = [_pb_from_grads(space, gr, dg) for gr in self.grads]  # {v_b, g}
+        y = _solve_generic(self.matrix, vg)
+        return plain - _dot(fv, y)
+
+    def gauge_shell_block(self) -> np.ndarray:
+        """{chi_i, K_j} as floats: one row per gauge, one column per shell."""
+        return np.array(
+            [[float(self.matrix[a][b]) for b in self.shell_ix] for a in self.gauge_ix],
+            dtype=float,
+        ).reshape(len(self.gauge_ix), len(self.shell_ix))
+
+    def flow_rhs(self):
+        """dz/dtau = sum_i v_i X_{K_i} with the multipliers fixed by exact
+        preservation of the gauge constraints."""
+        space, A = self.cset.space, self.gauge_shell_block()
+        gauges = [self.cset.constraints[a] for a in self.gauge_ix]
+        rhs_tau = np.asarray([-tangent_part(g(self.z, Dual(self.tau, 1.0))) for g in gauges])
+        cond = float(np.linalg.cond(A))
+        if not np.isfinite(cond) or cond >= 1e10:
+            raise SingularConstraintMatrix(cond)
+        v = np.linalg.solve(A, rhs_tau)
+        diag = space.signature.diag
+        out = np.zeros(space.dim)
+        for i, s in enumerate(self.shell_ix):
+            grad = self.grads[s]
+            for alpha in range(space.particles):
+                for mu in range(4):
+                    xi_idx, pi_idx = space.ix(alpha, mu), space.ip(alpha, mu)
+                    out[xi_idx] += v[i] * diag[mu] * float(grad[pi_idx])
+                    out[pi_idx] -= v[i] * diag[mu] * float(grad[xi_idx])
+        return out, v
 
 
 def constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) -> np.ndarray:
     """The gauge-versus-shell block {chi_i, K_j} evaluated on the surface."""
     z = list(point)
     cset.require_on_surface(z, tau)
-    gauges, shells = cset.gauges, cset.shells
-    out = np.empty((len(gauges), len(shells)))
-    for i, chi in enumerate(gauges):
-        for j, K in enumerate(shells):
-            out[i, j] = float(canonical_pb(cset.space, chi.fn, K.fn, z, tau))
-    return out
+    return DiracFrame(cset, z, tau).gauge_shell_block()
 
 
 def dirac_bracket(cset: ConstraintSet, f, g, point, tau: float = 0.0):
-    """{f,g} minus the correction through the inverse of the full pairwise
-    constraint matrix (computed by linear solves, never inversion)."""
-    f, g = as_phase_fn(f), as_phase_fn(g)
-    z = list(point)
-    M, grads = _pairwise_matrix(cset.space, cset.constraints, z, tau)
-    if not any(is_dual(u) for u in z):
-        M_float = np.asarray([[real_part(v) for v in row] for row in M])
-        cond = float(np.linalg.cond(M_float))
-        if not np.isfinite(cond) or cond >= 1e10:
-            raise SingularConstraintMatrix(cond)
-    df = _grad_z(f, z, tau)
-    dg = _grad_z(g, z, tau)
-    plain = _pb_from_grads(cset.space, df, dg)
-    fv = [_pb_from_grads(cset.space, df, gr) for gr in grads]  # {f, v_a}
-    vg = [_pb_from_grads(cset.space, gr, dg) for gr in grads]  # {v_b, g}
-    y = _solve_generic(M, vg)
-    return plain - _dot(fv, y)
+    """The Dirac bracket {f,g}* at one point; see ``DiracFrame.bracket``."""
+    return DiracFrame(cset, point, tau).bracket(f, g)
 
 
 @dataclass(frozen=True)
@@ -377,22 +414,7 @@ def sample_on_shell(
         z[space.ip(alpha, 0)] = math.sqrt(
             masses[alpha] ** 2 + float(np.sum(z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] ** 2))
         )
-    shells = cset.shells
-    for _ in range(60):
-        vals = [float(s(z, tau)) for s in shells]
-        if max(abs(v) for v in vals) < newton_tol:
-            break
-        for alpha, shell in enumerate(shells):
-            # Newton in the energy component, other variables frozen
-            i0 = space.ip(alpha, 0)
-            val = float(shell(z, tau))
-            seeded = list(z)
-            seeded[i0] = Dual(z[i0], 1.0)
-            slope = shell(seeded, tau).b
-            z[i0] -= val / slope
-    else:
-        raise ConstraintDrift(tau, max(abs(float(s(z, tau))) for s in shells))
-
+    _newton_energies(cset, z, tau, newton_tol)
     P = np.asarray(space.p(z, 0)) + np.asarray(space.p(z, 1))
     diag = np.asarray(space.signature.diag)
     PP = float(P @ (diag * P))
@@ -411,57 +433,42 @@ def sample_on_shell(
     return z
 
 
+def _newton_energies(cset: ConstraintSet, z, tau, newton_tol):
+    """Fix each particle's energy component in place by Newton iteration on
+    its mass shell, the other coordinates frozen."""
+    space, shells = cset.space, cset.shells
+    for _ in range(60):
+        if max(abs(float(s(z, tau))) for s in shells) < newton_tol:
+            return
+        for alpha, shell in enumerate(shells):
+            i0 = space.ip(alpha, 0)
+            val = float(shell(z, tau))
+            seeded = list(z)
+            seeded[i0] = Dual(z[i0], 1.0)
+            slope = tangent_part(shell(seeded, tau))
+            if slope == 0.0:
+                raise GeoredError(f"mass shell {shell.label} has zero energy slope")
+            z[i0] -= val / slope
+    raise ConstraintDrift(tau, max(abs(float(s(z, tau))) for s in shells))
+
+
 def hamiltonian_flow_rhs(cset: ConstraintSet, z, tau):
-    """dz/dtau = sum_i v_i X_{K_i} with the multipliers fixed by exact
-    preservation of the gauge constraints."""
-    space = cset.space
-    gauges, shells = cset.gauges, cset.shells
-    zs = list(z)
-    shell_grads = [_grad_z(s.fn, zs, tau) for s in shells]
-    gauge_grads = [_grad_z(g.fn, zs, tau) for g in gauges]
-    A = np.asarray(
-        [
-            [float(_pb_from_grads(space, gg, sg)) for sg in shell_grads]
-            for gg in gauge_grads
-        ]
-    )
-
-    def tau_rate(g):
-        out = g(zs, Dual(tau, 1.0))
-        return out.b if is_dual(out) else 0.0
-
-    rhs_tau = np.asarray([-tau_rate(g) for g in gauges])
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond >= 1e10:
-        raise SingularConstraintMatrix(cond)
-    v = np.linalg.solve(A, rhs_tau)
-    diag = space.signature.diag
-    out = np.zeros(space.dim)
-    for i, grad in enumerate(shell_grads):
-        for alpha in range(space.particles):
-            for mu in range(4):
-                xi_idx, pi_idx = space.ix(alpha, mu), space.ip(alpha, mu)
-                out[xi_idx] += v[i] * diag[mu] * float(grad[pi_idx])
-                out[pi_idx] -= v[i] * diag[mu] * float(grad[xi_idx])
-    return out, v
+    """dz/dtau and the multipliers; see ``DiracFrame.flow_rhs``."""
+    return DiracFrame(cset, z, tau).flow_rhs()
 
 
 def _project_to_surface(cset: ConstraintSet, z, tau, tol=1e-12, max_iter=6):
-    space = cset.space
+    """Gauss-Newton projection onto the constraint surface; raises
+    ConstraintDrift when ``max_iter`` steps do not reach ``tol``."""
     out = np.array(z, dtype=float)
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         vals = cset.values(out, tau)
         if float(np.max(np.abs(vals))) <= tol:
             return out
-        J = np.asarray(
-            [
-                [real_part(v) for v in _grad_z(c.fn, list(out), tau)]
-                for c in cset.constraints
-            ]
-        )
-        correction = J.T @ np.linalg.solve(J @ J.T, vals)
-        out = out - correction
-    return out
+        if step == max_iter:
+            raise ConstraintDrift(tau, float(np.max(np.abs(vals))))
+        J = np.asarray(DiracFrame(cset, out, tau).grads)
+        out = out - J.T @ np.linalg.solve(J @ J.T, vals)
 
 
 def constrained_flow(
@@ -520,16 +527,17 @@ def position_noncommutativity(cset: ConstraintSet | None, space: PhaseSpace, poi
     plain canonical bracket when no constraints are supplied)."""
     tables = []
     worst = 0.0
+    frame = None if cset is None else DiracFrame(cset, point, tau)
     for alpha in range(space.particles):
         T = np.zeros((4, 4))
+        xs = [coordinate_fn(space, "x", alpha, mu) for mu in range(4)]
         for mu in range(4):
             for nu in range(mu + 1, 4):
-                f = coordinate_fn(space, "x", alpha, mu)
-                g = coordinate_fn(space, "x", alpha, nu)
-                if cset is None:
+                f, g = xs[mu], xs[nu]
+                if frame is None:
                     val = float(canonical_pb(space, f, g, point, tau))
                 else:
-                    val = float(dirac_bracket(cset, f, g, point, tau))
+                    val = float(frame.bracket(f, g))
                 T[mu, nu] = val
                 T[nu, mu] = -val
                 worst = max(worst, abs(val))
@@ -582,7 +590,8 @@ def wlc_residual(
     z = list(point)
     cset.require_on_surface(z, tau)
     G = poincare_transformation_fn(space, omega, a)
-    flow, _ = hamiltonian_flow_rhs(cset, z, tau)
+    frame = DiracFrame(cset, z, tau)
+    flow, _ = frame.flow_rhs()
     diag = space.signature.diag
     per_particle = []
     for alpha in range(space.particles):
@@ -591,7 +600,7 @@ def wlc_residual(
         u = np.empty(4)
         for mu in range(4):
             xf = coordinate_fn(space, "x", alpha, mu)
-            lhs[mu] = float(dirac_bracket(cset, G, xf, z, tau))
+            lhs[mu] = float(frame.bracket(G, xf))
             x = [float(v) for v in space.x(z, alpha)]
             geo[mu] = sum(omega[mu][nu] * diag[nu] * x[nu] for nu in range(4)) + a[mu]
             u[mu] = flow[space.ix(alpha, mu)]
@@ -677,17 +686,7 @@ def sample_on_shell_kinematical(
             masses[alpha] ** 2
             + float(np.sum(z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] ** 2))
         )
-    shells = cset.shells
-    for _ in range(60):
-        vals = [float(s(z, tau)) for s in shells]
-        if max(abs(v) for v in vals) < newton_tol:
-            break
-        for alpha, shell in enumerate(shells):
-            i0 = space.ip(alpha, 0)
-            val = float(shell(z, tau))
-            seeded = list(z)
-            seeded[i0] = Dual(z[i0], 1.0)
-            z[i0] -= val / shell(seeded, tau).b
+    _newton_energies(cset, z, tau, newton_tol)
     z = _project_to_surface(cset, z, tau)
     cset.require_on_surface(z, tau)
     return z

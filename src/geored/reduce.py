@@ -20,7 +20,7 @@ import numpy as np
 
 from geored.calc import DUAL, ScalarField, VectorFieldFn, gradient, lie_derivative
 from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
-from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
+from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,7 @@ class DiagramReport:
     samples: int
     tolerances: dict
     events: list = field(default_factory=list)
+    ambient: Trajectory | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -269,4 +270,5 @@ def verify_commuting_diagram(
         ok=max_dev <= scenario.tolerances["diagram"],
         samples=len(grid),
         tolerances=dict(scenario.tolerances),
+        ambient=ambient,
     )

@@ -133,3 +133,28 @@ def test_run_all_empty_config_dir_uses_defaults(tmp_path):
         cli_mod.REGISTRY = saved
     assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0}
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "metrics, status",
+    [
+        ({"a": 0.5, "b": 0.5}, "PASS"),
+        ({"a": float("nan"), "b": 0.5}, "FAIL"),
+        ({"a": 0.5}, "FAIL"),
+        ({"a": float("nan")}, "FAIL"),
+        ({"a": 0.5, "b": float("-inf")}, "FAIL"),
+    ],
+)
+def test_gates_fail_closed_on_nan_or_missing_metric(tmp_path, monkeypatch, metrics, status):
+    from geored import cli as cli_mod
+
+    spec = cli_mod.ScenarioSpec(
+        "stub-gates",
+        "stub whose gated metrics may be NaN or absent",
+        ("test stub",),
+        {"a": 1.0, "b": 1.0},
+        lambda config, rng, outdir: (dict(metrics), [], False),
+    )
+    monkeypatch.setitem(cli_mod.REGISTRY, spec.name, spec)
+    report = run(_make_config(spec.name, output_dir=str(tmp_path)))
+    assert report.status == status

@@ -7,7 +7,10 @@ from geored.dirac import (
     Constraint,
     ConstraintRole,
     ConstraintSet,
+    DiracFrame,
     PhaseSpace,
+    _newton_energies,
+    _project_to_surface,
     canonical_pb,
     constrained_flow,
     constraint_matrix,
@@ -26,7 +29,14 @@ from geored.dirac import (
     two_particle_model,
     wlc_residual,
 )
-from geored.errors import OffSurface, SingularConstraintMatrix
+from geored.dualnum import Dual
+from geored.errors import (
+    ConstraintDrift,
+    EvaluationError,
+    GeoredError,
+    OffSurface,
+    SingularConstraintMatrix,
+)
 
 
 def model():
@@ -455,3 +465,85 @@ def test_deformed_poincare_specific_entries():
     assert np.sum(np.abs(out)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         deformed_poincare(0.0)
+
+
+def test_frame_brackets_equal_fresh_dirac_brackets_exactly():
+    # one frame serves every bracket at its point; the cached gradients must
+    # not change a single bit against a fresh bracket per call
+    cset, space = model()
+    rng = np.random.default_rng(24)
+    z = sample_on_shell(cset, rng, (1.0, 2.0))
+    frame = DiracFrame(cset, z)
+    coords = [coordinate_fn(space, kind, alpha, mu)
+              for kind in ("x", "p") for alpha in (0, 1) for mu in range(4)]
+    gens = [g.fn for g in poincare_generators(space)]
+    for f in coords[:8] + gens[:3]:
+        for g in [c.fn for c in cset.constraints] + coords[8:] + gens[3:]:
+            assert frame.bracket(f, g) == dirac_bracket(cset, f, g, z)
+    M, _ = cset.classification_matrix(z)
+    assert M == frame.matrix
+    assert np.array_equal(constraint_matrix(cset, z), frame.gauge_shell_block())
+
+
+def test_frame_brackets_equal_fresh_inside_dual_jacobi_nesting():
+    cset, space = model()
+    rng = np.random.default_rng(25)
+    z = sample_on_shell(cset, rng, (1.0, 2.0))
+    f = coordinate_fn(space, "x", 0, 1)
+    g = coordinate_fn(space, "x", 0, 2)
+    h = coordinate_fn(space, "p", 0, 1)
+
+    def fresh(a, b):
+        return lambda zz, tau: dirac_bracket(cset, a, b, zz, tau)
+
+    def shared(a, b):
+        return lambda zz, tau: DiracFrame(cset, zz, tau).bracket(a, b)
+
+    outer = DiracFrame(cset, z)
+    for pair in (fresh, shared):
+        assert outer.bracket(f, pair(g, h)) == dirac_bracket(cset, f, fresh(g, h), z)
+        assert outer.bracket(h, pair(f, g)) == dirac_bracket(cset, h, fresh(f, g), z)
+    # a frame at a dual point: every bracket matches a fresh one in both slots
+    zd = [Dual(float(v), float(t)) for v, t in zip(z, rng.uniform(-1, 1, 16))]
+    frame = DiracFrame(cset, zd)
+    for a, b in ((f, g), (g, h), (h, f), (f, cset.constraints[0].fn)):
+        got, want = frame.bracket(a, b), dirac_bracket(cset, a, b, zd)
+        assert (got.a, got.b) == (want.a, want.b)
+
+
+def test_infinite_tangent_raises_evaluation_error():
+    cset, space = model()
+    z = sample_on_shell(cset, np.random.default_rng(26), (1.0, 2.0))
+    steep = lambda zz, tau: zz[1] * 1e200 * 1e200
+    g = coordinate_fn(space, "p", 0, 1)
+    with pytest.raises(EvaluationError) as err:
+        dirac_bracket(cset, steep, g, z)
+    assert err.value.index == 1
+    with pytest.raises(EvaluationError):
+        canonical_pb(space, steep, g, z)
+
+
+def test_newton_zero_energy_slope_raises():
+    space = PhaseSpace(1)
+
+    def K(z, tau):  # no dependence on the energy component p^0
+        return z[space.ip(0, 1)] ** 2 - 4.0
+
+    cset = ConstraintSet(space, [Constraint("K", K, ConstraintRole.MASS_SHELL)])
+    z = np.zeros(8)
+    z[space.ip(0, 1)] = 1.0
+    with pytest.raises(GeoredError, match="zero energy slope"):
+        _newton_energies(cset, z, 0.0, 1e-12)
+
+
+def test_projection_that_does_not_converge_raises():
+    cset, space = model()
+    z = sample_on_shell(cset, np.random.default_rng(27), (1.0, 2.0))
+    off = np.array(z)
+    off[space.ip(0, 1)] += 0.05
+    off[space.ix(1, 2)] -= 0.05
+    with pytest.raises(ConstraintDrift) as err:
+        _project_to_surface(cset, off, 0.0, max_iter=1)
+    assert err.value.drift > 1e-12
+    back = _project_to_surface(cset, off, 0.0)
+    assert np.max(np.abs(cset.values(back, 0.0))) <= 1e-12

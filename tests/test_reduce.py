@@ -216,6 +216,19 @@ def test_report_json_schema():
     assert payload["ok"] is True
 
 
+def test_report_carries_ambient_trajectory_outside_json_and_equality():
+    import dataclasses
+
+    entry = catalog.entry("riccati-classical")
+    report = verify_commuting_diagram(entry.scenario, entry.default_x0, 0.0, 1.0)
+    assert report.ambient.times[0] == 0.0 and report.ambient.times[-1] == 1.0
+    assert np.array_equal(report.ambient.states[0], entry.default_x0)
+    bare = dataclasses.replace(report, ambient=None)
+    assert report == bare
+    assert repr(report) == repr(bare)
+    assert report.to_json() == bare.to_json()
+
+
 def test_projectability_rejects_unrelated_pair():
     from geored.errors import PairNotEquivalent
 
