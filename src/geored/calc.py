@@ -7,10 +7,22 @@ must be written generically (indexing, arithmetic, and the ``dualnum`` math
 helpers), because the dual scheme threads ``Dual`` scalars through them.
 Point components may themselves be duals, so gradients of gradients (and
 brackets of brackets) nest without special cases.
+
+``gradient``, ``jacobian`` and ``vector_jacobian`` share one forward-mode
+kernel, ``_dual_rows``.  At a point whose coordinates are all plain numbers
+it seeds ``Dual(x[j], e_j)`` with ``e_j`` a row of a float identity array
+and evaluates each field once: the tangent of every output is its whole
+gradient row (the vector mode of Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 3).  At a point that holds duals it seeds
+one scalar direction per evaluation, as every nested layer does.  Tangent
+arrays are therefore always the innermost layer: an ndarray tangent never
+meets a ``Dual`` operand, and tangent arrays from two different seedings
+never meet, so they cannot broadcast against each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -98,11 +110,80 @@ def _seed(x, i: int):
     return [Dual(_plain(x[j]), 1.0 if j == i else 0.0) for j in range(len(x))]
 
 
+@functools.cache
+def _unit_rows(n: int) -> tuple:
+    """Rows of the n x n identity: the vector seed tangents.
+
+    Every float-point derivative of arity n shares them, so they are
+    read-only: a field that writes into a tangent raises instead of
+    corrupting later gradients."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return tuple(eye)
+
+
+def _tangent_row(y, n: int):
+    """Tangent of one output of a vector-seeded evaluation, as an n-row."""
+    b = tangent_part(y)
+    return b if isinstance(b, np.ndarray) else np.full(n, b)
+
+
+def _vector_rows(outputs, coords: list, n: int):
+    """One evaluation at the point seeded with the unit rows; the m x n
+    float array of output tangents, or None if the evaluation hit a
+    floating-point trap or an entry is non-finite.
+
+    Numpy signals a zero division inside a tangent array with a warning,
+    where a scalar tangent raises; the traps turn that (and overflow or an
+    invalid operation) into an exception, so no warning escapes.
+    """
+    xs = list(map(Dual, coords, _unit_rows(n)))
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rows = np.array([_tangent_row(y, n) for y in outputs(xs)])
+            # a sum is finite iff every entry is (inf - inf traps as invalid)
+            if math.isfinite(rows.sum()):
+                return rows
+    except ArithmeticError:
+        pass
+    return None
+
+
+def _dual_rows(outputs, x: Sequence, n: int):
+    """Tangent rows of ``outputs`` (point -> sequence of m values) at ``x``:
+    row r holds the partials of value r, one column per coordinate.
+
+    A float point takes one vector-seeded evaluation.  A point holding
+    duals takes one scalar-seeded evaluation per direction; so does a float
+    point whose vector evaluation failed, which makes every failure raise
+    exactly as the scalar loop raises it (the first bad seed index).  The
+    entries are bit-identical either way: each tangent slot sees the same
+    IEEE operations in the same order.  Float array at a float point,
+    nested lists when duals are involved.
+    """
+    if Dual not in map(type, x):
+        rows = _vector_rows(outputs, [float(c) for c in x], n)
+        if rows is not None:
+            return rows
+    cols = []
+    for i in range(n):
+        ys = _eval(outputs, _seed(x, i), i)
+        cols.append([_check_finite(tangent_part(y), i) for y in ys])
+    return _pack_rows([list(row) for row in zip(*cols)], x)
+
+
 def _pack(values, x):
     """Float arrays for float points, plain lists when duals are involved."""
     if any(is_dual(v) for v in values) or any(is_dual(c) for c in x):
         return list(values)
     return np.asarray([float(v) for v in values])
+
+
+def _pack_rows(rows, x):
+    """``_pack`` for a matrix given as a list of rows."""
+    if any(is_dual(v) for row in rows for v in row) or any(is_dual(c) for c in x):
+        return rows
+    return np.asarray(rows, dtype=float)
 
 
 def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
@@ -113,11 +194,7 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     """
     n = f.arity
     if scheme.mode is DiffMode.DUAL:
-        out = []
-        for i in range(n):
-            v = _eval(f, _seed(x, i), i)
-            out.append(_check_finite(tangent_part(v), i))
-        return _pack(out, x)
+        return _dual_rows(lambda xs: (f(xs),), x, n)[0]
     h = scheme.step
     out = []
     for i in range(n):
@@ -131,39 +208,22 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
 def jacobian(fields: Sequence[ScalarField], x: Sequence, scheme: DiffScheme = DUAL):
     """Stacked gradients; row i is the gradient of ``fields[i]``.
 
-    One seeded evaluation per input direction covers every field at once in
-    DUAL mode.
+    In DUAL mode each seeded evaluation covers every field at once.
     """
     arities = {f.arity for f in fields}
     if len(arities) != 1:
         raise ValueError("all fields must share one arity")
     n = arities.pop()
-    m = len(fields)
     if scheme.mode is DiffMode.DUAL:
-        cols = []
-        for i in range(n):
-            xs = _seed(x, i)
-            cols.append([_check_finite(tangent_part(_eval(f, xs, i)), i) for f in fields])
-        rows = [[cols[i][r] for i in range(n)] for r in range(m)]
-    else:
-        rows = [list(gradient(f, x, scheme)) for f in fields]
-    if any(is_dual(v) for row in rows for v in row) or any(is_dual(c) for c in x):
-        return rows
-    return np.asarray(rows, dtype=float)
+        return _dual_rows(lambda xs: [f(xs) for f in fields], x, n)
+    return _pack_rows([list(gradient(f, x, scheme)) for f in fields], x)
 
 
 def vector_jacobian(X: VectorFieldFn, x: Sequence, scheme: DiffScheme = DUAL):
     """Matrix of partials of a vector field (row = output component)."""
     n = X.arity
     if scheme.mode is DiffMode.DUAL:
-        cols = []
-        for i in range(n):
-            ys = _eval(X, _seed(x, i), i)
-            cols.append([_check_finite(tangent_part(y), i) for y in ys])
-        rows = [[cols[i][r] for i in range(n)] for r in range(n)]
-        if any(is_dual(v) for row in rows for v in row):
-            return rows
-        return np.asarray(rows, dtype=float)
+        return _dual_rows(X, x, n)
     h = scheme.step
     rows = None
     for i in range(n):

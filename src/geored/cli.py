@@ -5,6 +5,9 @@ plot-ready CSV data.
 Reports are deterministic for a fixed (config, seed): the JSON body carries
 no timestamps, randomness derives from the global seed split per scenario
 by name hashing, and wall time lives only on the in-memory report object.
+A scenario that raises is reported with status ERROR (exception type and
+message in the body, traceback in ``traceback.txt``) instead of stopping a
+``run-all``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from geored.errors import ConfigError, UnknownScenario
 from geored.flow import IntegratorConfig, integrate
 from geored.reduce import verify_commuting_diagram
 
-PASS, FAIL, PARTIAL = "PASS", "FAIL", "PARTIAL"
+PASS, FAIL, PARTIAL, ERROR = "PASS", "FAIL", "PARTIAL", "ERROR"
 
 
 @dataclass
@@ -45,15 +49,19 @@ class RunReport:
     artifacts: list
     config_echo: dict
     wall_time: float = 0.0
+    error: dict | None = None  # {"type", "message"} of an ERROR run
 
     def body(self) -> dict:
-        return {
+        body = {
             "name": self.name,
             "status": self.status,
             "metrics": self.metrics,
             "artifacts": self.artifacts,
             "config_echo": self.config_echo,
         }
+        if self.error is not None:
+            body["error"] = self.error
+        return body
 
     def to_json(self) -> str:
         return json.dumps(self.body(), sort_keys=True, indent=2)
@@ -694,14 +702,20 @@ def run(config: ScenarioConfig) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
     rng = _rng_for(config.name, config.seed)
     started = time.perf_counter()
-    metrics, artifacts, partial = spec.runner(config, rng, outdir)
+    error = None
+    try:
+        metrics, artifacts, partial = spec.runner(config, rng, outdir)
+    except Exception as err:  # a crashed scenario is reported, never lost
+        (outdir / "traceback.txt").write_text(traceback.format_exc())
+        error = {"type": type(err).__name__, "message": str(err)}
+        metrics, artifacts, partial = {}, ["traceback.txt"], False
     wall = time.perf_counter() - started
     # fail closed: a gated metric that is missing or not finite fails
     failed = any(
         not np.isfinite(metrics.get(key, np.nan)) or metrics[key] > limit
         for key, limit in gates.items()
     )
-    status = FAIL if failed else (PARTIAL if partial else PASS)
+    status = ERROR if error else FAIL if failed else (PARTIAL if partial else PASS)
     report = RunReport(
         name=config.name,
         status=status,
@@ -715,6 +729,7 @@ def run(config: ScenarioConfig) -> RunReport:
             "rk45_rel_tol": config.integrator.rel_tol,
         },
         wall_time=wall,
+        error=error,
     )
     (outdir / "report.json").write_text(report.to_json())
     return report
@@ -729,7 +744,7 @@ def run_all(
     """Aggregate every registered scenario; per-scenario JSON files in
     ``configs_dir`` override the defaults, and an empty or absent directory
     just means defaults."""
-    counts = {"pass": 0, "fail": 0, "partial": 0}
+    counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
     reports = []
     for name in sorted(REGISTRY):
         file_cfg = {}
@@ -833,16 +848,16 @@ def main(argv=None) -> int:
             )
             report = run(config)
             print(f"{report.name}: {report.status} ({report.wall_time:.2f}s)")
+            if report.error is not None:
+                print(f"  {report.error['type']}: {report.error['message']}")
             for key, value in sorted(report.metrics.items()):
                 print(f"  {key} = {value:.6e}")
             return 0 if report.status == PASS else 1
 
         summary = run_all(args.out_dir, args.seed, args.rk45_tol, args.configs_dir)
         counts = summary["counts"]
-        print(
-            f"pass={counts['pass']} fail={counts['fail']} partial={counts['partial']}"
-        )
-        return 0 if counts["fail"] == 0 and counts["partial"] == 0 else 1
+        print(" ".join(f"{key}={value}" for key, value in counts.items()))
+        return 0 if counts["pass"] == len(summary["reports"]) else 1
     except (UnknownScenario, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

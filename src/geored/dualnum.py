@@ -3,6 +3,16 @@
 Prefers the compiled kernel (``geored._dual_cy``) and falls back to the pure
 Python twin.  Everything downstream imports ``Dual`` and the math helpers from
 here, so the choice is invisible to the rest of the package.
+
+A tangent slot holds a float, a ``Dual`` (one more nesting layer) or, in
+the innermost layer only, a float ndarray with one entry per seed direction:
+``calc`` seeds such vector tangents at points whose coordinates are all
+plain numbers, and scalar tangents at points that hold duals.  So an ndarray
+tangent never meets a ``Dual`` operand, and tangent arrays of two different
+seedings never meet, which would broadcast them against each other.  The
+helpers below act on tangents only through ``+ - * /`` with real parts,
+which numpy applies entry by entry with the same IEEE operations as on
+floats.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geored import calc
 from geored import dualnum as dn
 from geored.calc import (
     CENTRAL,
@@ -15,6 +18,7 @@ from geored.calc import (
     hessian,
     jacobian,
     lie_derivative,
+    vector_jacobian,
 )
 from geored.errors import EvaluationError
 
@@ -229,3 +233,171 @@ def test_gradient_linearity_property(pt):
     lhs = gradient(fg, pt)
     rhs = gradient(f, pt) + 3.0 * gradient(g, pt)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# -- vector tangents at float points against per-direction scalar seeding ----
+
+_UNARY = (lambda u: u, dn.sin, dn.exp, lambda u: dn.sqrt(1.0 + u * u))
+
+
+@st.composite
+def _closed_form(draw, n):
+    """A random field of arity n: sum of c * op(x[i] * x[j] + x[k]), op one
+    of identity, sin, exp, sqrt(1 + u^2)."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.floats(-2, 2, allow_nan=False),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(0, len(_UNARY) - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+    def fn(x):
+        total = 0.0
+        for c, i, j, k, op in terms:
+            total = total + c * _UNARY[op](x[i] * x[j] + x[k])
+        return total
+
+    return fn
+
+
+def _point(n):
+    return st.lists(st.floats(-2, 2, allow_nan=False), min_size=n, max_size=n)
+
+
+def _scalar_rows(outputs, x):
+    """Reference: one evaluation per direction, seeded with calc._seed."""
+    cols = [[dn.tangent_part(y) for y in outputs(calc._seed(x, i))] for i in range(len(x))]
+    return np.array(cols, dtype=float).T
+
+
+def _same_bits(got, ref):
+    got = np.asarray(got)
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vector_mode_rows_bit_identical_to_scalar_seeding(data):
+    n = data.draw(st.integers(1, 16))
+    # a constant output has a plain-float tangent, broadcast to a zero row
+    fns = data.draw(st.lists(_closed_form(n), min_size=1, max_size=3)) + [lambda z: 2.5]
+    comps = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
+    x = data.draw(_point(n))
+    fields = [ScalarField(n, fn) for fn in fns]
+    X = VectorFieldFn(n, lambda z: [c(z) for c in comps])
+    rows = _scalar_rows(lambda z: [fn(z) for fn in fns], x)
+    assert _same_bits(gradient(fields[0], x), rows[0])
+    assert _same_bits(jacobian(fields, x), rows)
+    assert _same_bits(jacobian(fields, np.asarray(x)), rows)
+    assert _same_bits(vector_jacobian(X, x), _scalar_rows(X, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_injected_nan_or_inf_names_first_bad_component(data):
+    n = data.draw(st.integers(1, 16))
+    base = data.draw(_closed_form(n))
+    bad = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    kind = data.draw(st.sampled_from(["inf", "nan"]))
+    x = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+
+    def poisoned(z):
+        # (s z_k)^2 overflows only in the tangent slot of direction k;
+        # subtracting it again turns that slot into inf - inf = NaN
+        total = base(z)
+        for k in sorted(bad):
+            t = 1e200 * z[k]
+            total = total + (t * t if kind == "inf" else t * t - t * t)
+        return total
+
+    other = ScalarField(n, base)
+    for call in (
+        lambda: gradient(ScalarField(n, poisoned), x),
+        lambda: jacobian([other, ScalarField(n, poisoned)], x),
+        lambda: vector_jacobian(VectorFieldFn(n, lambda z: [poisoned(z)] * n), x),
+    ):
+        with pytest.raises(EvaluationError) as err:
+            call()
+        assert err.value.index == min(bad)
+        assert "non-finite" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_non_finite_coordinate_raises_like_scalar_loop(data):
+    n = data.draw(st.integers(1, 16))
+    fn = data.draw(_closed_form(n))
+    x = data.draw(_point(n))
+    for k in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+        x[k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    f = ScalarField(n, fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            ref = _scalar_rows(lambda z: [fn(z)], x)[0]
+        except (ArithmeticError, ValueError) as err:  # math domain errors
+            with pytest.raises(type(err)):
+                gradient(f, x)
+            return
+    bad = np.flatnonzero(~np.isfinite(ref))
+    if bad.size == 0:
+        assert _same_bits(gradient(f, x), ref)
+        return
+    with pytest.raises(EvaluationError) as err:
+        gradient(f, x)
+    assert err.value.index == bad[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sqrt_at_zero_raises_evaluation_error_without_warning(data):
+    n = data.draw(st.integers(1, 16))
+    base = data.draw(_closed_form(n))
+    k = data.draw(st.integers(0, n - 1))
+    x = data.draw(_point(n))
+    x[k] = 0.0
+    f = ScalarField(n, lambda z: base(z) + dn.sqrt(z[k]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationError) as err:
+            gradient(f, x)
+    # the scalar loop raises on its first seed direction
+    assert err.value.index == 0
+
+
+def test_gradient_of_gradient_at_float_point_matches_hessian():
+    def fn(x):
+        return dn.exp(0.3 * x[0] * x[2]) * dn.sin(x[1]) + dn.sqrt(1.0 + x[0] * x[0] * x[1] * x[1])
+
+    n = 3
+    f = ScalarField(n, fn)
+    grads = [ScalarField(n, (lambda i: lambda z: gradient(f, z)[i])(i)) for i in range(n)]
+    x = [0.7, -0.4, 1.3]
+    nested = jacobian(grads, x)
+    # outer vector layer, inner scalar layers: bit-identical to scalar outer seeding
+    assert _same_bits(nested, _scalar_rows(lambda z: [g(z) for g in grads], x))
+    assert np.allclose(nested, hessian(f, x), rtol=0.0, atol=1e-12)
+
+
+def test_unit_rows_are_shared_and_read_only():
+    assert calc._unit_rows(4) is calc._unit_rows(4)
+
+    def writes_into_tangent(z):
+        z[0].b[1] = 5.0
+        return z[0]
+
+    with pytest.raises(ValueError):
+        gradient(ScalarField(2, writes_into_tangent), [1.0, 2.0])
+    # the returned row is a fresh writable array, not the cached seed
+    identity = ScalarField(2, lambda z: z[0])
+    g = gradient(identity, [1.0, 2.0])
+    g[0] = 7.0
+    assert list(gradient(identity, [1.0, 2.0])) == [1.0, 0.0]

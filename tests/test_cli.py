@@ -131,7 +131,7 @@ def test_run_all_empty_config_dir_uses_defaults(tmp_path):
         )
     finally:
         cli_mod.REGISTRY = saved
-    assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0}
+    assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0, "error": 0}
     assert (tmp_path / "out" / "summary.json").exists()
 
 
@@ -158,3 +158,27 @@ def test_gates_fail_closed_on_nan_or_missing_metric(tmp_path, monkeypatch, metri
     monkeypatch.setitem(cli_mod.REGISTRY, spec.name, spec)
     report = run(_make_config(spec.name, output_dir=str(tmp_path)))
     assert report.status == status
+
+
+def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, capsys):
+    from geored import cli as cli_mod
+
+    def crash(config, rng, outdir):
+        raise RuntimeError("stub scenario crashed")
+
+    stub = cli_mod.ScenarioSpec("aaa-crash", "stub that raises", ("test stub",), {"a": 1.0}, crash)
+    real = cli_mod.REGISTRY["deformed-poincare-jacobi"]
+    monkeypatch.setattr(cli_mod, "REGISTRY", {stub.name: stub, real.name: real})
+    out = tmp_path / "out"
+    code = main(["run-all", "--out-dir", str(out)])
+    assert code == 1
+    assert "error=1" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0, "error": 1}
+    crashed, passed = summary["reports"]
+    assert crashed["status"] == "ERROR"
+    assert crashed["error"] == {"type": "RuntimeError", "message": "stub scenario crashed"}
+    assert "stub scenario crashed" in (out / "aaa-crash" / "traceback.txt").read_text()
+    assert passed["name"] == "deformed-poincare-jacobi" and passed["status"] == "PASS"
+    assert "error" not in passed
+    assert (out / "deformed-poincare-jacobi" / "report.json").exists()
