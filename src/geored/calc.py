@@ -17,7 +17,10 @@ Derivatives*, 2nd ed., 2008, ch. 3).  At a point that holds duals it seeds
 one scalar direction per evaluation, as every nested layer does.  Tangent
 arrays are therefore always the innermost layer: an ndarray tangent never
 meets a ``Dual`` operand, and tangent arrays from two different seedings
-never meet, so they cannot broadcast against each other.
+never meet, so they cannot broadcast against each other.  ``hessian`` at a
+float point keeps that order: the unit rows fill the innermost layer and
+one scalar direction per evaluation the outer one, so each evaluation gives
+a whole Hessian row.
 """
 
 from __future__ import annotations
@@ -128,25 +131,50 @@ def _tangent_row(y, n: int):
     return b if isinstance(b, np.ndarray) else np.full(n, b)
 
 
-def _vector_rows(outputs, coords: list, n: int):
-    """One evaluation at the point seeded with the unit rows; the m x n
-    float array of output tangents, or None if the evaluation hit a
-    floating-point trap or an entry is non-finite.
+def _trapped_rows(evaluate):
+    """Float array of the rows ``evaluate()`` returns, or None if the
+    evaluation hit a floating-point trap or an entry is non-finite.
 
     Numpy signals a zero division inside a tangent array with a warning,
     where a scalar tangent raises; the traps turn that (and overflow or an
     invalid operation) into an exception, so no warning escapes.
     """
-    xs = list(map(Dual, coords, _unit_rows(n)))
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rows = np.array([_tangent_row(y, n) for y in outputs(xs)])
+            rows = np.array(evaluate())
             # a sum is finite iff every entry is (inf - inf traps as invalid)
             if math.isfinite(rows.sum()):
                 return rows
     except ArithmeticError:
         pass
     return None
+
+
+def _vector_rows(outputs, coords: list, n: int):
+    """One evaluation at the point seeded with the unit rows; the m x n
+    float array of output tangents, or None (see ``_trapped_rows``)."""
+    xs = list(map(Dual, coords, _unit_rows(n)))
+    return _trapped_rows(lambda: [_tangent_row(y, n) for y in outputs(xs)])
+
+
+def _hessian_rows(f, coords: list, n: int):
+    """n x n float array R with R[j, i] = d_i d_j f, or None (see
+    ``_trapped_rows``).
+
+    Evaluation j seeds ``Dual(Dual(x_k, e_k), Dual(delta_kj, 0.0))``: the
+    unit rows fill the innermost (vector) layer and one scalar direction j
+    the outer layer, so the outer tangent's tangent is row j.
+    """
+    units = _unit_rows(n)
+
+    def row(j):
+        xs = [
+            Dual(Dual(c, e), Dual(1.0 if k == j else 0.0, 0.0))
+            for k, (c, e) in enumerate(zip(coords, units))
+        ]
+        return _tangent_row(tangent_part(f(xs)), n)
+
+    return _trapped_rows(lambda: [row(j) for j in range(n)])
 
 
 def _dual_rows(outputs, x: Sequence, n: int):
@@ -242,12 +270,24 @@ def vector_jacobian(X: VectorFieldFn, x: Sequence, scheme: DiffScheme = DUAL):
 def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     """Symmetric matrix of second partials.
 
-    DUAL mode nests two derivative layers, one seeded pair per (i, j); the
-    result is symmetric by construction.  CENTRAL uses the four-point stencil
-    and is symmetrized on return.
+    DUAL mode nests two derivative layers.  At a float point one evaluation
+    per row j seeds the unit rows innermost under one outer scalar
+    direction j (``_hessian_rows``), so a Hessian takes n evaluations; entry
+    (i, j), i <= j, is read from row j and mirrored.  A point holding duals
+    seeds one scalar pair per (i, j), i <= j, and so does a float point
+    whose row evaluation failed, which makes every failure raise as that
+    loop raises it (the first bad index i).  Each entry sees the same IEEE
+    operations either way, so both give bit-identical results.  CENTRAL
+    uses the four-point stencil and is symmetrized on return.
     """
     n = f.arity
     if scheme.mode is DiffMode.DUAL:
+        if Dual not in map(type, x):
+            H = _hessian_rows(f, [float(c) for c in x], n)
+            if H is not None:
+                upper = np.triu_indices(n, 1)
+                H[upper] = H.T[upper]
+                return H
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -262,14 +302,13 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
                 entry = _check_finite(tangent_part(tangent_part(v)), i)
                 rows[i][j] = entry
                 rows[j][i] = entry
-        if any(is_dual(v) for row in rows for v in row) or any(is_dual(c) for c in x):
-            return rows
-        return np.asarray(rows, dtype=float)
+        return _pack_rows(rows, x)
     # second differences lose eps/h^2 to roundoff; sqrt(step) balances that
     # against the O(h^2) truncation term
     h = math.sqrt(scheme.step)
     H = np.empty((n, n))
     steps = [h * (1.0 + abs(real_part(x[i]))) for i in range(n)]
+    centre = _eval(f, list(x), 0)
 
     def ev(di, dj, i, j):
         xs = list(x)
@@ -281,9 +320,7 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
         for j in range(i, n):
             hi, hj = steps[i], steps[j]
             if i == j:
-                val = (ev(hi, 0.0, i, j) - 2.0 * f(list(x)) + ev(-hi, 0.0, i, j)) / (
-                    hi * hi
-                )
+                val = (ev(hi, 0.0, i, j) - 2.0 * centre + ev(-hi, 0.0, i, j)) / (hi * hi)
             else:
                 val = (
                     ev(hi, hj, i, j)

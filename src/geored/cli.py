@@ -20,6 +20,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -740,10 +741,12 @@ def run_all(
     seed: int = 0,
     rk45_tol: float | None = None,
     configs_dir: str | None = None,
+    on_report: Callable[[RunReport], None] | None = None,
 ) -> dict:
     """Aggregate every registered scenario; per-scenario JSON files in
     ``configs_dir`` override the defaults, and an empty or absent directory
-    just means defaults."""
+    just means defaults.  ``on_report`` is called with each report as its
+    scenario finishes."""
     counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
     reports = []
     for name in sorted(REGISTRY):
@@ -763,6 +766,8 @@ def run_all(
         report = run(config)
         reports.append(report)
         counts[report.status.lower()] += 1
+        if on_report is not None:
+            on_report(report)
     summary = {
         "counts": counts,
         "reports": [r.body() for r in reports],
@@ -797,6 +802,10 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}", fields=["config"])
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed config file: {err}", fields=["config"])
+
+
+def _print_status(report: RunReport) -> None:
+    print(f"{report.name}: {report.status} ({report.wall_time:.2f}s)")
 
 
 def main(argv=None) -> int:
@@ -847,14 +856,16 @@ def main(argv=None) -> int:
                 tolerances=file_cfg.get("tolerances"),
             )
             report = run(config)
-            print(f"{report.name}: {report.status} ({report.wall_time:.2f}s)")
+            _print_status(report)
             if report.error is not None:
                 print(f"  {report.error['type']}: {report.error['message']}")
             for key, value in sorted(report.metrics.items()):
                 print(f"  {key} = {value:.6e}")
             return 0 if report.status == PASS else 1
 
-        summary = run_all(args.out_dir, args.seed, args.rk45_tol, args.configs_dir)
+        summary = run_all(
+            args.out_dir, args.seed, args.rk45_tol, args.configs_dir, _print_status
+        )
         counts = summary["counts"]
         print(" ".join(f"{key}={value}" for key, value in counts.items()))
         return 0 if counts["pass"] == len(summary["reports"]) else 1

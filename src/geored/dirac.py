@@ -714,6 +714,11 @@ class DeformedPoincare:
             [(m, n) for m in range(4) for n in range(m + 1, 4)]
         ):
             self._pair_index[(m, n)] = 4 + idx
+        # structure constants, C[i, j, :] = [e_i, e_j]; K and the signature
+        # are fixed from here on, so the tensor is built once and frozen
+        C = np.array([[self.bracket_basis(i, j) for j in range(10)] for i in range(10)])
+        C.setflags(write=False)
+        self.C = C
 
     @property
     def dim(self) -> int:
@@ -765,39 +770,29 @@ class DeformedPoincare:
         return out
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(10)
-        for i in range(10):
-            if u[i] == 0.0:
-                continue
-            for j in range(10):
-                if v[j] == 0.0:
-                    continue
-                out += u[i] * v[j] * self.bracket_basis(i, j)
-        return out
+        """[u, v] for coefficient vectors on the basis: u^i v^j C_ij^k."""
+        return np.einsum("i,j,ijk->k", u, v, self.C)
 
     def jacobi_residual_all(self) -> float:
-        worst = 0.0
-        basis = [np.eye(10)[i] for i in range(10)]
-        for i in range(10):
-            for j in range(10):
-                for k in range(10):
-                    total = (
-                        self.bracket(basis[i], self.bracket(basis[j], basis[k]))
-                        + self.bracket(basis[j], self.bracket(basis[k], basis[i]))
-                        + self.bracket(basis[k], self.bracket(basis[i], basis[j]))
-                    )
-                    worst = max(worst, float(np.max(np.abs(total))))
-        return worst
+        return jacobi_residual(self.C)
 
     def position_block(self) -> np.ndarray:
         """Coefficients of {x_rho, x_sigma} on the Lorentz basis; scales as
         1/K exactly."""
-        out = np.zeros((4, 4))
-        for rho in range(4):
-            for sig in range(4):
-                vec = self.bracket_basis(rho, sig)
-                out[rho, sig] = float(np.max(np.abs(vec)))
-        return out
+        return np.abs(self.C[:4, :4]).max(axis=2)
+
+
+def jacobi_residual(C: np.ndarray) -> float:
+    """Largest |[e_i, [e_j, e_k]] + cyclic| over all basis triples, for the
+    structure constants C[i, j, :] = [e_i, e_j] of an n-dim algebra.
+
+    With T[i, j, k, :] = [e_i, [e_j, e_k]] = C_jk^m C_im^n, the Jacobi
+    identity says that T summed over the cyclic shifts of (i, j, k)
+    vanishes."""
+    T = np.einsum("jkm,imn->ijkn", C, C)
+    total = T + T.transpose(1, 2, 0, 3)
+    total += T.transpose(2, 0, 1, 3)
+    return float(np.abs(total, out=total).max())
 
 
 def deformed_poincare(K: float, signature: MetricSignature = MINKOWSKI) -> DeformedPoincare:

@@ -399,3 +399,135 @@ def test_unit_rows_are_shared_and_read_only():
     g = gradient(identity, [1.0, 2.0])
     g[0] = 7.0
     assert list(gradient(identity, [1.0, 2.0])) == [1.0, 0.0]
+
+
+# -- Hessian rows at float points against per-pair nested seeding ------------
+
+
+def _pair_hessian(f, x):
+    """Reference: one nested evaluation per pair i <= j, inner direction i,
+    outer direction j, mirrored."""
+    n = len(x)
+    H = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            xs = [
+                dn.Dual(dn.Dual(x[k], 1.0 if k == i else 0.0), dn.Dual(1.0 if k == j else 0.0, 0.0))
+                for k in range(n)
+            ]
+            H[i][j] = H[j][i] = dn.tangent_part(dn.tangent_part(f(xs)))
+    return H
+
+
+def _counted(fn):
+    def wrapped(z):
+        wrapped.calls += 1
+        return fn(z)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hessian_rows_bit_identical_to_pair_seeding(data):
+    n = data.draw(st.integers(1, 16))
+    a, b = data.draw(_closed_form(n)), data.draw(_closed_form(n))
+    k = data.draw(st.integers(0, n - 1))
+    x = data.draw(_point(n))
+    # a constant and a linear field have plain-float second tangents
+    for fn in (a, lambda z: a(z) * b(z), lambda z: 2.5, lambda z: 3.0 * z[k] - 1.0):
+        counted = _counted(fn)
+        H = hessian(ScalarField(n, counted), x)
+        assert counted.calls == n
+        assert _same_bits(H, np.array(_pair_hessian(fn, [float(c) for c in x]), dtype=float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hessian_injected_nan_or_inf_names_first_bad_index(data):
+    n = data.draw(st.integers(1, 16))
+    base = data.draw(_closed_form(n))
+    pairs = data.draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=3)
+    )
+    kind = data.draw(st.sampled_from(["inf", "nan"]))
+    x = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+
+    def poisoned(z):
+        # d_k d_l of (s z_k)(s z_l) is s^2 = inf, and inf - inf = NaN; the
+        # other second partials of the term stay finite
+        total = base(z)
+        for k, l in sorted(pairs):
+            t = (1e200 * z[k]) * (1e200 * z[l])
+            total = total + (t if kind == "inf" else t - t)
+        return total
+
+    with pytest.raises(EvaluationError) as err:
+        hessian(ScalarField(n, poisoned), x)
+    # the pair loop checks entry (i, j), i <= j, under index i
+    assert err.value.index == min(min(p) for p in pairs)
+    assert "non-finite" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hessian_non_finite_coordinate_raises_like_pair_loop(data):
+    n = data.draw(st.integers(1, 16))
+    fn = data.draw(_closed_form(n))
+    x = data.draw(_point(n))
+    for k in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+        x[k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    f = ScalarField(n, fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            ref = np.array(_pair_hessian(fn, x), dtype=float)
+        except (ArithmeticError, ValueError) as err:  # math domain errors
+            with pytest.raises(type(err)):
+                hessian(f, x)
+            return
+    bad = np.argwhere(~np.isfinite(np.triu(ref)))
+    if bad.size == 0:
+        assert _same_bits(hessian(f, x), ref)
+        return
+    with pytest.raises(EvaluationError) as err:
+        hessian(f, x)
+    assert err.value.index == bad[0][0]
+
+
+def test_hessian_zero_division_raises_evaluation_error_with_first_index():
+    f = ScalarField(3, lambda z: z[0] * z[1] + 1.0 / (z[2] - 0.5))
+    for scheme in (DUAL, CENTRAL):
+        with pytest.raises(EvaluationError) as err:
+            hessian(f, [0.3, -0.2, 0.5], scheme)
+        assert err.value.index == 0
+
+
+def test_hessian_at_dual_point_returns_nested_lists():
+    def fn(z):
+        return dn.sin(z[0] * z[1]) + z[2] * z[2] * z[0]
+
+    f = ScalarField(3, fn)
+    x = [dn.Dual(0.4, 1.0), 0.7, dn.Dual(-1.1, 0.5)]
+    H = hessian(f, x)
+    assert isinstance(H, list) and all(isinstance(row, list) for row in H)
+    ref = _pair_hessian(fn, x)
+    for i in range(3):
+        for j in range(3):
+            assert H[i][j].a == ref[i][j].a and H[i][j].b == ref[i][j].b
+    assert np.array_equal(
+        [[dn.real_part(v) for v in row] for row in H], hessian(f, [0.4, 0.7, -1.1])
+    )
+
+
+def test_central_hessian_evaluates_centre_once_through_eval():
+    f = ScalarField(3, lambda z: 1.0 / (z[0] - 0.5) + z[1] * z[2])
+    with pytest.raises(EvaluationError) as err:
+        hessian(f, [0.5, 1.0, 2.0], CENTRAL)
+    assert err.value.index == 0
+    counted = _counted(lambda z: dn.exp(z[0] * z[1]) + z[2] ** 3)
+    H = hessian(ScalarField(3, counted), [0.2, 0.4, -0.6], CENTRAL)
+    # centre once, two points per diagonal entry, four per off-diagonal pair
+    assert counted.calls == 1 + 2 * 3 + 4 * 3
+    assert np.max(np.abs(H - hessian(ScalarField(3, counted), [0.2, 0.4, -0.6]))) < 1e-6

@@ -19,6 +19,7 @@ from geored.dirac import (
     dirac_bracket,
     hamiltonian_flow_rhs,
     invariant_separation,
+    jacobi_residual,
     kinematical_gauge_model,
     linear_potential,
     poincare_generators,
@@ -465,6 +466,40 @@ def test_deformed_poincare_specific_entries():
     assert np.sum(np.abs(out)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         deformed_poincare(0.0)
+
+
+@pytest.mark.parametrize("K", [0.1, 1.0, 100.0])
+def test_perturbed_structure_constant_breaks_jacobi(K):
+    # negative control: the residual check can fail.  Scaling one bracket
+    # coefficient (and its antisymmetric partner) by 1.001 must push the
+    # residual over the scenario's gate.
+    from geored.cli import REGISTRY
+
+    gate = REGISTRY["deformed-poincare-jacobi"].tolerances["jacobi_max"]
+    C = deformed_poincare(K).C.copy()
+    assert jacobi_residual(C) <= gate
+    assert C[0, 1, 4] != 0.0
+    C[0, 1, 4] *= 1.001
+    C[1, 0, 4] *= 1.001
+    assert jacobi_residual(C) > gate
+
+
+def test_structure_tensor_exact_and_read_only():
+    alg = deformed_poincare(2.0)
+    C = alg.C
+    assert C.shape == (10, 10, 10)
+    assert not C.flags.writeable
+    with pytest.raises(ValueError):
+        C[0, 1, 4] = 1.0
+    assert np.array_equal(C, -C.transpose(1, 0, 2))
+    E = np.eye(10)
+    for i in range(10):
+        for j in range(10):
+            # bit for bit up to the sign of zero: bracket_basis negates a
+            # zero vector for {x, l} pairs, a sum starting from +0.0 does not
+            got, ref = alg.bracket(E[i], E[j]), alg.bracket_basis(i, j)
+            assert got.tobytes() == (ref + 0.0).tobytes()
+            assert np.array_equal(C[i, j], ref)
 
 
 def test_frame_brackets_equal_fresh_dirac_brackets_exactly():
