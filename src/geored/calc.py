@@ -283,11 +283,10 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     n = f.arity
     if scheme.mode is DiffMode.DUAL:
         if Dual not in map(type, x):
-            H = _hessian_rows(f, [float(c) for c in x], n)
-            if H is not None:
-                upper = np.triu_indices(n, 1)
-                H[upper] = H.T[upper]
-                return H
+            R = _hessian_rows(f, [float(c) for c in x], n)
+            if R is not None:
+                # entry (i, j), i <= j, is slot i of row j: R's lower triangle
+                return np.where(np.tri(n, dtype=bool), R, R.T)
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

@@ -497,11 +497,12 @@ def test_hessian_non_finite_coordinate_raises_like_pair_loop(data):
 
 
 def test_hessian_zero_division_raises_evaluation_error_with_first_index():
+    # the row evaluation raises, and the replayed pair loop maps the zero
+    # division under its first index
     f = ScalarField(3, lambda z: z[0] * z[1] + 1.0 / (z[2] - 0.5))
-    for scheme in (DUAL, CENTRAL):
-        with pytest.raises(EvaluationError) as err:
-            hessian(f, [0.3, -0.2, 0.5], scheme)
-        assert err.value.index == 0
+    with pytest.raises(EvaluationError) as err:
+        hessian(f, [0.3, -0.2, 0.5])
+    assert err.value.index == 0
 
 
 def test_hessian_at_dual_point_returns_nested_lists():
