@@ -131,17 +131,19 @@ def _tangent_row(y, n: int):
     return b if isinstance(b, np.ndarray) else np.full(n, b)
 
 
-def _trapped_rows(evaluate):
-    """Float array of the rows ``evaluate()`` returns, or None if the
-    evaluation hit a floating-point trap or an entry is non-finite.
+def _vector_rows(outputs, coords: list, n: int):
+    """One evaluation at the point seeded with the unit rows; the m x n
+    float array of output tangents, or None if the evaluation hit a
+    floating-point trap or an entry is non-finite.
 
     Numpy signals a zero division inside a tangent array with a warning,
     where a scalar tangent raises; the traps turn that (and overflow or an
     invalid operation) into an exception, so no warning escapes.
     """
+    xs = list(map(Dual, coords, _unit_rows(n)))
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rows = np.array(evaluate())
+            rows = np.array([_tangent_row(y, n) for y in outputs(xs)])
             # a sum is finite iff every entry is (inf - inf traps as invalid)
             if math.isfinite(rows.sum()):
                 return rows
@@ -150,31 +152,22 @@ def _trapped_rows(evaluate):
     return None
 
 
-def _vector_rows(outputs, coords: list, n: int):
-    """One evaluation at the point seeded with the unit rows; the m x n
-    float array of output tangents, or None (see ``_trapped_rows``)."""
-    xs = list(map(Dual, coords, _unit_rows(n)))
-    return _trapped_rows(lambda: [_tangent_row(y, n) for y in outputs(xs)])
-
-
 def _hessian_rows(f, coords: list, n: int):
     """n x n float array R with R[j, i] = d_i d_j f, or None (see
-    ``_trapped_rows``).
+    ``_vector_rows``).
 
-    Evaluation j seeds ``Dual(Dual(x_k, e_k), Dual(delta_kj, 0.0))``: the
-    unit rows fill the innermost (vector) layer and one scalar direction j
-    the outer layer, so the outer tangent's tangent is row j.
+    Output j wraps the unit-row seeds ``Dual(x_k, e_k)`` under one outer
+    scalar direction, ``Dual(Dual(x_k, e_k), Dual(delta_kj, 0.0))``: the
+    outer tangent of f there is a dual whose tangent is row j.
     """
-    units = _unit_rows(n)
-
-    def row(j):
-        xs = [
-            Dual(Dual(c, e), Dual(1.0 if k == j else 0.0, 0.0))
-            for k, (c, e) in enumerate(zip(coords, units))
-        ]
-        return _tangent_row(tangent_part(f(xs)), n)
-
-    return _trapped_rows(lambda: [row(j) for j in range(n)])
+    return _vector_rows(
+        lambda xs: [
+            tangent_part(f([Dual(x, Dual(1.0 if k == j else 0.0, 0.0)) for k, x in enumerate(xs)]))
+            for j in range(n)
+        ],
+        coords,
+        n,
+    )
 
 
 def _dual_rows(outputs, x: Sequence, n: int):

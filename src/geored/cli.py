@@ -20,7 +20,6 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -741,12 +740,10 @@ def run_all(
     seed: int = 0,
     rk45_tol: float | None = None,
     configs_dir: str | None = None,
-    on_report: Callable[[RunReport], None] | None = None,
 ) -> dict:
     """Aggregate every registered scenario; per-scenario JSON files in
     ``configs_dir`` override the defaults, and an empty or absent directory
-    just means defaults.  ``on_report`` is called with each report as its
-    scenario finishes."""
+    just means defaults.  Prints one status line as each scenario finishes."""
     counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
     reports = []
     for name in sorted(REGISTRY):
@@ -766,8 +763,7 @@ def run_all(
         report = run(config)
         reports.append(report)
         counts[report.status.lower()] += 1
-        if on_report is not None:
-            on_report(report)
+        _print_status(report)
     summary = {
         "counts": counts,
         "reports": [r.body() for r in reports],
@@ -863,9 +859,7 @@ def main(argv=None) -> int:
                 print(f"  {key} = {value:.6e}")
             return 0 if report.status == PASS else 1
 
-        summary = run_all(
-            args.out_dir, args.seed, args.rk45_tol, args.configs_dir, _print_status
-        )
+        summary = run_all(args.out_dir, args.seed, args.rk45_tol, args.configs_dir)
         counts = summary["counts"]
         print(" ".join(f"{key}={value}" for key, value in counts.items()))
         return 0 if counts["pass"] == len(summary["reports"]) else 1

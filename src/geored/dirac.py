@@ -695,7 +695,7 @@ def sample_on_shell_kinematical(
 # -- deformed position-Lorentz algebra ----------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeformedPoincare:
     """Bracket structure on the ten-dimensional basis (x_0..x_3, l_{mu nu})
     where positions close on the Lorentz block divided by the scale K."""
@@ -706,19 +706,17 @@ class DeformedPoincare:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError("the deformation scale must be positive")
-        self.labels = [f"x{m}" for m in range(4)] + [
+        labels = [f"x{m}" for m in range(4)] + [
             f"l{m}{n}" for m in range(4) for n in range(m + 1, 4)
         ]
-        self._pair_index = {}
-        for idx, (m, n) in enumerate(
-            [(m, n) for m in range(4) for n in range(m + 1, 4)]
-        ):
-            self._pair_index[(m, n)] = 4 + idx
-        # structure constants, C[i, j, :] = [e_i, e_j]; K and the signature
-        # are fixed from here on, so the tensor is built once and frozen
+        pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_pair_index", {p: 4 + idx for idx, p in enumerate(pairs)})
+        # structure constants, C[i, j, :] = [e_i, e_j]; the instance is
+        # frozen, so K and the signature cannot drift from the tensor
         C = np.array([[self.bracket_basis(i, j) for j in range(10)] for i in range(10)])
         C.setflags(write=False)
-        self.C = C
+        object.__setattr__(self, "C", C)
 
     @property
     def dim(self) -> int:

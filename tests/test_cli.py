@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -172,7 +173,11 @@ def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, cap
     out = tmp_path / "out"
     code = main(["run-all", "--out-dir", str(out)])
     assert code == 1
-    assert "error=1" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(r"aaa-crash: ERROR \(\d+\.\d\ds\)", lines[0])
+    assert re.fullmatch(r"deformed-poincare-jacobi: PASS \(\d+\.\d\ds\)", lines[1])
+    assert lines[2] == "pass=1 fail=0 partial=0 error=1"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0, "error": 1}
     crashed, passed = summary["reports"]
@@ -181,28 +186,9 @@ def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, cap
     assert "stub scenario crashed" in (out / "aaa-crash" / "traceback.txt").read_text()
     assert passed["name"] == "deformed-poincare-jacobi" and passed["status"] == "PASS"
     assert "error" not in passed
-    assert (out / "deformed-poincare-jacobi" / "report.json").exists()
-
-
-def test_run_all_prints_one_status_line_per_scenario(tmp_path, monkeypatch, capsys):
-    import re
-
-    from geored import cli as cli_mod
-
-    def crash(config, rng, outdir):
-        raise RuntimeError("stub scenario crashed")
-
-    stub = cli_mod.ScenarioSpec("aaa-crash", "stub that raises", ("test stub",), {"a": 1.0}, crash)
-    real = cli_mod.REGISTRY["deformed-poincare-jacobi"]
-    monkeypatch.setattr(cli_mod, "REGISTRY", {stub.name: stub, real.name: real})
-    assert main(["run-all", "--out-dir", str(tmp_path / "cli")]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    assert re.fullmatch(r"aaa-crash: ERROR \(\d+\.\d\ds\)", lines[0])
-    assert re.fullmatch(r"deformed-poincare-jacobi: PASS \(\d+\.\d\ds\)", lines[1])
-    assert lines[2] == "pass=1 fail=0 partial=0 error=1"
-    # the printed lines leave the written files as a silent run writes them
-    run_all(output_dir=str(tmp_path / "lib"))
-    assert capsys.readouterr().out == ""
-    for rel in ("summary.json", "deformed-poincare-jacobi/report.json", "deformed-poincare-jacobi/structure.json"):
-        assert (tmp_path / "cli" / rel).read_bytes() == (tmp_path / "lib" / rel).read_bytes()
+    # the status lines leave the files as a single-scenario run writes them
+    single = tmp_path / "single"
+    assert main(["run", "--scenario", real.name, "--out-dir", str(single)]) == 0
+    for rel in ("report.json", "structure.json"):
+        written = (out / real.name / rel).read_bytes()
+        assert written == (single / real.name / rel).read_bytes()

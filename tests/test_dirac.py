@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -491,6 +492,9 @@ def test_structure_tensor_exact_and_read_only():
     assert not C.flags.writeable
     with pytest.raises(ValueError):
         C[0, 1, 4] = 1.0
+    # the scale cannot change under a tensor built from it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.K = 3.0
     assert np.array_equal(C, -C.transpose(1, 0, 2))
     E = np.eye(10)
     for i in range(10):
