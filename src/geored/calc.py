@@ -193,6 +193,17 @@ def _dual_rows(outputs, x: Sequence, n: int):
     return _pack_rows([list(row) for row in zip(*cols)], x)
 
 
+def _jvp(outputs, x: Sequence, v: Sequence) -> list:
+    """Tangents of every value of ``outputs`` (point -> sequence) at ``x``
+    along the direction ``v``: one evaluation at the point seeded
+    ``Dual(x_j, v_j)`` (the scalar tangent mode).  A zero division raises
+    ``EvaluationError``; so does a non-finite tangent, with the index of its
+    output."""
+    xs = [Dual(_plain(x[j]), _plain(v[j])) for j in range(len(x))]
+    ys = _eval(outputs, xs, None)
+    return [_check_finite(tangent_part(y), r) for r, y in enumerate(ys)]
+
+
 def _pack(values, x):
     """Float arrays for float points, plain lists when duals are involved."""
     if any(is_dual(v) for v in values) or any(is_dual(c) for c in x):
@@ -329,10 +340,7 @@ def lie_derivative(X: VectorFieldFn, f: ScalarField, x: Sequence, scheme: DiffSc
     if X.arity != f.arity:
         raise ValueError("vector field and function arities differ")
     if scheme.mode is DiffMode.DUAL:
-        # single directional evaluation: seed the point with tangent X(x)
-        vx = X(list(x))
-        xs = [Dual(_plain(x[j]), _plain(vx[j])) for j in range(len(x))]
-        return _check_finite(tangent_part(_eval(f, xs, None)), None)
+        return _jvp(lambda xs: (f(xs),), x, X(list(x)))[0]
     g = gradient(f, x, scheme)
     vx = X(list(x))
     return float(sum(g[i] * vx[i] for i in range(f.arity)))
@@ -342,17 +350,10 @@ def field_commutator(X: VectorFieldFn, Y: VectorFieldFn, x: Sequence, scheme: Di
     """Lie bracket [X, Y] evaluated at ``x``: (DY)X - (DX)Y."""
     if X.arity != Y.arity:
         raise ValueError("vector field arities differ")
-    n = X.arity
     if scheme.mode is DiffMode.DUAL:
-        vx = X(list(x))
-        vy = Y(list(x))
-        dy_x = _eval(Y, [Dual(_plain(x[j]), _plain(vx[j])) for j in range(n)], None)
-        dx_y = _eval(X, [Dual(_plain(x[j]), _plain(vy[j])) for j in range(n)], None)
-        out = [
-            _check_finite(tangent_part(dy_x[r]) - tangent_part(dx_y[r]), r)
-            for r in range(n)
-        ]
-        return _pack(out, x)
+        dy_x = _jvp(Y, x, X(list(x)))
+        dx_y = _jvp(X, x, Y(list(x)))
+        return _pack([_check_finite(a - b, r) for r, (a, b) in enumerate(zip(dy_x, dx_y))], x)
     vx = np.asarray([real_part(c) for c in X(list(x))])
     vy = np.asarray([real_part(c) for c in Y(list(x))])
     DX = vector_jacobian(X, x, scheme)

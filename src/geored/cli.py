@@ -127,7 +127,7 @@ def _run_riccati_cross_ratio(config, rng, outdir):
     seeds = [0.3, 1.0, 1.7, 2.9]
     trajs = [integrate(sys_lin, [s, 1.0], 0.0, 2.5, config.integrator) for s in seeds]
     ts = np.linspace(0.0, 2.5, 64)
-    xis = [t.resample(ts)[:, 0] / t.resample(ts)[:, 1] for t in trajs]
+    xis = [s[:, 0] / s[:, 1] for s in (t.resample(ts) for t in trajs)]
     ratios = catalog.cross_ratio(*xis)
     drift = float(np.max(np.abs(ratios - ratios[0])))
     path = outdir / "cross_ratio.csv"
@@ -171,14 +171,13 @@ def _run_qriccati_pauli(config, rng, outdir):
         1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
     )
     state0 = qriccati.UnitaryState(np.eye(2))
-    _, trail = qriccati.evolve_unitary(H, state0, 1.0, config.integrator, record=True)
+    report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
     worst = 0.0
-    for t, U in trail[1:]:
+    for t, U in report.trail[1:]:
         z = qriccati.extract_Z(U, 1, 1).Z[0, 0]
         worst = max(worst, abs(z - (-1j * np.tan(t))))
     path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, trail, path)
-    report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
+    qriccati.coset_trajectory_csv(H, report.trail, path)
     return (
         {"closed_form_dev": float(worst), "coset_dev": report.max_dev},
         [path.name],
@@ -205,9 +204,8 @@ def _run_qriccati_n3(config, rng, outdir):
     H = _seeded_hamiltonian_n3(rng)
     state0 = qriccati.UnitaryState(np.eye(3))
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
-    _, trail = qriccati.evolve_unitary(H, state0, 1.0, config.integrator, record=True)
     path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, trail, path)
+    qriccati.coset_trajectory_csv(H, report.trail, path)
     partial = report.t_exit is not None
     return (
         {

@@ -496,7 +496,7 @@ def constrained_flow(
     stepper = Dopri45Stepper(rhs, t0, z0, cfg)
     times = [t0]
     states = [z0.copy()]
-    interp = []
+    records = []
     while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
         tau, z, record = stepper.step(t1)
         drift = float(np.max(np.abs(cset.values(z, tau))))
@@ -508,17 +508,13 @@ def constrained_flow(
             stepper.reset_derivative()
         times.append(tau)
         states.append(np.array(stepper.y))
-        interp.append(record)
+        records.append(record)
     names = []
     for alpha in range(cset.space.particles):
         names += [f"x{mu}@{alpha}" for mu in range(4)]
         names += [f"p{mu}@{alpha}" for mu in range(4)]
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        method="rk45",
-        meta={"coord_names": tuple(names), "config": cfg},
-        _interp=interp,
+    return Trajectory.from_rk45(
+        times, states, records, {"coord_names": tuple(names), "config": cfg}
     )
 
 

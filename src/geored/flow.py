@@ -107,19 +107,41 @@ class VectorFieldSystem:
 
 @dataclass
 class Trajectory:
-    """Samples of a flow plus per-step interpolation data."""
+    """Samples of a flow plus its dense output, held as per-step arrays.
+
+    Step k runs from ``times[k]`` to ``times[k + 1]`` and starts at
+    ``states[k]``; ``h[k]`` is its step size as the integrator took it.
+    RK45 steps carry the Shampine quartic in ``coeffs[k]`` (dim x 4); RK4
+    steps carry the Hermite cubic through the end slopes, ``slopes[k]`` and
+    ``slopes[k + 1]``.
+    """
 
     times: np.ndarray
     states: np.ndarray
     method: str
     meta: dict = field(default_factory=dict)
-    _interp: list = field(default_factory=list, repr=False)
+    h: np.ndarray | None = field(default=None, repr=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False)
+    slopes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states length mismatch")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+
+    @classmethod
+    def from_rk45(cls, times, states, records, meta: dict) -> Trajectory:
+        """Trajectory of accepted RK45 steps and their ``Dopri45Stepper.step``
+        records."""
+        return cls(
+            times=np.asarray(times),
+            states=np.asarray(states),
+            method="rk45",
+            meta=meta,
+            h=np.asarray([h for h, _ in records]),
+            coeffs=np.asarray([c for _, c in records]),
+        )
 
     @property
     def t0(self) -> float:
@@ -131,25 +153,38 @@ class Trajectory:
 
     def sample(self, t: float) -> np.ndarray:
         """Dense-output value at time ``t`` within the integrated span."""
-        if not (self.t0 - 1e-12 <= t <= self.t1 + 1e-12):
-            raise ValueError(f"t={t} outside [{self.t0}, {self.t1}]")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self._interp) - 1)
-        kind, t_lo, h, data = self._interp[idx]
-        theta = (t - t_lo) / h
-        if kind == "poly":
-            y0, coeffs = data
-            powers = np.array([theta, theta**2, theta**3, theta**4])
-            return y0 + h * (coeffs @ powers)
-        y0, y1, f0, f1 = data
-        h00 = (1 + 2 * theta) * (1 - theta) ** 2
-        h10 = theta * (1 - theta) ** 2
-        h01 = theta**2 * (3 - 2 * theta)
-        h11 = theta**2 * (theta - 1)
-        return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        return self.resample([t])[0]
 
     def resample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.asarray([self.sample(float(t)) for t in ts])
+        """Dense-output values at every time of ``ts`` (one row each)."""
+        ts = np.asarray(ts, dtype=float)
+        inside = (self.t0 - 1e-12 <= ts) & (ts <= self.t1 + 1e-12)
+        if not np.all(inside):
+            t = float(ts[np.argmin(inside)])
+            raise ValueError(f"t={t} outside [{self.t0}, {self.t1}]")
+        idx = np.searchsorted(self.times, ts, side="right") - 1
+        idx = np.clip(idx, 0, len(self.h) - 1)
+        h = self.h[idx]
+        theta = ((ts - self.times[idx]) / h).astype(object)
+        # powers by Python's float power (the C library's pow) entry by entry,
+        # as a one-point evaluation takes them: numpy's float64 array power
+        # may run a SIMD kernel that rounds the last bit differently
+        if self.coeffs is not None:
+            powers = np.array([theta, theta**2, theta**3, theta**4], dtype=float)
+            poly = np.matmul(self.coeffs[idx], powers.T[:, :, None])[:, :, 0]
+            return self.states[idx] + h[:, None] * poly
+        u2, t2 = (1 - theta) ** 2, theta**2
+        w = np.array(
+            [(1 + 2 * theta) * u2, theta * u2, t2 * (3 - 2 * theta), t2 * (theta - 1)],
+            dtype=float,
+        )[:, :, None]
+        h = h[:, None]
+        return (
+            w[0] * self.states[idx]
+            + w[1] * h * self.slopes[idx]
+            + w[2] * self.states[idx + 1]
+            + w[3] * h * self.slopes[idx + 1]
+        )
 
     def to_csv(self, path, time_label: str = "t"):
         """Time plus one column per coordinate, 17 significant digits."""
@@ -196,7 +231,8 @@ class Dopri45Stepper:
     def step(self, t_limit: float):
         """Advance one accepted step, clipped to ``t_limit``.
 
-        Returns (t_new, y_new, interp_record).
+        Returns (t_new, y_new, (h, coeffs)): the step size taken and the
+        step's dense-output coefficients (see ``Trajectory``).
         """
         cfg = self.cfg
         while True:
@@ -217,8 +253,7 @@ class Dopri45Stepper:
             err_norm = np.sqrt(np.mean((err / scale) ** 2))
             if err_norm <= 1.0:
                 _check_state(y_new, self.t)
-                coeffs = K.T @ _DP_P
-                record = ("poly", self.t, h, (self.y.copy(), coeffs))
+                record = (h, K.T @ _DP_P)
                 self.t = self.t + h
                 self.y = y_new
                 self.k1 = K[6]  # FSAL
@@ -259,19 +294,13 @@ def integrate(
     stepper = Dopri45Stepper(rhs_t, t0, y0, cfg)
     times = [t0]
     states = [y0.copy()]
-    interp = []
+    records = []
     while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
         t, y, record = stepper.step(t1)
         times.append(t)
         states.append(y.copy())
-        interp.append(record)
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        method="rk45",
-        meta=meta,
-        _interp=interp,
-    )
+        records.append(record)
+    return Trajectory.from_rk45(times, states, records, meta)
 
 
 def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
@@ -281,9 +310,9 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
     h = (t1 - t0) / n_steps
     times = [t0]
     states = [np.array(y0)]
-    interp = []
     t, y = t0, np.array(y0)
     f_here = rhs_t(t, y)
+    slopes = [f_here]
     for _ in range(n_steps):
         k1 = f_here
         k2 = rhs_t(t + h / 2, y + h / 2 * k1)
@@ -292,7 +321,7 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
         y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_state(y_new, t)
         f_new = rhs_t(t + h, y_new)
-        interp.append(("hermite", t, h, (y.copy(), y_new.copy(), k1, f_new)))
+        slopes.append(f_new)
         t, y, f_here = t + h, y_new, f_new
         times.append(t)
         states.append(y.copy())
@@ -301,7 +330,8 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
         states=np.asarray(states),
         method="rk4",
         meta=meta,
-        _interp=interp,
+        h=np.full(n_steps, h),
+        slopes=np.asarray(slopes),
     )
 
 

@@ -48,6 +48,10 @@ class BlockHamiltonian:
     def dim(self) -> int:
         return self.n1 + self.n2
 
+    @property
+    def time_dependent(self) -> bool:
+        return any(callable(block) for block in (self.H1, self.H2, self.V))
+
     def assembled(self, t: float = 0.0) -> np.ndarray:
         h1, h2, v = self._h1(t), self._h2(t), self._v(t)
         for name, block in (("H1", h1), ("H2", h2)):
@@ -124,15 +128,19 @@ def evolve_unitary(
 
     Raises UnitarityLost if a single step drifts past 1e-6 before
     re-projection (a sign of too-coarse stepping).  With ``record`` the
-    return value is (final_state, [(t, U), ...]) at accepted steps.
+    return value is (final_state, [(t, U), ...]) at accepted steps.  A
+    generator without callable blocks is assembled (and checked Hermitian)
+    once; callable blocks are assembled at every evaluation.
     """
     cfg = cfg or IntegratorConfig()
     n = H.dim
     shape = (n, n)
+    fixed = None if H.time_dependent else H.assembled(U0.t)
 
     def rhs(t, y):
         U = _state_to_mat(y, shape)
-        return _mat_to_state(-1j * (H.assembled(t) @ U))
+        G = H.assembled(t) if fixed is None else fixed
+        return _mat_to_state(-1j * (G @ U))
 
     stepper = Dopri45Stepper(rhs, U0.t, _mat_to_state(U0.U), cfg)
     trail = [(U0.t, U0.U.copy())]
@@ -203,6 +211,8 @@ class CosetReport:
     samples: int = 0
     unitarity_drift: float = 0.0
     events: list = field(default_factory=list)
+    # the recorded unitary evolution, [(t, U), ...] as evolve_unitary returns it
+    trail: list | None = field(default=None, repr=False, compare=False)
 
 
 def verify_coset_reduction(
@@ -216,7 +226,8 @@ def verify_coset_reduction(
     and the direct matrix Riccati flow started at Z(U0).
 
     A singular D block mid-run ends the comparison early; the report then
-    carries the exit time and the deviation up to it.
+    carries the exit time and the deviation up to it.  The report also
+    carries the recorded unitary trail, so callers need not integrate again.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = t_span
@@ -228,18 +239,19 @@ def verify_coset_reduction(
     riccati = riccati_matrix_system(H)
     direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
 
+    direct_states = direct.resample(np.clip([t for t, _ in trail], t0, t1))
     max_dev = 0.0
     t_exit = None
     events: list = []
     count = 0
-    for t, U in trail:
+    for (t, U), y in zip(trail, direct_states):
         try:
             z_unitary = extract_Z(U, H.n1, H.n2, t=t)
         except SingularBlock as err:
             t_exit = t
             events.append({"t": t, "event": "singular-block", "cond": err.cond})
             break
-        z_direct = _state_to_mat(direct.sample(min(max(t, t0), t1)), (H.n1, H.n2))
+        z_direct = _state_to_mat(y, (H.n1, H.n2))
         max_dev = max(max_dev, float(np.linalg.norm(z_unitary.Z - z_direct)))
         count += 1
     return CosetReport(
@@ -249,6 +261,7 @@ def verify_coset_reduction(
         samples=count,
         unitarity_drift=unitarity_drift(final.U),
         events=events,
+        trail=trail,
     )
 
 

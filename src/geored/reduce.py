@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from geored.calc import DUAL, ScalarField, VectorFieldFn, gradient, lie_derivative
+# ``gradient`` is not called here; perfbench's tracer test checks that this
+# module-level binding of it is wrapped and restored
+from geored.calc import ScalarField, _jvp, gradient  # noqa: F401
 from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 
@@ -69,17 +71,13 @@ class QuotientMap:
     def __call__(self, x) -> np.ndarray:
         return np.asarray([float(f(x)) for f in self.invariants])
 
-    def pushforward(self, sys: VectorFieldSystem, x) -> np.ndarray:
-        """D xi (x) . rhs(x): the candidate reduced velocity at xi(x)."""
-        vx = sys.eval_rhs(list(x))
+    def pushforward(self, sys: VectorFieldSystem, x, t: float = 0.0) -> np.ndarray:
+        """D xi (x) . rhs(x, t): the candidate reduced velocity at xi(x),
+        every invariant from one directional evaluation."""
+        x = list(x)
         return np.asarray(
-            [lie_derivative_like(f, x, vx) for f in self.invariants]
+            _jvp(lambda xs: [f(xs) for f in self.invariants], x, sys.eval_rhs(x, t))
         )
-
-
-def lie_derivative_like(f: ScalarField, x, vx) -> float:
-    g = gradient(f, x, DUAL)
-    return float(sum(g[i] * float(vx[i]) for i in range(f.arity)))
 
 
 @dataclass
@@ -152,20 +150,24 @@ def check_invariant_surface(
     surface: InvariantSurface,
     samples: Sequence[Sequence[float]],
     tol: float = 1e-8,
+    times: Sequence[float] | None = None,
 ) -> CheckReport:
     """Tangency of the flow to the level set at each sample.
 
     Samples must already lie on the surface (OffSurface otherwise); the
-    residual |L_Gamma K_j| is compared against tol * (1 + |rhs|).
+    residual |L_Gamma K_j| is compared against tol * (1 + |rhs|).  A
+    non-autonomous field is evaluated at each sample's time (``times``,
+    all 0 when absent).
     """
     worst = 0.0
-    rhs_field = VectorFieldFn(sys.dim, lambda x: list(sys.eval_rhs(x)))
     ok = True
-    for x in samples:
+    for x, t in zip(samples, _sample_times(times, len(samples))):
         surface.require_on_surface(x)
-        speed = float(np.linalg.norm(np.asarray(sys.eval_rhs(list(x)), dtype=float)))
-        for j, K in enumerate(surface.constraints):
-            res = abs(lie_derivative(rhs_field, K, list(x)))
+        x = list(x)
+        vx = sys.eval_rhs(x, t)
+        speed = float(np.linalg.norm(np.asarray(vx, dtype=float)))
+        for rate in _jvp(lambda xs: [K(xs) for K in surface.constraints], x, vx):
+            res = abs(rate)
             worst = max(worst, res)
             if res > tol * (1.0 + speed):
                 ok = False
@@ -177,18 +179,20 @@ def check_projectable(
     quotient: QuotientMap,
     pair_samples: Sequence[tuple],
     tol: float = 1e-8,
+    times: Sequence[float] | None = None,
 ) -> CheckReport:
-    """Pushed-forward velocities must agree on equivalent point pairs."""
+    """Pushed-forward velocities must agree on equivalent point pairs, each
+    pair at its time (``times``, all 0 when absent)."""
     worst = 0.0
     ok = True
-    for m, m2 in pair_samples:
+    for (m, m2), t in zip(pair_samples, _sample_times(times, len(pair_samples))):
         gap = float(np.max(np.abs(quotient(m) - quotient(m2))))
         if gap > tol * 10.0:
             raise PairNotEquivalent(
                 f"pair invariants differ by {gap:.3e}; not on one class"
             )
         dev = float(
-            np.max(np.abs(quotient.pushforward(sys, m) - quotient.pushforward(sys, m2)))
+            np.max(np.abs(quotient.pushforward(sys, m, t) - quotient.pushforward(sys, m2, t)))
         )
         worst = max(worst, dev)
         if dev > tol:
@@ -204,13 +208,22 @@ def reduced_field(sys: VectorFieldSystem, quotient: QuotientMap, representative)
     return quotient.pushforward(sys, list(rep))
 
 
-def _preflight(scenario: ReductionScenario, samples, rng) -> None:
+def _sample_times(times, count: int):
+    if times is None:
+        return [0.0] * count
+    if len(times) != count:
+        raise ValueError("one time per sample")
+    return [float(t) for t in times]
+
+
+def _preflight(scenario: ReductionScenario, samples, times, rng) -> None:
     if scenario.surface is not None:
         rep = check_invariant_surface(
             scenario.system,
             scenario.surface,
             samples,
             scenario.tolerances["surface"],
+            times,
         )
         if not rep.ok:
             raise PreflightFailed(
@@ -223,6 +236,7 @@ def _preflight(scenario: ReductionScenario, samples, rng) -> None:
             scenario.quotient,
             pairs,
             scenario.tolerances["projectable"],
+            times,
         )
         if not rep.ok:
             raise PreflightFailed(
@@ -257,7 +271,7 @@ def verify_commuting_diagram(
 
     n_check = min(scenario.sample_count, len(states))
     idx = np.linspace(0, len(states) - 1, n_check).astype(int)
-    _preflight(scenario, [states[i] for i in idx], rng)
+    _preflight(scenario, [states[i] for i in idx], grid[idx], rng)
 
     projected = np.asarray([scenario.quotient(s) for s in states])
     reduced_traj = integrate(scenario.reduced, scenario.quotient(x0), t0, t1, cfg)

@@ -532,3 +532,84 @@ def test_central_hessian_evaluates_centre_once_through_eval():
     # centre once, two points per diagonal entry, four per off-diagonal pair
     assert counted.calls == 1 + 2 * 3 + 4 * 3
     assert np.max(np.abs(H - hessian(ScalarField(3, counted), [0.2, 0.4, -0.6]))) < 1e-6
+
+
+# -- directional derivatives (calc._jvp) --------------------------------------
+
+
+def _hand_lie(X, f, x):
+    """Reference: the hand seeding lie_derivative used before calc._jvp."""
+    vx = X(list(x))
+    return dn.tangent_part(f([dn.Dual(float(x[j]), float(vx[j])) for j in range(len(x))]))
+
+
+def _hand_commutator(X, Y, x):
+    """Reference: the hand seeding field_commutator used before calc._jvp."""
+    n = len(x)
+    vx, vy = X(list(x)), Y(list(x))
+    dy_x = Y([dn.Dual(float(x[j]), float(vx[j])) for j in range(n)])
+    dx_y = X([dn.Dual(float(x[j]), float(vy[j])) for j in range(n)])
+    return np.asarray(
+        [float(dn.tangent_part(dy_x[r]) - dn.tangent_part(dx_y[r])) for r in range(n)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lie_derivative_and_commutator_bit_identical_to_hand_seeding(data):
+    n = data.draw(st.integers(1, 8))
+    f = ScalarField(n, data.draw(_closed_form(n)))
+    xc = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
+    yc = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
+    X = VectorFieldFn(n, lambda z: [c(z) for c in xc])
+    Y = VectorFieldFn(n, lambda z: [c(z) for c in yc])
+    x = data.draw(_point(n))
+    for point in (x, np.asarray(x)):
+        assert _same_bits(np.float64(lie_derivative(X, f, point)), np.float64(_hand_lie(X, f, x)))
+        assert _same_bits(field_commutator(X, Y, point), _hand_commutator(X, Y, x))
+
+
+def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
+    from geored import catalog
+    from geored.flow import integrate
+
+    for entry in catalog.entries():
+        sc = entry.scenario
+        t0, t1 = entry.t_span
+        states = integrate(sc.system, entry.default_x0, t0, t1).resample(
+            np.linspace(t0, t1, sc.grid_points)
+        )
+        idx = np.linspace(0, len(states) - 1, sc.sample_count).astype(int)
+        rng = np.random.default_rng(0)
+        points = [states[i] for i in idx]
+        points += [sc.orbit_map(x, rng) for x in points]
+        for x in points:
+            v = sc.system.eval_rhs(list(x))
+            got = sc.quotient.pushforward(sc.system, x)
+            for f, value in zip(sc.quotient.invariants, got):
+                terms = gradient(f, x) * np.asarray(v, dtype=float)
+                # the two sum the same products in another order, so they
+                # agree to roundoff in the size of the terms
+                scale = float(np.sum(np.abs(terms)))
+                assert abs(value - float(np.sum(terms))) <= 1e-14 * scale, (entry.name, f.label)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_jvp_zero_division_and_non_finite_tangents_raise():
+    with pytest.raises(EvaluationError):
+        calc._jvp(lambda z: [z[0] / z[1]], [1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(EvaluationError):
+        calc._jvp(lambda z: [dn.sqrt(z[0])], [0.0], [1.0])
+    # a finite value whose tangent overflows to inf, and one whose tangent is NaN
+    with pytest.raises(EvaluationError) as err:
+        calc._jvp(lambda z: [z[0], z[0] * 1e308], [1.0], [10.0])
+    assert err.value.index == 1
+    with pytest.raises(EvaluationError) as err:
+        calc._jvp(lambda z: [z[0] * 1e308 - z[0] * 1e308], [1.0], [10.0])
+    assert err.value.index == 0
+    # the public callers go through the same checks
+    X = VectorFieldFn(1, lambda z: [10.0])
+    with pytest.raises(EvaluationError):
+        lie_derivative(X, ScalarField(1, lambda z: z[0] * 1e308), [1.0])
+    with pytest.raises(EvaluationError):
+        field_commutator(X, VectorFieldFn(1, lambda z: [z[0] * 1e308]), [1.0])

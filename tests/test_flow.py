@@ -181,3 +181,77 @@ def test_integrator_config_validation():
         IntegratorConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         integrate(harmonic(), [1.0, 0.0], 1.0, 1.0)
+
+
+# -- batched dense output against the per-point interpolant -------------------
+
+
+def _point_sample(traj, t):
+    """Reference: the per-point dense output, one step's data at a time,
+    with scalar arithmetic (how ``sample`` worked before ``resample`` was
+    batched)."""
+    k = int(np.searchsorted(traj.times, t, side="right")) - 1
+    k = min(max(k, 0), len(traj.h) - 1)
+    t_lo, h = traj.times[k], traj.h[k]
+    theta = (t - t_lo) / h
+    if traj.method == "rk45":
+        powers = np.array([theta, theta**2, theta**3, theta**4])
+        return traj.states[k] + h * (traj.coeffs[k] @ powers)
+    y0, y1, f0, f1 = traj.states[k], traj.states[k + 1], traj.slopes[k], traj.slopes[k + 1]
+    h00 = (1 + 2 * theta) * (1 - theta) ** 2
+    h10 = theta * (1 - theta) ** 2
+    h01 = theta**2 * (3 - 2 * theta)
+    h11 = theta**2 * (theta - 1)
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _assert_resample_matches_points(traj, ts):
+    got = traj.resample(ts)
+    ref = np.asarray([_point_sample(traj, float(t)) for t in ts])
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    assert traj.sample(float(ts[len(ts) // 2])).tobytes() == ref[len(ts) // 2].tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_resample_bit_identical_to_point_samples_on_catalog(tol):
+    from geored import catalog
+
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    for entry in catalog.entries():
+        sc = entry.scenario
+        t0, t1 = entry.t_span
+        grid = np.linspace(t0, t1, sc.grid_points)
+        _assert_resample_matches_points(integrate(sc.system, entry.default_x0, t0, t1, cfg), grid)
+        x0 = sc.quotient(entry.default_x0)
+        _assert_resample_matches_points(integrate(sc.reduced, x0, t0, t1, cfg), grid)
+
+
+def test_resample_bit_identical_to_point_samples_rk4_hermite():
+    cfg = IntegratorConfig(method="rk4", dt=0.013)
+    traj = integrate(harmonic(), [1.0, 0.3], 0.0, 2.0, cfg)
+    assert traj.slopes.shape == (len(traj.times), 2)
+    _assert_resample_matches_points(traj, np.linspace(0.0, 2.0, 301))
+
+
+def test_resample_bit_identical_to_point_samples_constrained_flow():
+    from geored.dirac import constrained_flow, linear_potential, sample_on_shell, two_particle_model
+
+    cset, _ = two_particle_model(1.0, 2.0, linear_potential(0.1))
+    z0 = sample_on_shell(cset, np.random.default_rng(14), (1.0, 2.0))
+    traj = constrained_flow(cset, z0, (0.0, 2.0))
+    _assert_resample_matches_points(traj, np.linspace(0.0, 2.0, 97))
+
+
+def test_resample_accepts_both_endpoints_and_rejects_outside_points():
+    traj = integrate(harmonic(), [1.0, 0.0], 0.0, 2.0)
+    ends = traj.resample([0.0, 2.0])
+    assert ends[0].tobytes() == traj.states[0].tobytes()
+    assert np.max(np.abs(ends[1] - traj.states[-1])) < 1e-12
+    inside = list(np.linspace(0.0, 2.0, 9))
+    for bad in (-1e-9, 2.0 + 1e-9, float("nan")):
+        for pos in (0, 4, 9):
+            with pytest.raises(ValueError, match="outside"):
+                traj.resample(inside[:pos] + [bad] + inside[pos:])
+        with pytest.raises(ValueError, match="outside"):
+            traj.sample(bad)

@@ -236,3 +236,87 @@ def test_time_dependent_hamiltonian_coset_reduction():
     report = verify_coset_reduction(H, UnitaryState(np.eye(2)), (0.0, 2.0))
     assert report.ok and report.max_dev < 1e-7
     assert report.unitarity_drift < 1e-9
+
+
+# -- one unitary evolution per coset check ------------------------------------
+
+
+def _same_trail(a, b):
+    return len(a) == len(b) and all(
+        ta == tb and Ua.tobytes() == Ub.tobytes() for (ta, Ua), (tb, Ub) in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "H",
+    [pauli_x_hamiltonian(), seeded_n3_hamiltonian(seed=7)],
+    ids=["pauli", "n3"],
+)
+def test_coset_report_carries_trail_outside_equality(H):
+    import dataclasses
+
+    U0 = UnitaryState(np.eye(H.dim))
+    report = verify_coset_reduction(H, U0, (0.0, 1.0))
+    _, trail = evolve_unitary(H, U0, 1.0, record=True)
+    assert _same_trail(report.trail, trail)
+    bare = dataclasses.replace(report, trail=None)
+    assert report == bare
+    assert repr(report) == repr(bare)
+
+
+def _count_assemblies(H):
+    calls = []
+    assembled = H.assembled
+
+    def counted(t=0.0):
+        calls.append(t)
+        return assembled(t)
+
+    H.assembled = counted
+    return calls
+
+
+def test_constant_generator_assembled_once_callable_every_evaluation():
+    H = seeded_n3_hamiltonian(seed=3)
+    calls = _count_assemblies(H)
+    evolve_unitary(H, UnitaryState(np.eye(3)), 1.0)
+    assert calls == [0.0]
+    H = BlockHamiltonian(1, 1, lambda t: np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
+    calls = _count_assemblies(H)
+    evolve_unitary(H, UnitaryState(np.eye(2)), 1.0)
+    assert len(calls) > 10
+
+
+def test_non_hermitian_generator_still_raises_during_evolution():
+    # constant blocks: the one assembly checks them
+    bad = BlockHamiltonian(1, 1, np.array([[1j]]), np.zeros((1, 1)), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="H1 is not Hermitian at t=0.0"):
+        evolve_unitary(bad, UnitaryState(np.eye(2)), 1.0)
+    # negative control: a callable block that stops being Hermitian at t = 0.5
+    # is checked at every evaluation, so the assemble-once path does not cover it
+    late = BlockHamiltonian(
+        1,
+        1,
+        lambda t: np.array([[0.3 + (1j if t >= 0.5 else 0.0)]]),
+        np.zeros((1, 1)),
+        np.ones((1, 1)),
+    )
+    evolve_unitary(late, UnitaryState(np.eye(2)), 0.4)
+    with pytest.raises(ValueError, match=r"H1 is not Hermitian at t=0\.[5-9]"):
+        evolve_unitary(late, UnitaryState(np.eye(2)), 1.0)
+
+
+@pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
+def test_coset_csv_equals_a_fresh_recorded_evolution(tmp_path, name):
+    from geored import cli
+
+    config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
+    cli.run(config)
+    if name == "qriccati-pauli":
+        H = pauli_x_hamiltonian()
+    else:
+        H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
+    _, trail = evolve_unitary(H, UnitaryState(np.eye(H.dim)), 1.0, config.integrator, record=True)
+    fresh = tmp_path / "fresh.csv"
+    coset_trajectory_csv(H, trail, fresh)
+    assert (tmp_path / name / "coset.csv").read_bytes() == fresh.read_bytes()

@@ -237,3 +237,62 @@ def test_projectability_rejects_unrelated_pair():
     m2 = np.array([5.0, 0.0, 0.0, 0.0, 1.0, 0.0])  # different invariants
     with pytest.raises(PairNotEquivalent):
         check_projectable(FREE, quotient, [(m, m2)])
+
+
+# -- non-autonomous fields in the preflight -----------------------------------
+
+
+def _spiral_out():
+    """(-y + t x, x + t y): tangent to the unit circle at t = 0 only."""
+    from geored.flow import VectorFieldSystem
+
+    return VectorFieldSystem(
+        2, lambda z, t: [-z[1] + t * z[0], z[0] + t * z[1]], ("x", "y"), autonomous=False
+    )
+
+
+def _circle(tol):
+    r2 = ScalarField(2, lambda z: z[0] * z[0] + z[1] * z[1], "r2")
+    return InvariantSurface((r2,), (1.0,), tol)
+
+
+def test_surface_check_evaluates_field_at_sample_time():
+    sys = _spiral_out()
+    x = np.array([1.0, 0.0])
+    assert check_invariant_surface(sys, _circle(1e-8), [x]).worst == 0.0
+    rep = check_invariant_surface(sys, _circle(1e-8), [x], times=[0.5])
+    assert not rep.ok
+    # d(x^2 + y^2)/dt = 2 t (x^2 + y^2)
+    assert rep.worst == pytest.approx(1.0, abs=1e-15)
+
+
+def test_projectability_evaluates_field_at_pair_time():
+    from geored.flow import VectorFieldSystem
+
+    # x' = t y, y' = 0: the pushforward of x is t y, different on (1, 0) and (1, 1)
+    sys = VectorFieldSystem(2, lambda z, t: [t * z[1], 0.0], ("x", "y"), autonomous=False)
+    quotient = QuotientMap((ScalarField(2, lambda z: z[0], "x"),), ("x",))
+    pair = (np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    assert check_projectable(sys, quotient, [pair]).ok
+    rep = check_projectable(sys, quotient, [pair], times=[0.5])
+    assert not rep.ok and rep.worst == 0.5
+
+
+def test_non_autonomous_field_leaving_the_surface_fails_preflight():
+    from geored.flow import VectorFieldSystem
+
+    def rotate(z, rng):
+        a = rng.uniform(0.3, 2.8)
+        return np.array([np.cos(a) * z[0] - np.sin(a) * z[1], np.sin(a) * z[0] + np.cos(a) * z[1]])
+
+    scenario = ReductionScenario(
+        name="spiral-out",
+        system=_spiral_out(),
+        # r^2 = exp(t^2) stays within 3e-3 of the circle up to t = 0.05
+        reduced=VectorFieldSystem(1, lambda y, t: [2.0 * t * y[0]], ("r2",), autonomous=False),
+        quotient=QuotientMap(_circle(1e-2).constraints, ("r2",)),
+        surface=_circle(1e-2),
+        orbit_map=rotate,
+    )
+    with pytest.raises(PreflightFailed, match="surface tangency"):
+        verify_commuting_diagram(scenario, [1.0, 0.0], 0.0, 0.05)
