@@ -19,6 +19,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -173,11 +174,10 @@ def _run_qriccati_pauli(config, rng, outdir):
     state0 = qriccati.UnitaryState(np.eye(2))
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
     worst = 0.0
-    for t, U in report.trail[1:]:
-        z = qriccati.extract_Z(U, 1, 1).Z[0, 0]
-        worst = max(worst, abs(z - (-1j * np.tan(t))))
+    for point in islice(qriccati.trail_points(H, report.trail, report.points), 1, None):
+        worst = max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
     path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, report.trail, path)
+    qriccati.coset_trajectory_csv(H, report.trail, path, report.points)
     return (
         {"closed_form_dev": float(worst), "coset_dev": report.max_dev},
         [path.name],
@@ -205,7 +205,7 @@ def _run_qriccati_n3(config, rng, outdir):
     state0 = qriccati.UnitaryState(np.eye(3))
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
     path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, report.trail, path)
+    qriccati.coset_trajectory_csv(H, report.trail, path, report.points)
     partial = report.t_exit is not None
     return (
         {
@@ -448,8 +448,10 @@ def _run_kernel_crosscheck(config, rng, outdir):
 
     worst = 0.0
     for k in range(20):
-        c = rng.uniform(-1, 1, size=(3, 3))
-        lin = rng.uniform(-1, 1, size=3)
+        # the same draws as arrays, then Python floats: the fields run the
+        # same IEEE operations without numpy scalar arithmetic
+        c = rng.uniform(-1, 1, size=(3, 3)).tolist()
+        lin = rng.uniform(-1, 1, size=3).tolist()
 
         def fn(x, c=c, lin=lin):
             quad = 0.0
@@ -460,7 +462,7 @@ def _run_kernel_crosscheck(config, rng, outdir):
 
         f = ScalarField(3, fn)
         for _ in range(10):
-            x = rng.uniform(-2, 2, 3)
+            x = rng.uniform(-2, 2, 3).tolist()
             gd = gradient(f, x, DUAL)
             gc = gradient(f, x, CENTRAL)
             rel = float(np.max(np.abs(gd - gc)) / (1.0 + np.max(np.abs(gd))))

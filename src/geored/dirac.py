@@ -490,7 +490,7 @@ def constrained_flow(
     z0 = np.asarray(point0, dtype=float)
     cset.require_on_surface(z0, t0)
 
-    def rhs(tau, z):
+    def rhs(z, tau):
         return hamiltonian_flow_rhs(cset, z, tau)[0]
 
     stepper = Dopri45Stepper(rhs, t0, z0, cfg)

@@ -5,6 +5,7 @@ and second-order lifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -14,8 +15,9 @@ from geored.errors import BlowUp, StepLimitExceeded
 
 BLOWUP_LIMIT = 1e12
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau.  The stage times are Python floats, so a stage
+# time costs no numpy scalar arithmetic (the product rounds the same).
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -133,14 +135,17 @@ class Trajectory:
     @classmethod
     def from_rk45(cls, times, states, records, meta: dict) -> Trajectory:
         """Trajectory of accepted RK45 steps and their ``Dopri45Stepper.step``
-        records."""
+        records.  Every step's quartic comes from one stacked product, which
+        runs the same BLAS kernel per step as ``K.T @ _DP_P`` would."""
+        states = np.asarray(states)
+        Ks = np.asarray([K for _, K in records]).reshape(-1, 7, states.shape[1])
         return cls(
             times=np.asarray(times),
-            states=np.asarray(states),
+            states=states,
             method="rk45",
             meta=meta,
             h=np.asarray([h for h, _ in records]),
-            coeffs=np.asarray([c for _, c in records]),
+            coeffs=np.matmul(Ks.transpose(0, 2, 1), _DP_P),
         )
 
     @property
@@ -200,22 +205,47 @@ class Trajectory:
 
 
 def _check_state(y: np.ndarray, t_last: float):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
+    # one comparison: NaN fails it as well as inf or a component past the limit
+    if not np.abs(y).max() <= BLOWUP_LIMIT:
         raise BlowUp(t_last, y)
+
+
+def _check_shape(f0: np.ndarray, y: np.ndarray):
+    if f0.shape != y.shape:
+        raise ValueError(
+            f"right-hand side returned shape {f0.shape}, expected {y.shape}"
+        )
 
 
 class Dopri45Stepper:
     """Single-step driver for the adaptive pair; exposed so callers can
-    interleave work (re-projection, constraint snapping) between steps."""
+    interleave work (re-projection, constraint snapping) between steps.
 
-    def __init__(self, rhs_t, t0: float, y0: np.ndarray, cfg: IntegratorConfig):
-        self.rhs = rhs_t
+    ``rhs`` is called as ``rhs(y, t)``, or as ``rhs(y)`` when ``autonomous``,
+    and may return any sequence of ``len(y)`` numbers; its first output (and
+    the one after ``reset_derivative``) must have the state's shape.  A
+    caller may replace ``y`` between steps and then call
+    ``reset_derivative``; the stepper never modifies ``y`` in place.
+    """
+
+    def __init__(
+        self,
+        rhs,
+        t0: float,
+        y0: np.ndarray,
+        cfg: IntegratorConfig,
+        autonomous: bool = False,
+    ):
+        self.rhs = rhs
+        self.autonomous = autonomous
         self.t = float(t0)
         self.y = np.array(y0, dtype=float)
         self.cfg = cfg
-        self.k1 = np.asarray(rhs_t(self.t, self.y), dtype=float)
+        self.reset_derivative()
         self.h = self._initial_step()
         self.steps = 0
+        # |y| of the last accepted state, and the state it belongs to
+        self._abs_y, self._abs_of = None, None
 
     def _initial_step(self) -> float:
         scale = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.y)
@@ -226,43 +256,53 @@ class Dopri45Stepper:
 
     def reset_derivative(self):
         """Recompute the FSAL stage after an external state modification."""
-        self.k1 = np.asarray(self.rhs(self.t, self.y), dtype=float)
+        y = self.y
+        k1 = self.rhs(y) if self.autonomous else self.rhs(y, self.t)
+        self.k1 = np.asarray(k1, dtype=float)
+        _check_shape(self.k1, y)
 
     def step(self, t_limit: float):
         """Advance one accepted step, clipped to ``t_limit``.
 
-        Returns (t_new, y_new, (h, coeffs)): the step size taken and the
-        step's dense-output coefficients (see ``Trajectory``).
+        Returns (t_new, y_new, (h, K)): the step size taken and the 7 x dim
+        stage matrix, from which ``Trajectory.from_rk45`` builds the step's
+        dense output.
         """
         cfg = self.cfg
+        rhs, autonomous = self.rhs, self.autonomous
+        t, y = self.t, self.y
+        n = len(y)
+        abs_y = self._abs_y if self._abs_of is y else np.abs(y)
         while True:
             self.steps += 1
             if self.steps > cfg.max_steps:
-                raise StepLimitExceeded(self.t, cfg.max_steps)
-            h = min(self.h, t_limit - self.t)
-            K = np.empty((7, len(self.y)))
+                raise StepLimitExceeded(t, cfg.max_steps)
+            h = min(self.h, t_limit - t)
+            K = np.empty((7, n))
             K[0] = self.k1
             for s in range(1, 7):
-                ys = self.y + h * (_DP_A[s] @ K[:s])
-                K[s] = self.rhs(self.t + _DP_C[s] * h, ys)
-            y_new = self.y + h * (_DP_B @ K)
+                ys = y + h * (_DP_A[s] @ K[:s])
+                K[s] = rhs(ys) if autonomous else rhs(ys, t + _DP_C[s] * h)
+            y_new = y + h * (_DP_B @ K)
             err = h * (_DP_E @ K)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(
-                np.abs(self.y), np.abs(y_new)
-            )
-            err_norm = np.sqrt(np.mean((err / scale) ** 2))
+            abs_new = np.abs(y_new)
+            r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
+            # bit-equal to np.sqrt(np.mean(r ** 2)): the same pairwise sum
+            # and the same correctly rounded division and square root
+            err_norm = math.sqrt(float(np.add.reduce(r * r)) / n)
             if err_norm <= 1.0:
-                _check_state(y_new, self.t)
-                record = (h, K.T @ _DP_P)
-                self.t = self.t + h
+                if not abs_new.max() <= BLOWUP_LIMIT:
+                    raise BlowUp(t, y_new)
+                self.t = t + h
                 self.y = y_new
+                self._abs_y, self._abs_of = abs_new, y_new
                 self.k1 = K[6]  # FSAL
                 factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
                 self.h = abs(h) * factor
-                return self.t, self.y, record
+                return self.t, y_new, (h, K)
             self.h = h * max(0.2, 0.9 * err_norm**-0.2)
-            if self.h < 1e-14 * max(1.0, abs(self.t)):
-                raise StepLimitExceeded(self.t, cfg.max_steps)
+            if self.h < 1e-14 * max(1.0, abs(t)):
+                raise StepLimitExceeded(t, cfg.max_steps)
 
 
 def integrate(
@@ -276,7 +316,9 @@ def integrate(
 
     RK45 controls local error by the configured tolerances; RK4 marches the
     fixed step ``cfg.dt``.  Any non-finite or > 1e12 state component raises
-    ``BlowUp`` carrying the last good time (never clamped).
+    ``BlowUp`` carrying the last good time (never clamped).  A right-hand
+    side whose first output does not have the state's shape raises
+    ``ValueError``.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -285,20 +327,23 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    def rhs_t(t, y):
-        return np.asarray(sys.eval_rhs(y, t), dtype=float)
-
     meta = {"coord_names": sys.coord_names, "config": cfg}
     if cfg.method == "rk4":
+
+        def rhs_t(t, y):
+            return np.asarray(sys.eval_rhs(y, t), dtype=float)
+
         return _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta)
-    stepper = Dopri45Stepper(rhs_t, t0, y0, cfg)
+    stepper = Dopri45Stepper(sys.rhs, t0, y0, cfg, autonomous=sys.autonomous)
+    t_end = t1 - 1e-14 * max(1.0, abs(t1))
     times = [t0]
-    states = [y0.copy()]
+    # the stepper replaces its state at every step and never writes into it
+    states = [stepper.y]
     records = []
-    while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
+    while stepper.t < t_end:
         t, y, record = stepper.step(t1)
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         records.append(record)
     return Trajectory.from_rk45(times, states, records, meta)
 
@@ -312,6 +357,7 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
     states = [np.array(y0)]
     t, y = t0, np.array(y0)
     f_here = rhs_t(t, y)
+    _check_shape(f_here, y)
     slopes = [f_here]
     for _ in range(n_steps):
         k1 = f_here

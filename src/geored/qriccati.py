@@ -137,7 +137,7 @@ def evolve_unitary(
     shape = (n, n)
     fixed = None if H.time_dependent else H.assembled(U0.t)
 
-    def rhs(t, y):
+    def rhs(y, t):
         U = _state_to_mat(y, shape)
         G = H.assembled(t) if fixed is None else fixed
         return _mat_to_state(-1j * (G @ U))
@@ -213,6 +213,8 @@ class CosetReport:
     events: list = field(default_factory=list)
     # the recorded unitary evolution, [(t, U), ...] as evolve_unitary returns it
     trail: list | None = field(default=None, repr=False, compare=False)
+    # the coset point of each trail entry the comparison reached
+    points: list | None = field(default=None, repr=False, compare=False)
 
 
 def verify_coset_reduction(
@@ -227,7 +229,8 @@ def verify_coset_reduction(
 
     A singular D block mid-run ends the comparison early; the report then
     carries the exit time and the deviation up to it.  The report also
-    carries the recorded unitary trail, so callers need not integrate again.
+    carries the recorded unitary trail and the coset points extracted from
+    it, so callers need neither integrate nor extract again.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = t_span
@@ -243,7 +246,7 @@ def verify_coset_reduction(
     max_dev = 0.0
     t_exit = None
     events: list = []
-    count = 0
+    points: list = []
     for (t, U), y in zip(trail, direct_states):
         try:
             z_unitary = extract_Z(U, H.n1, H.n2, t=t)
@@ -253,29 +256,41 @@ def verify_coset_reduction(
             break
         z_direct = _state_to_mat(y, (H.n1, H.n2))
         max_dev = max(max_dev, float(np.linalg.norm(z_unitary.Z - z_direct)))
-        count += 1
+        points.append(z_unitary)
     return CosetReport(
         max_dev=max_dev,
         ok=max_dev <= tol and t_exit is None,
         t_exit=t_exit,
-        samples=count,
+        samples=len(points),
         unitarity_drift=unitarity_drift(final.U),
         events=events,
         trail=trail,
+        points=points,
     )
 
 
-def coset_trajectory_csv(H: BlockHamiltonian, trail: Sequence[tuple], path) -> None:
+def trail_points(H: BlockHamiltonian, trail: Sequence[tuple], points: Sequence = ()):
+    """Coset point of each trail entry, in order: the given ``points`` for
+    the leading entries (as ``CosetReport.points`` carries them), then fresh
+    extractions, which raise ``SingularBlock`` at a singular D block."""
+    for k, (t, U) in enumerate(trail):
+        yield points[k] if k < len(points) else extract_Z(U, H.n1, H.n2, t=t)
+
+
+def coset_trajectory_csv(
+    H: BlockHamiltonian, trail: Sequence[tuple], path, points: Sequence = ()
+) -> None:
     """CSV of the coset coordinate along a recorded unitary evolution:
-    t, then Re/Im of each Z entry in row-major order."""
+    t, then Re/Im of each Z entry in row-major order.  ``points`` may give
+    the coset points of leading trail entries (see ``trail_points``)."""
     header = ["t"]
     for i in range(H.n1):
         for j in range(H.n2):
             header += [f"ReZ{i}{j}", f"ImZ{i}{j}"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t, U in trail:
-            Z = extract_Z(U, H.n1, H.n2, t=t).Z
+        for point in trail_points(H, trail, points):
+            t, Z = point.t, point.Z
             cells = [f"{t:.17g}"]
             for i in range(H.n1):
                 for j in range(H.n2):

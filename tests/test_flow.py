@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from geored import flow
 from geored.calc import ScalarField
-from geored.errors import BlowUp
+from geored.errors import BlowUp, StepLimitExceeded
 from geored.flow import (
     IntegratorConfig,
     VectorFieldSystem,
@@ -255,3 +256,263 @@ def test_resample_accepts_both_endpoints_and_rejects_outside_points():
                 traj.resample(inside[:pos] + [bad] + inside[pos:])
         with pytest.raises(ValueError, match="outside"):
             traj.sample(bad)
+
+
+# -- the lean Dormand-Prince step against the previous implementation ---------
+
+
+class _ReferenceStepper:
+    """The Dormand-Prince step as it was before the lean rewrite: stage times
+    from the ``np.float64`` tableau, every right-hand-side output through
+    ``np.asarray``, NumPy error norm and state check, and the dense-output
+    coefficients ``K.T @ P`` formed per step (kept in ``self.coeffs``)."""
+
+    made: list = []
+
+    def __init__(self, rhs, t0, y0, cfg, autonomous=False):
+        def rhs_t(t, y):
+            return np.asarray(rhs(y) if autonomous else rhs(y, t), dtype=float)
+
+        self.rhs = rhs_t
+        self.t = float(t0)
+        self.y = np.array(y0, dtype=float)
+        self.cfg = cfg
+        self.k1 = np.asarray(rhs_t(self.t, self.y), dtype=float)
+        self.h = self._initial_step()
+        self.steps = 0
+        self.coeffs = []
+        _ReferenceStepper.made.append(self)
+
+    def _initial_step(self):
+        scale = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.y)
+        d0 = np.sqrt(np.mean((self.y / scale) ** 2))
+        d1 = np.sqrt(np.mean((self.k1 / scale) ** 2))
+        h0 = 1e-6 if d1 < 1e-12 else 0.01 * d0 / d1
+        return max(min(h0, 1.0), 1e-10)
+
+    def reset_derivative(self):
+        self.k1 = np.asarray(self.rhs(self.t, self.y), dtype=float)
+
+    def step(self, t_limit):
+        c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+        cfg = self.cfg
+        while True:
+            self.steps += 1
+            if self.steps > cfg.max_steps:
+                raise StepLimitExceeded(self.t, cfg.max_steps)
+            h = min(self.h, t_limit - self.t)
+            K = np.empty((7, len(self.y)))
+            K[0] = self.k1
+            for s in range(1, 7):
+                ys = self.y + h * (flow._DP_A[s] @ K[:s])
+                K[s] = self.rhs(self.t + c[s] * h, ys)
+            y_new = self.y + h * (flow._DP_B @ K)
+            err = h * (flow._DP_E @ K)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.y), np.abs(y_new))
+            err_norm = np.sqrt(np.mean((err / scale) ** 2))
+            if err_norm <= 1.0:
+                if not np.all(np.isfinite(y_new)) or np.max(np.abs(y_new)) > flow.BLOWUP_LIMIT:
+                    raise BlowUp(self.t, y_new)
+                self.coeffs.append(K.T @ flow._DP_P)
+                self.t = self.t + h
+                self.y = y_new
+                self.k1 = K[6]
+                factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
+                self.h = abs(h) * factor
+                return self.t, self.y, (h, K)
+            self.h = h * max(0.2, 0.9 * err_norm**-0.2)
+            if self.h < 1e-14 * max(1.0, abs(self.t)):
+                raise StepLimitExceeded(self.t, cfg.max_steps)
+
+
+def _with_both_steppers(monkeypatch, module, run):
+    """``run()`` once with the lean stepper and once with the reference one
+    bound as ``module.Dopri45Stepper``; each result with the steppers it
+    made."""
+    made = []
+
+    class Recording(flow.Dopri45Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    out = []
+    for cls, seen in ((Recording, made), (_ReferenceStepper, _ReferenceStepper.made)):
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(module, "Dopri45Stepper", cls)
+            out.append((run(), list(seen)))
+    return out
+
+
+def _assert_same_trajectory(lean, ref):
+    (traj, (stepper,)), (ref_traj, (ref_stepper,)) = lean, ref
+    for name in ("times", "states", "h"):
+        got, want = getattr(traj, name), getattr(ref_traj, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    want = np.asarray(ref_stepper.coeffs)
+    assert traj.coeffs.shape == want.shape
+    assert traj.coeffs.tobytes() == want.tobytes()
+    assert stepper.steps == ref_stepper.steps
+
+
+def _catalog_systems():
+    from geored import catalog
+
+    for entry in catalog.entries():
+        sc = entry.scenario
+        yield sc.name + ":ambient", sc.system, entry.default_x0, entry.t_span
+        yield sc.name + ":reduced", sc.reduced, sc.quotient(entry.default_x0), entry.t_span
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_lean_step_bit_identical_to_reference_on_catalog(monkeypatch, tol):
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    systems = list(_catalog_systems())
+    assert len(systems) == 10
+    for label, sys, x0, (t0, t1) in systems:
+        lean, ref = _with_both_steppers(
+            monkeypatch, flow, lambda: integrate(sys, x0, t0, t1, cfg)
+        )
+        _assert_same_trajectory(lean, ref)
+
+
+def test_lean_step_bit_identical_to_reference_non_autonomous(monkeypatch):
+    from geored import catalog, qriccati
+
+    scalar = catalog.riccati_scalar(lambda t: 1.0 + 0.3 * math.sin(t), 0.2, lambda t: math.cos(2.0 * t))
+    H = qriccati.BlockHamiltonian(
+        1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
+    )
+    matrix = qriccati.riccati_matrix_system(H)
+    for sys, x0 in ((scalar, [0.1]), (matrix, [0.1, 0.0, -0.05, 0.2])):
+        assert not sys.autonomous
+        for tol in (1e-10, 1e-12):
+            cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+            lean, ref = _with_both_steppers(
+                monkeypatch, flow, lambda: integrate(sys, x0, 0.0, 1.5, cfg)
+            )
+            _assert_same_trajectory(lean, ref)
+
+
+def test_lean_step_bit_identical_to_reference_constrained_flow(monkeypatch):
+    from geored import dirac
+
+    cset, _ = dirac.two_particle_model(1.0, 2.0, dirac.linear_potential(0.1))
+    z0 = dirac.sample_on_shell(cset, np.random.default_rng(14), (1.0, 2.0))
+    # a drift limit this low projects after every step, so the external state
+    # change and reset_derivative run at every step as well
+    for drift_limit in (1e-9, 1e-15):
+        lean, ref = _with_both_steppers(
+            monkeypatch,
+            dirac,
+            lambda: dirac.constrained_flow(cset, z0, (0.0, 2.0), drift_limit=drift_limit),
+        )
+        _assert_same_trajectory(lean, ref)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_lean_step_bit_identical_to_reference_evolve_unitary(monkeypatch, tol):
+    from geored import qriccati
+
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    H = qriccati.BlockHamiltonian(
+        1, 2, np.array([[0.2]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
+    )
+    U0 = qriccati.UnitaryState(np.eye(3))
+    lean, ref = _with_both_steppers(
+        monkeypatch, qriccati, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg, record=True)
+    )
+    ((final, trail), (stepper,)), ((ref_final, ref_trail), (ref_stepper,)) = lean, ref
+    assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
+    assert len(trail) == len(ref_trail) > 2
+    for (t, U), (ref_t, ref_U) in zip(trail, ref_trail):
+        assert t == ref_t and U.tobytes() == ref_U.tobytes()
+    assert stepper.steps == ref_stepper.steps
+
+
+def test_rejected_attempts_counted_and_bit_identical(monkeypatch):
+    # x' = -200 (x - cos t): the first step is far too long for this
+    # stiffness ratio, so the controller rejects and retries
+    sys = VectorFieldSystem(1, lambda x, t: [-200.0 * (x[0] - math.cos(t))], ("x",), autonomous=False)
+    cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
+    lean, ref = _with_both_steppers(monkeypatch, flow, lambda: integrate(sys, [2.0], 0.0, 1.0, cfg))
+    _assert_same_trajectory(lean, ref)
+    traj, (stepper,) = lean
+    assert stepper.steps > len(traj.h)
+
+
+def _blowup_of(run):
+    with pytest.raises(BlowUp) as err:
+        run()
+    return err.value
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_blowup_on_large_inf_and_nan_at_reference_time(monkeypatch):
+    # past 1e12 within the tolerance: y' = y^2 from y(0) = 1 reaches it near t = 1
+    square = VectorFieldSystem(1, lambda x: [x[0] * x[0]], ("y",))
+    # inf: a constant slope near the largest double overflows the state sum
+    # while the error sum stays finite, so the step is accepted
+    huge = VectorFieldSystem(1, lambda x: [1.7e308], ("y",))
+    for sys in (square, huge):
+        lean, ref = _with_both_steppers(
+            monkeypatch, flow, lambda: _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0))
+        )
+        (err, _), (ref_err, _) = lean, ref
+        assert err.t_last == ref_err.t_last
+        assert err.state.tobytes() == ref_err.state.tobytes()
+    assert not np.isfinite(err.state).all()
+    # NaN: every stage past t = 0.5 is NaN, so RK45 rejects each attempt (the
+    # error norm is NaN) and gives up at the same time as before; RK4 has no
+    # error norm and raises BlowUp from its state check
+    nan_after = VectorFieldSystem(
+        1, lambda x, t: [math.nan if t > 0.5 else 1.0], ("y",), autonomous=False
+    )
+
+    def gives_up():
+        with pytest.raises(StepLimitExceeded) as err:
+            integrate(nan_after, [0.0], 0.0, 1.0)
+        return err.value
+
+    (err, _), (ref_err, _) = _with_both_steppers(monkeypatch, flow, gives_up)
+    assert err.t == ref_err.t and 0.4 < err.t <= 0.5
+
+    def reference_check(y, t_last):
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > flow.BLOWUP_LIMIT:
+            raise BlowUp(t_last, y)
+
+    rk4 = IntegratorConfig(method="rk4", dt=0.03)
+    fast = VectorFieldSystem(1, lambda x: [x[0] * x[0]], ("y",))
+    infinite = VectorFieldSystem(1, lambda x, t: [math.inf if t > 0.5 else 1.0], ("y",), autonomous=False)
+    for sys in (fast, infinite, nan_after):
+        err = _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0, rk4))
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_check_state", reference_check)
+            ref_err = _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0, rk4))
+        assert err.t_last == ref_err.t_last
+        assert err.state.tobytes() == ref_err.state.tobytes()
+    assert np.isnan(err.state).all()
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_rhs_of_wrong_shape_raises(method):
+    # negative control: -x[0] is a scalar, which broadcast over both rows
+    # and integrated silently to [0.368, 4.368]
+    scalar = VectorFieldSystem(2, lambda x: -x[0], ("x", "y"))
+    short = VectorFieldSystem(2, lambda x: [-x[0]], ("x", "y"))
+    cfg = IntegratorConfig(method=method, dt=0.01)
+    for sys in (scalar, short):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(sys, [1.0, 5.0], 0.0, 1.0, cfg)
+    good = VectorFieldSystem(2, lambda x: [-x[0], -x[0]], ("x", "y"))
+    assert np.allclose(integrate(good, [1.0, 5.0], 0.0, 1.0, cfg).states[-1], [math.exp(-1), 4 + math.exp(-1)])
+
+
+def test_reset_derivative_checks_shape():
+    stepper = flow.Dopri45Stepper(lambda y, t: -y, 0.0, np.array([1.0, 2.0]), IntegratorConfig())
+    stepper.step(1.0)
+    stepper.rhs = lambda y, t: -y[0]
+    with pytest.raises(ValueError, match="shape"):
+        stepper.reset_derivative()

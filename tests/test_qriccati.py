@@ -320,3 +320,92 @@ def test_coset_csv_equals_a_fresh_recorded_evolution(tmp_path, name):
     fresh = tmp_path / "fresh.csv"
     coset_trajectory_csv(H, trail, fresh)
     assert (tmp_path / name / "coset.csv").read_bytes() == fresh.read_bytes()
+
+
+# -- each coset coordinate extracted once -------------------------------------
+
+
+def _count_extractions(monkeypatch):
+    import geored.qriccati as q
+
+    calls = []
+    extract = q.extract_Z
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1] if len(args) > 3 else kwargs.get("t"))
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(q, "extract_Z", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
+def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, name):
+    from geored import cli
+
+    calls = _count_extractions(monkeypatch)
+    config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
+    cli.run(config)
+    rows = (tmp_path / name / "coset.csv").read_text().splitlines()
+    # Z(U0) for the direct flow, then one extraction per trail point
+    assert len(calls) == 1 + (len(rows) - 1)
+
+
+def test_coset_report_points_reused_outside_equality(tmp_path):
+    import dataclasses
+
+    H = seeded_n3_hamiltonian(seed=7)
+    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), (0.0, 1.0))
+    assert report.t_exit is None and len(report.points) == report.samples == len(report.trail)
+    for (t, U), point in zip(report.trail, report.points):
+        assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, 2, t=t).Z.tobytes()
+    bare = dataclasses.replace(report, points=None)
+    assert report == bare and repr(report) == repr(bare)
+    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+    coset_trajectory_csv(H, report.trail, reused, report.points)
+    coset_trajectory_csv(H, report.trail, fresh)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def _trail_singular_at(k):
+    """evolve_unitary whose recorded trail has a zero D block at entry k."""
+    import geored.qriccati as q
+
+    evolve = q.evolve_unitary
+
+    def evolve_singular(*args, **kwargs):
+        final, trail = evolve(*args, **kwargs)
+        t, U = trail[k]
+        U = U.copy()
+        U[1:, 1:] = 0.0
+        trail[k] = (t, U)
+        return final, trail
+
+    return evolve_singular
+
+
+@pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
+def test_singular_block_still_raises_where_it_did(tmp_path, monkeypatch, name):
+    import geored.qriccati as q
+    from geored import cli
+
+    monkeypatch.setattr(q, "evolve_unitary", _trail_singular_at(5))
+    if name == "qriccati-pauli":
+        H = pauli_x_hamiltonian()
+    else:
+        H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), (0.0, 1.0))
+    assert report.t_exit == report.trail[5][0] and len(report.points) == report.samples == 5
+    assert report.events[0]["event"] == "singular-block"
+    # the trail is extracted again past the exit, so the scenario raises at
+    # entry 5: the Pauli closed-form check before it writes its CSV, the n3
+    # CSV after five rows
+    config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
+    runner = cli._run_qriccati_pauli if name == "qriccati-pauli" else cli._run_qriccati_n3
+    with pytest.raises(SingularBlock):
+        runner(config, cli._rng_for(name, 0), tmp_path)
+    csv = tmp_path / "coset.csv"
+    if name == "qriccati-pauli":
+        assert not csv.exists()
+    else:
+        assert len(csv.read_text().splitlines()) == 1 + 5

@@ -4,7 +4,7 @@ import pytest
 from geored import catalog
 from geored.calc import ScalarField
 from geored.errors import OffSurface, PreflightFailed
-from geored.flow import IntegratorConfig
+from geored.flow import IntegratorConfig, integrate
 from geored.reduce import (
     InvariantSurface,
     QuotientMap,
@@ -296,3 +296,21 @@ def test_non_autonomous_field_leaving_the_surface_fails_preflight():
     )
     with pytest.raises(PreflightFailed, match="surface tangency"):
         verify_commuting_diagram(scenario, [1.0, 0.0], 0.0, 0.05)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_diagram_projection_bit_identical_to_array_rows(tol):
+    # the grid states are projected as Python floats; each invariant must give
+    # the bits it gives on the rows of the resampled array
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    for entry in catalog.entries():
+        sc = entry.scenario
+        t0, t1 = entry.t_span
+        report = verify_commuting_diagram(sc, entry.default_x0, t0, t1, cfg)
+        grid = np.linspace(t0, t1, sc.grid_points)
+        rows = report.ambient.resample(grid)
+        projected = np.asarray([sc.quotient(row) for row in rows])
+        as_floats = np.asarray([sc.quotient(row) for row in rows.tolist()])
+        assert projected.tobytes() == as_floats.tobytes(), sc.name
+        reduced = integrate(sc.reduced, sc.quotient(entry.default_x0), t0, t1, cfg)
+        assert report.max_dev == float(np.max(np.abs(projected - reduced.resample(grid))))
