@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from geored.calc import ScalarField, gradient
+from geored.calc import ScalarField, _jvp, gradient
 from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import (
     ConstraintDrift,
@@ -26,7 +26,7 @@ from geored.errors import (
     OffSurface,
     SingularConstraintMatrix,
 )
-from geored.flow import Dopri45Stepper, IntegratorConfig, Trajectory
+from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 from geored.lagsym import MINKOWSKI, MetricSignature, _dot, _solve_generic
 
 
@@ -252,7 +252,8 @@ class DiracFrame:
         preservation of the gauge constraints."""
         space, A = self.cset.space, self.gauge_shell_block()
         gauges = [self.cset.constraints[a] for a in self.gauge_ix]
-        rhs_tau = np.asarray([-tangent_part(g(self.z, Dual(self.tau, 1.0))) for g in gauges])
+        tau_rates = _jvp(lambda ts: [g(self.z, ts[0]) for g in gauges], [self.tau], [1.0])
+        rhs_tau = np.asarray([-rate for rate in tau_rates])
         cond = float(np.linalg.cond(A))
         if not np.isfinite(cond) or cond >= 1e10:
             raise SingularConstraintMatrix(cond)
@@ -295,8 +296,7 @@ class InteractionPotential:
     def derivative(self, xi):
         if self.Vprime is not None:
             return self.Vprime(xi)
-        out = self.V(Dual(xi, 1.0))
-        return out.b if is_dual(out) else 0.0
+        return _jvp(lambda xs: (self.V(xs[0]),), [xi], [1.0])[0]
 
     def check_derivative(self, xi: float, step: float = 1e-6) -> bool:
         fd = (self.V(xi + step) - self.V(xi - step)) / (2 * step)
@@ -485,7 +485,6 @@ def constrained_flow(
     past ``drift_limit`` triggers a Newton projection back to the surface,
     and exceeding ``hard_limit`` aborts with ConstraintDrift.
     """
-    cfg = cfg or IntegratorConfig()
     t0, t1 = tau_span
     z0 = np.asarray(point0, dtype=float)
     cset.require_on_surface(z0, t0)
@@ -493,29 +492,18 @@ def constrained_flow(
     def rhs(z, tau):
         return hamiltonian_flow_rhs(cset, z, tau)[0]
 
-    stepper = Dopri45Stepper(rhs, t0, z0, cfg)
-    times = [t0]
-    states = [z0.copy()]
-    records = []
-    while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
-        tau, z, record = stepper.step(t1)
+    def onto_surface(tau, z):
         drift = float(np.max(np.abs(cset.values(z, tau))))
         if drift > hard_limit:
             raise ConstraintDrift(tau, drift)
-        if drift > drift_limit:
-            z = _project_to_surface(cset, z, tau)
-            stepper.y = z
-            stepper.reset_derivative()
-        times.append(tau)
-        states.append(np.array(stepper.y))
-        records.append(record)
-    names = []
-    for alpha in range(cset.space.particles):
-        names += [f"x{mu}@{alpha}" for mu in range(4)]
-        names += [f"p{mu}@{alpha}" for mu in range(4)]
-    return Trajectory.from_rk45(
-        times, states, records, {"coord_names": tuple(names), "config": cfg}
+        return _project_to_surface(cset, z, tau) if drift > drift_limit else z
+
+    space = cset.space
+    names = tuple(
+        f"{kind}{mu}@{alpha}" for alpha in range(space.particles) for kind in "xp" for mu in "0123"
     )
+    system = VectorFieldSystem(space.dim, rhs, names, autonomous=False, label="constrained flow")
+    return integrate(system, z0, t0, t1, cfg, project=onto_surface)
 
 
 def position_noncommutativity(cset: ConstraintSet | None, space: PhaseSpace, point, tau: float = 0.0):

@@ -218,13 +218,12 @@ def _check_shape(f0: np.ndarray, y: np.ndarray):
 
 
 class Dopri45Stepper:
-    """Single-step driver for the adaptive pair; exposed so callers can
-    interleave work (re-projection, constraint snapping) between steps.
+    """Single-step driver for the adaptive pair, driven by ``integrate``.
 
     ``rhs`` is called as ``rhs(y, t)``, or as ``rhs(y)`` when ``autonomous``,
     and may return any sequence of ``len(y)`` numbers; its first output (and
-    the one after ``reset_derivative``) must have the state's shape.  A
-    caller may replace ``y`` between steps and then call
+    the one after ``reset_derivative``) must have the state's shape.
+    ``integrate`` replaces ``y`` after a projection and then calls
     ``reset_derivative``; the stepper never modifies ``y`` in place.
     """
 
@@ -301,7 +300,10 @@ class Dopri45Stepper:
                 self.h = abs(h) * factor
                 return self.t, y_new, (h, K)
             self.h = h * max(0.2, 0.9 * err_norm**-0.2)
-            if self.h < 1e-14 * max(1.0, abs(t)):
+            # a NaN step fails this test too; a NaN error norm is a blow-up
+            if not self.h >= 1e-14 * max(1.0, abs(t)):
+                if not err_norm > 1.0:
+                    raise BlowUp(t, y_new)
                 raise StepLimitExceeded(t, cfg.max_steps)
 
 
@@ -311,6 +313,7 @@ def integrate(
     t0: float,
     t1: float,
     cfg: IntegratorConfig | None = None,
+    project: Callable | None = None,
 ) -> Trajectory:
     """Flow map sampler from ``t0`` to ``t1 > t0``.
 
@@ -319,6 +322,10 @@ def integrate(
     ``BlowUp`` carrying the last good time (never clamped).  A right-hand
     side whose first output does not have the state's shape raises
     ``ValueError``.
+
+    ``project(t, y)``, if given, runs after every step (a projection method)
+    and returns ``y`` to keep it, or a state of its shape that replaces it
+    (recorded, and stepped on from with a fresh derivative), or raises.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -333,7 +340,7 @@ def integrate(
         def rhs_t(t, y):
             return np.asarray(sys.eval_rhs(y, t), dtype=float)
 
-        return _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta)
+        return _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta, project)
     stepper = Dopri45Stepper(sys.rhs, t0, y0, cfg, autonomous=sys.autonomous)
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
     times = [t0]
@@ -342,13 +349,25 @@ def integrate(
     records = []
     while stepper.t < t_end:
         t, y, record = stepper.step(t1)
+        if project is not None and (y_proj := _projected(project, t, y)) is not y:
+            stepper.y = y = y_proj
+            stepper.reset_derivative()
         times.append(t)
         states.append(y)
         records.append(record)
     return Trajectory.from_rk45(times, states, records, meta)
 
 
-def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
+def _projected(project, t: float, y: np.ndarray) -> np.ndarray:
+    """``project(t, y)`` as a float array (``y`` itself when it was kept),
+    checked to have ``y``'s shape."""
+    out = np.asarray(project(t, y), dtype=float)
+    if out.shape != y.shape:
+        raise ValueError(f"projection returned shape {out.shape}, expected {y.shape}")
+    return out
+
+
+def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta, project) -> Trajectory:
     n_steps = max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-12)))
     if n_steps > cfg.max_steps:
         raise StepLimitExceeded(t0, cfg.max_steps)
@@ -366,6 +385,8 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta) -> Trajectory:
         k4 = rhs_t(t + h, y + h * k3)
         y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_state(y_new, t)
+        if project is not None:
+            y_new = _projected(project, t + h, y_new)
         f_new = rhs_t(t + h, y_new)
         slopes.append(f_new)
         t, y, f_here = t + h, y_new, f_new

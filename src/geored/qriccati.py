@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from geored.errors import SingularBlock, UnitarityLost
-from geored.flow import Dopri45Stepper, IntegratorConfig, VectorFieldSystem
+from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
 
 PROJECT_TRIGGER = 1e-12
 UNITARITY_HARD_LIMIT = 1e-6
@@ -117,6 +117,14 @@ def _state_to_mat(y: np.ndarray, shape) -> np.ndarray:
     return (y[0::2] + 1j * y[1::2]).reshape(shape)
 
 
+def _complex_names(symbol: str, rows: int, cols: int) -> tuple[str, ...]:
+    """Coordinate names of a rows x cols complex matrix in the real state
+    (``_mat_to_state`` order): Re and Im of each entry, row-major."""
+    return tuple(
+        f"{part}{symbol}{i}{j}" for i in range(rows) for j in range(cols) for part in ("Re", "Im")
+    )
+
+
 def evolve_unitary(
     H: BlockHamiltonian,
     U0: UnitaryState,
@@ -132,7 +140,6 @@ def evolve_unitary(
     generator without callable blocks is assembled (and checked Hermitian)
     once; callable blocks are assembled at every evaluation.
     """
-    cfg = cfg or IntegratorConfig()
     n = H.dim
     shape = (n, n)
     fixed = None if H.time_dependent else H.assembled(U0.t)
@@ -142,23 +149,19 @@ def evolve_unitary(
         G = H.assembled(t) if fixed is None else fixed
         return _mat_to_state(-1j * (G @ U))
 
-    stepper = Dopri45Stepper(rhs, U0.t, _mat_to_state(U0.U), cfg)
-    trail = [(U0.t, U0.U.copy())]
-    while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
-        t, y, _ = stepper.step(t1)
+    def onto_group(t, y):
         U = _state_to_mat(y, shape)
         drift = unitarity_drift(U)
         if drift > UNITARITY_HARD_LIMIT:
             raise UnitarityLost(t, drift)
-        if drift > PROJECT_TRIGGER:
-            U = polar_project(U)
-            stepper.y = _mat_to_state(U)
-            stepper.reset_derivative()
-        if record:
-            trail.append((t, U.copy()))
-    final = UnitaryState(_state_to_mat(stepper.y, shape), t=stepper.t)
+        return _mat_to_state(polar_project(U)) if drift > PROJECT_TRIGGER else y
+
+    names = _complex_names("U", n, n)
+    system = VectorFieldSystem(2 * n * n, rhs, names, autonomous=False, label="unitary flow")
+    traj = integrate(system, _mat_to_state(U0.U), U0.t, t1, cfg, project=onto_group)
+    final = UnitaryState(_state_to_mat(traj.states[-1], shape), t=traj.t1)
     if record:
-        trail[-1] = (stepper.t, final.U.copy())
+        trail = [(t, _state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
         return final, trail
     return final
 
@@ -183,10 +186,6 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
     (n1 x n2) coset chart."""
     n1, n2 = H.n1, H.n2
     shape = (n1, n2)
-    names = []
-    for i in range(n1):
-        for j in range(n2):
-            names += [f"ReZ{i}{j}", f"ImZ{i}{j}"]
 
     def rhs(y, t):
         Z = _state_to_mat(np.asarray(y, dtype=float), shape)
@@ -197,7 +196,7 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
     return VectorFieldSystem(
         2 * n1 * n2,
         rhs,
-        tuple(names),
+        _complex_names("Z", n1, n2),
         autonomous=False,
         label="matrix Riccati coset flow",
     )
@@ -235,9 +234,6 @@ def verify_coset_reduction(
     cfg = cfg or IntegratorConfig()
     t0, t1 = t_span
     final, trail = evolve_unitary(H, U0, t1, cfg, record=True)
-
-    from geored.flow import integrate
-
     z0 = extract_Z(U0, H.n1, H.n2)
     riccati = riccati_matrix_system(H)
     direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
@@ -283,16 +279,9 @@ def coset_trajectory_csv(
     """CSV of the coset coordinate along a recorded unitary evolution:
     t, then Re/Im of each Z entry in row-major order.  ``points`` may give
     the coset points of leading trail entries (see ``trail_points``)."""
-    header = ["t"]
-    for i in range(H.n1):
-        for j in range(H.n2):
-            header += [f"ReZ{i}{j}", f"ImZ{i}{j}"]
+    header = ["t", *_complex_names("Z", H.n1, H.n2)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for point in trail_points(H, trail, points):
-            t, Z = point.t, point.Z
-            cells = [f"{t:.17g}"]
-            for i in range(H.n1):
-                for j in range(H.n2):
-                    cells += [f"{Z[i, j].real:.17g}", f"{Z[i, j].imag:.17g}"]
+            cells = [f"{v:.17g}" for v in (point.t, *_mat_to_state(point.Z))]
             fh.write(",".join(cells) + "\n")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -325,9 +326,10 @@ class _ReferenceStepper:
                 raise StepLimitExceeded(self.t, cfg.max_steps)
 
 
-def _with_both_steppers(monkeypatch, module, run):
+def _with_both_steppers(monkeypatch, run):
     """``run()`` once with the lean stepper and once with the reference one
-    bound as ``module.Dopri45Stepper``; each result with the steppers it
+    bound as ``flow.Dopri45Stepper`` (``integrate`` drives every RK45 flow,
+    constrained and unitary ones included); each result with the steppers it
     made."""
     made = []
 
@@ -340,7 +342,7 @@ def _with_both_steppers(monkeypatch, module, run):
     for cls, seen in ((Recording, made), (_ReferenceStepper, _ReferenceStepper.made)):
         seen.clear()
         with monkeypatch.context() as m:
-            m.setattr(module, "Dopri45Stepper", cls)
+            m.setattr(flow, "Dopri45Stepper", cls)
             out.append((run(), list(seen)))
     return out
 
@@ -372,9 +374,7 @@ def test_lean_step_bit_identical_to_reference_on_catalog(monkeypatch, tol):
     systems = list(_catalog_systems())
     assert len(systems) == 10
     for label, sys, x0, (t0, t1) in systems:
-        lean, ref = _with_both_steppers(
-            monkeypatch, flow, lambda: integrate(sys, x0, t0, t1, cfg)
-        )
+        lean, ref = _with_both_steppers(monkeypatch, lambda: integrate(sys, x0, t0, t1, cfg))
         _assert_same_trajectory(lean, ref)
 
 
@@ -390,9 +390,7 @@ def test_lean_step_bit_identical_to_reference_non_autonomous(monkeypatch):
         assert not sys.autonomous
         for tol in (1e-10, 1e-12):
             cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-            lean, ref = _with_both_steppers(
-                monkeypatch, flow, lambda: integrate(sys, x0, 0.0, 1.5, cfg)
-            )
+            lean, ref = _with_both_steppers(monkeypatch, lambda: integrate(sys, x0, 0.0, 1.5, cfg))
             _assert_same_trajectory(lean, ref)
 
 
@@ -406,7 +404,6 @@ def test_lean_step_bit_identical_to_reference_constrained_flow(monkeypatch):
     for drift_limit in (1e-9, 1e-15):
         lean, ref = _with_both_steppers(
             monkeypatch,
-            dirac,
             lambda: dirac.constrained_flow(cset, z0, (0.0, 2.0), drift_limit=drift_limit),
         )
         _assert_same_trajectory(lean, ref)
@@ -422,7 +419,7 @@ def test_lean_step_bit_identical_to_reference_evolve_unitary(monkeypatch, tol):
     )
     U0 = qriccati.UnitaryState(np.eye(3))
     lean, ref = _with_both_steppers(
-        monkeypatch, qriccati, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg, record=True)
+        monkeypatch, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg, record=True)
     )
     ((final, trail), (stepper,)), ((ref_final, ref_trail), (ref_stepper,)) = lean, ref
     assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
@@ -437,7 +434,7 @@ def test_rejected_attempts_counted_and_bit_identical(monkeypatch):
     # stiffness ratio, so the controller rejects and retries
     sys = VectorFieldSystem(1, lambda x, t: [-200.0 * (x[0] - math.cos(t))], ("x",), autonomous=False)
     cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
-    lean, ref = _with_both_steppers(monkeypatch, flow, lambda: integrate(sys, [2.0], 0.0, 1.0, cfg))
+    lean, ref = _with_both_steppers(monkeypatch, lambda: integrate(sys, [2.0], 0.0, 1.0, cfg))
     _assert_same_trajectory(lean, ref)
     traj, (stepper,) = lean
     assert stepper.steps > len(traj.h)
@@ -458,26 +455,31 @@ def test_blowup_on_large_inf_and_nan_at_reference_time(monkeypatch):
     huge = VectorFieldSystem(1, lambda x: [1.7e308], ("y",))
     for sys in (square, huge):
         lean, ref = _with_both_steppers(
-            monkeypatch, flow, lambda: _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0))
+            monkeypatch, lambda: _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0))
         )
         (err, _), (ref_err, _) = lean, ref
         assert err.t_last == ref_err.t_last
         assert err.state.tobytes() == ref_err.state.tobytes()
     assert not np.isfinite(err.state).all()
-    # NaN: every stage past t = 0.5 is NaN, so RK45 rejects each attempt (the
-    # error norm is NaN) and gives up at the same time as before; RK4 has no
-    # error norm and raises BlowUp from its state check
+    # NaN: every stage past t = 0.5 is NaN.  RK45 rejects each NaN attempt
+    # and shortens the step, as before; where the step can shrink no further
+    # it raises BlowUp at the time the previous step gave up with
+    # StepLimitExceeded.  RK4 has no error norm and raises BlowUp from its
+    # state check
     nan_after = VectorFieldSystem(
         1, lambda x, t: [math.nan if t > 0.5 else 1.0], ("y",), autonomous=False
     )
 
     def gives_up():
-        with pytest.raises(StepLimitExceeded) as err:
+        with pytest.raises((BlowUp, StepLimitExceeded)) as err:
             integrate(nan_after, [0.0], 0.0, 1.0)
         return err.value
 
-    (err, _), (ref_err, _) = _with_both_steppers(monkeypatch, flow, gives_up)
-    assert err.t == ref_err.t and 0.4 < err.t <= 0.5
+    (err, (stepper,)), (ref_err, (ref_stepper,)) = _with_both_steppers(monkeypatch, gives_up)
+    assert isinstance(err, BlowUp) and isinstance(ref_err, StepLimitExceeded)
+    assert err.t_last == ref_err.t and 0.4 < err.t_last <= 0.5
+    assert np.isnan(err.state).all()
+    assert stepper.steps == ref_stepper.steps
 
     def reference_check(y, t_last):
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > flow.BLOWUP_LIMIT:
@@ -494,6 +496,22 @@ def test_blowup_on_large_inf_and_nan_at_reference_time(monkeypatch):
         assert err.t_last == ref_err.t_last
         assert err.state.tobytes() == ref_err.state.tobytes()
     assert np.isnan(err.state).all()
+
+
+def test_nan_first_derivative_raises_blowup_at_start():
+    # a NaN first output makes the initial step NaN; every attempt was then
+    # rejected until max_steps (10 million by default) ran out
+    calls = []
+
+    def rhs(x):
+        calls.append(x)
+        return [math.nan]
+
+    start = time.perf_counter()
+    err = _blowup_of(lambda: integrate(VectorFieldSystem(1, rhs, ("y",)), [1.0], 0.0, 1.0))
+    assert time.perf_counter() - start < 0.5
+    assert err.t_last == 0.0 and np.isnan(err.state).all()
+    assert len(calls) == 7  # the first derivative and one attempt's six stages
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
@@ -516,3 +534,178 @@ def test_reset_derivative_checks_shape():
     stepper.rhs = lambda y, t: -y[0]
     with pytest.raises(ValueError, match="shape"):
         stepper.reset_derivative()
+
+
+# -- constrained and unitary flows against the stepping loops they replaced ---
+
+
+def _loop_constrained_flow(cset, point0, tau_span, cfg=None, drift_limit=1e-9, hard_limit=1e-7):
+    """``dirac.constrained_flow`` as it was with its own stepping loop."""
+    from geored import dirac
+
+    cfg = cfg or IntegratorConfig()
+    t0, t1 = tau_span
+    z0 = np.asarray(point0, dtype=float)
+    cset.require_on_surface(z0, t0)
+
+    def rhs(z, tau):
+        return dirac.hamiltonian_flow_rhs(cset, z, tau)[0]
+
+    stepper = flow.Dopri45Stepper(rhs, t0, z0, cfg)
+    times = [t0]
+    states = [z0.copy()]
+    records = []
+    while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
+        tau, z, record = stepper.step(t1)
+        drift = float(np.max(np.abs(cset.values(z, tau))))
+        if drift > hard_limit:
+            raise dirac.ConstraintDrift(tau, drift)
+        if drift > drift_limit:
+            z = dirac._project_to_surface(cset, z, tau)
+            stepper.y = z
+            stepper.reset_derivative()
+        times.append(tau)
+        states.append(np.array(stepper.y))
+        records.append(record)
+    names = []
+    for alpha in range(cset.space.particles):
+        names += [f"x{mu}@{alpha}" for mu in range(4)]
+        names += [f"p{mu}@{alpha}" for mu in range(4)]
+    return flow.Trajectory.from_rk45(
+        times, states, records, {"coord_names": tuple(names), "config": cfg}
+    )
+
+
+def _loop_evolve_unitary(H, U0, t1, cfg=None, record=False):
+    """``qriccati.evolve_unitary`` as it was with its own stepping loop."""
+    from geored import qriccati as q
+
+    cfg = cfg or IntegratorConfig()
+    shape = (H.dim, H.dim)
+    fixed = None if H.time_dependent else H.assembled(U0.t)
+
+    def rhs(y, t):
+        U = q._state_to_mat(y, shape)
+        G = H.assembled(t) if fixed is None else fixed
+        return q._mat_to_state(-1j * (G @ U))
+
+    stepper = flow.Dopri45Stepper(rhs, U0.t, q._mat_to_state(U0.U), cfg)
+    trail = [(U0.t, U0.U.copy())]
+    while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
+        t, y, _ = stepper.step(t1)
+        U = q._state_to_mat(y, shape)
+        drift = q.unitarity_drift(U)
+        if drift > q.UNITARITY_HARD_LIMIT:
+            raise q.UnitarityLost(t, drift)
+        if drift > q.PROJECT_TRIGGER:
+            U = q.polar_project(U)
+            stepper.y = q._mat_to_state(U)
+            stepper.reset_derivative()
+        if record:
+            trail.append((t, U.copy()))
+    final = q.UnitaryState(q._state_to_mat(stepper.y, shape), t=stepper.t)
+    if record:
+        trail[-1] = (stepper.t, final.U.copy())
+        return final, trail
+    return final
+
+
+def _assert_same_arrays(traj, want):
+    for name in ("times", "states", "h", "coeffs"):
+        got, ref = getattr(traj, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert traj.meta == want.meta
+
+
+def test_constrained_flow_bit_identical_to_its_stepping_loop():
+    from geored import dirac
+
+    cset, _ = dirac.two_particle_model(1.0, 2.0, dirac.linear_potential(0.1))
+    z0 = dirac.sample_on_shell(cset, np.random.default_rng(14), (1.0, 2.0))
+    cfg = IntegratorConfig(abs_tol=1e-11, rel_tol=1e-11)
+    # a drift limit of 1e-15 projects after every step
+    for drift_limit in (1e-9, 1e-15):
+        for config in (None, cfg):
+            args = (cset, z0, (0.0, 2.0), config, drift_limit)
+            _assert_same_arrays(dirac.constrained_flow(*args), _loop_constrained_flow(*args))
+
+
+def _unitary_cases():
+    from geored import cli, qriccati as q
+
+    yield q.BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))), np.eye(2)
+    for seed in (0, 7):
+        H = cli._seeded_hamiltonian_n3(np.random.default_rng(seed))
+        yield H, np.eye(3)
+    # a time-dependent generator from a unitary start that is not the identity
+    H = q.BlockHamiltonian(
+        1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
+    )
+    yield H, q.polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, record):
+    from geored import qriccati
+
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    for H, U in _unitary_cases():
+        U0 = qriccati.UnitaryState(U, t=0.25)
+        got = qriccati.evolve_unitary(H, U0, 1.25, cfg, record=record)
+        want = _loop_evolve_unitary(H, U0, 1.25, cfg, record=record)
+        (final, trail), (ref_final, ref_trail) = (got, want) if record else ((got, []), (want, []))
+        assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
+        assert len(trail) == len(ref_trail)
+        for (t, U), (ref_t, ref_U) in zip(trail, ref_trail):
+            assert t == ref_t and U.tobytes() == ref_U.tobytes()
+
+
+# -- the projection hook of integrate ------------------------------------------
+
+
+def _decay(calls=None):
+    def rhs(x):
+        if calls is not None:
+            calls.append(x)
+        return [-x[0]]
+
+    return VectorFieldSystem(1, rhs, ("y",))
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_projection_replacement_restarts_the_derivative(method):
+    cfg = IntegratorConfig(method=method, dt=0.05)
+    seen = []
+
+    def double_once(t, y):
+        seen.append(t)
+        return 2.0 * y if len(seen) == 1 else y
+
+    calls, plain_calls = [], []
+    traj = integrate(_decay(calls), [1.0], 0.0, 1.0, cfg, project=double_once)
+    plain = integrate(_decay(plain_calls), [1.0], 0.0, 1.0, cfg)
+    assert seen == list(traj.times[1:])
+    # the replaced state is the one recorded ...
+    assert traj.states[1][0] == 2.0 * plain.states[1][0]
+    # ... and the next step starts from its own derivative, not the FSAL
+    # stage of the state it replaced: dy/dt = -y at the start of step 1
+    start_slope = traj.coeffs[1][:, 0] if method == "rk45" else traj.slopes[1]
+    assert start_slope.tobytes() == (-traj.states[1]).tobytes()
+    assert abs(traj.states[-1][0] - 2.0 * math.exp(-1.0)) < 1e-6
+    # keeping every step changes nothing and evaluates nothing more
+    kept_calls = []
+    kept = integrate(_decay(kept_calls), [1.0], 0.0, 1.0, cfg, project=lambda t, y: y)
+    assert kept.states.tobytes() == plain.states.tobytes()
+    assert len(kept_calls) == len(plain_calls)
+    if method == "rk4":  # its end slope comes after the projection anyway
+        assert len(calls) == len(plain_calls)
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_projection_of_wrong_shape_raises(method):
+    cfg = IntegratorConfig(method=method, dt=0.05)
+    for bad in (lambda t, y: 1.0, lambda t, y: np.append(y, 0.0)):
+        with pytest.raises(ValueError, match="projection returned shape"):
+            integrate(_decay(), [1.0], 0.0, 1.0, cfg, project=bad)
