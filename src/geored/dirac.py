@@ -11,6 +11,7 @@ scheme, so brackets of brackets (Jacobi checks) nest transparently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from geored.calc import ScalarField, _jvp, gradient
+from geored.calc import ScalarField, _jvp, gradient, jacobian
 from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import (
     ConstraintDrift,
@@ -27,7 +28,7 @@ from geored.errors import (
     SingularConstraintMatrix,
 )
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
-from geored.lagsym import MINKOWSKI, MetricSignature, _dot, _solve_generic
+from geored.lagsym import MINKOWSKI, MetricSignature, _apply_plan, _dot, _eliminate
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,17 @@ class PhaseSpace:
     def p(self, z, alpha: int):
         return [z[self.ip(alpha, mu)] for mu in range(4)]
 
+    @functools.cached_property
+    def canonical_pairs(self) -> tuple:
+        """(x index, p index, metric sign) of every canonical pair, particle
+        by particle: the terms of every bracket and Hamiltonian field."""
+        diag = self.signature.diag
+        return tuple(
+            (self.ix(alpha, mu), self.ip(alpha, mu), diag[mu])
+            for alpha in range(self.particles)
+            for mu in range(4)
+        )
+
 
 def as_phase_fn(f) -> Callable:
     """Accept ScalarField or raw callable; normalize to f(z, tau)."""
@@ -66,9 +78,22 @@ def coordinate_fn(space: PhaseSpace, kind: str, alpha: int, mu: int) -> Callable
     return fn
 
 
+def _as_lists(rows):
+    """A float array from ``calc`` as Python float lists (nested for a
+    matrix), bit for bit; lists of duals pass through."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
 def _grad_z(fn: Callable, z, tau):
     """Gradient of a phase function in the coordinates, tau held fixed."""
-    return gradient(ScalarField(len(z), lambda xs: fn(xs, tau)), z)
+    return _as_lists(gradient(ScalarField(len(z), lambda xs: fn(xs, tau)), z))
+
+
+def _constraint_rows(cset: "ConstraintSet", z, tau) -> list:
+    """Gradients of every constraint, one row each, from one seeding in
+    which each constraint is evaluated once."""
+    fields = [ScalarField(len(z), lambda xs, fn=c.fn: fn(xs, tau)) for c in cset.constraints]
+    return _as_lists(jacobian(fields, z))
 
 
 def canonical_pb(space: PhaseSpace, f, g, point, tau: float = 0.0):
@@ -82,11 +107,8 @@ def canonical_pb(space: PhaseSpace, f, g, point, tau: float = 0.0):
 
 def _pb_from_grads(space: PhaseSpace, df, dg):
     total = 0.0
-    diag = space.signature.diag
-    for alpha in range(space.particles):
-        for mu in range(4):
-            i, j = space.ix(alpha, mu), space.ip(alpha, mu)
-            total = total + diag[mu] * (df[i] * dg[j] - df[j] * dg[i])
+    for i, j, d in space.canonical_pairs:
+        total = total + d * (df[i] * dg[j] - df[j] * dg[i])
     return total
 
 
@@ -181,8 +203,8 @@ class ConstraintSet:
 
     def require_on_surface(self, z, tau):
         vals = self.values(z, tau)
-        j = int(np.argmax(np.abs(vals)))
-        if abs(vals[j]) > self.surface_tol:
+        j = int(np.argmax(np.abs(vals)))  # the first NaN, if any
+        if not abs(vals[j]) <= self.surface_tol:
             raise OffSurface(z, j, float(vals[j]))
 
     def classification_matrix(self, point, tau: float = 0.0):
@@ -194,16 +216,19 @@ class ConstraintSet:
 
 class DiracFrame:
     """Constraint data at one phase-space point, built once: the constraint
-    gradients and their pairwise canonical-bracket matrix.  Gradients of the
-    phase functions bracketed here are cached per function object, so
-    brackets at the same point share them.  The conditioning of the matrix
-    is checked on the first bracket, except at dual points (Jacobi checks
-    nest brackets there)."""
+    gradients (one ``calc.jacobian`` seeding) and their pairwise
+    canonical-bracket matrix.  Gradients of the phase functions bracketed
+    here are cached per function object, the constraints' own included, so
+    brackets at the same point share them.  At a float point they are
+    Python float lists, at a dual point lists of duals.  The first bracket
+    checks the conditioning of the matrix, except at dual points (Jacobi
+    checks nest brackets there), and eliminates it once for every later
+    bracket."""
 
     def __init__(self, cset: ConstraintSet, point, tau: float = 0.0):
         self.cset, self.z, self.tau = cset, list(point), tau
-        self._grads = {}
-        self.grads = [self.grad(c.fn) for c in cset.constraints]
+        self.grads = _constraint_rows(cset, self.z, tau)
+        self._grads = {id(c.fn): (c.fn, row) for c, row in zip(cset.constraints, self.grads)}
         k = len(self.grads)
         self.matrix = [[0.0] * k for _ in range(k)]
         for a in range(k):
@@ -214,7 +239,7 @@ class DiracFrame:
         roles = [c.role for c in cset.constraints]
         self.gauge_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.GAUGE]
         self.shell_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.MASS_SHELL]
-        self._checked = any(is_dual(u) for u in self.z)
+        self._plan = None
 
     def grad(self, f):
         # keyed by id with the function held alive, so the id cannot be reused
@@ -226,18 +251,19 @@ class DiracFrame:
     def bracket(self, f, g):
         """{f,g} minus the correction through the inverse of the pairwise
         constraint matrix (computed by linear solves, never inversion)."""
-        if not self._checked:
-            M_float = np.asarray([[real_part(v) for v in row] for row in self.matrix])
-            cond = float(np.linalg.cond(M_float))
-            if not np.isfinite(cond) or cond >= 1e10:
-                raise SingularConstraintMatrix(cond)
-            self._checked = True
+        if self._plan is None:
+            if not any(is_dual(u) for u in self.z):
+                M_float = np.asarray([[real_part(v) for v in row] for row in self.matrix])
+                cond = float(np.linalg.cond(M_float))
+                if not np.isfinite(cond) or cond >= 1e10:
+                    raise SingularConstraintMatrix(cond)
+            self._plan = _eliminate(self.matrix)
         space = self.cset.space
         df, dg = self.grad(f), self.grad(g)
         plain = _pb_from_grads(space, df, dg)
         fv = [_pb_from_grads(space, df, gr) for gr in self.grads]  # {f, v_a}
         vg = [_pb_from_grads(space, gr, dg) for gr in self.grads]  # {v_b, g}
-        y = _solve_generic(self.matrix, vg)
+        y = _apply_plan(self._plan, vg)
         return plain - _dot(fv, y)
 
     def gauge_shell_block(self) -> np.ndarray:
@@ -258,16 +284,14 @@ class DiracFrame:
         if not np.isfinite(cond) or cond >= 1e10:
             raise SingularConstraintMatrix(cond)
         v = np.linalg.solve(A, rhs_tau)
-        diag = space.signature.diag
-        out = np.zeros(space.dim)
-        for i, s in enumerate(self.shell_ix):
+        out = [0.0] * space.dim
+        for vi, s in zip(v.tolist(), self.shell_ix):
             grad = self.grads[s]
-            for alpha in range(space.particles):
-                for mu in range(4):
-                    xi_idx, pi_idx = space.ix(alpha, mu), space.ip(alpha, mu)
-                    out[xi_idx] += v[i] * diag[mu] * float(grad[pi_idx])
-                    out[pi_idx] -= v[i] * diag[mu] * float(grad[xi_idx])
-        return out, v
+            for i, j, d in space.canonical_pairs:
+                c = vi * d
+                out[i] += c * grad[j]
+                out[j] -= c * grad[i]
+        return np.array(out), v
 
 
 def constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) -> np.ndarray:
@@ -467,7 +491,7 @@ def _project_to_surface(cset: ConstraintSet, z, tau, tol=1e-12, max_iter=6):
             return out
         if step == max_iter:
             raise ConstraintDrift(tau, float(np.max(np.abs(vals))))
-        J = np.asarray(DiracFrame(cset, out, tau).grads)
+        J = np.asarray(_constraint_rows(cset, out, tau))
         out = out - J.T @ np.linalg.solve(J @ J.T, vals)
 
 
@@ -494,9 +518,9 @@ def constrained_flow(
 
     def onto_surface(tau, z):
         drift = float(np.max(np.abs(cset.values(z, tau))))
-        if drift > hard_limit:
+        if not drift <= hard_limit:  # a NaN drift fails too
             raise ConstraintDrift(tau, drift)
-        return _project_to_surface(cset, z, tau) if drift > drift_limit else z
+        return z if drift <= drift_limit else _project_to_surface(cset, z, tau)
 
     space = cset.space
     names = tuple(
@@ -569,7 +593,7 @@ def wlc_residual(
     space = cset.space
     omega = np.asarray(omega, dtype=float)
     a = np.asarray(a, dtype=float)
-    if np.max(np.abs(omega + omega.T)) > 1e-15:
+    if not np.max(np.abs(omega + omega.T)) <= 1e-15:
         raise ValueError("omega must be antisymmetric")
     z = list(point)
     cset.require_on_surface(z, tau)

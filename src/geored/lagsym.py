@@ -115,25 +115,49 @@ def _dot(u, v):
     return total
 
 
-def _solve_generic(A: list, b: list) -> list:
-    """Gaussian elimination with partial pivoting over floats or duals."""
-    n = len(b)
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
+def _eliminate(A: list):
+    """Gaussian elimination with partial pivoting of ``A`` over floats or
+    duals: each column's pivot row and row factors, and the final diagonal.
+    None of them reads a right-hand side, so one plan serves every system
+    with this matrix (``_apply_plan``)."""
+    n = len(A)
+    M = [list(row) for row in A]
+    steps = []
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(real_part(M[r][col])))
         if abs(real_part(M[pivot][col])) == 0.0:
             raise DegenerateLagrangian("singular linear system in bracket solve")
         M[col], M[pivot] = M[pivot], M[col]
         inv = 1.0 / M[col][col]
+        factors = []
         for r in range(n):
             if r == col:
                 continue
             factor = M[r][col] * inv
             if real_part(factor) == 0.0 and not is_dual(factor):
                 continue
-            for c in range(col, n + 1):
+            factors.append((r, factor))
+            for c in range(col, n):
                 M[r][c] = M[r][c] - factor * M[col][c]
-    return [M[i][n] / M[i][i] for i in range(n)]
+        steps.append((pivot, factors))
+    return steps, [M[i][i] for i in range(n)]
+
+
+def _apply_plan(plan, b: list) -> list:
+    """Solve ``A x = b`` by replaying ``_eliminate(A)`` on ``b``: the same
+    swaps and row updates, in the same order, as on an augmented matrix."""
+    steps, diag = plan
+    y = list(b)
+    for col, (pivot, factors) in enumerate(steps):
+        y[col], y[pivot] = y[pivot], y[col]
+        for r, factor in factors:
+            y[r] = y[r] - factor * y[col]
+    return [yi / d for yi, d in zip(y, diag)]
+
+
+def _solve_generic(A: list, b: list) -> list:
+    """Gaussian elimination with partial pivoting over floats or duals."""
+    return _apply_plan(_eliminate(A), b)
 
 
 def _two_form_rows(model: LagrangianModel, z) -> list:

@@ -78,7 +78,7 @@ class UnitaryState:
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=complex)
         drift = unitarity_drift(self.U)
-        if drift > 1e-9:
+        if not drift <= 1e-9:
             raise ValueError(f"state is not unitary (drift {drift:.3e})")
 
 
