@@ -344,18 +344,3 @@ def lie_derivative(X: VectorFieldFn, f: ScalarField, x: Sequence, scheme: DiffSc
     g = gradient(f, x, scheme)
     vx = X(list(x))
     return float(sum(g[i] * vx[i] for i in range(f.arity)))
-
-
-def field_commutator(X: VectorFieldFn, Y: VectorFieldFn, x: Sequence, scheme: DiffScheme = DUAL):
-    """Lie bracket [X, Y] evaluated at ``x``: (DY)X - (DX)Y."""
-    if X.arity != Y.arity:
-        raise ValueError("vector field arities differ")
-    if scheme.mode is DiffMode.DUAL:
-        dy_x = _jvp(Y, x, X(list(x)))
-        dx_y = _jvp(X, x, Y(list(x)))
-        return _pack([_check_finite(a - b, r) for r, (a, b) in enumerate(zip(dy_x, dx_y))], x)
-    vx = np.asarray([real_part(c) for c in X(list(x))])
-    vy = np.asarray([real_part(c) for c in Y(list(x))])
-    DX = vector_jacobian(X, x, scheme)
-    DY = vector_jacobian(Y, x, scheme)
-    return DY @ vx - DX @ vy

@@ -6,13 +6,14 @@ system, each packaged as a ready-to-verify ReductionScenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from geored import dualnum as dn
-from geored.calc import ScalarField, VectorFieldFn
+from geored.calc import ScalarField
 from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
 from geored.flow import Trajectory, VectorFieldSystem, second_order_lift
 from geored.reduce import InvariantSurface, QuotientMap, ReductionScenario
@@ -122,7 +123,7 @@ def radial_time_dependent_consistency(
     r0 = np.asarray(x0_3d[:3], dtype=float)
     v0 = np.asarray(x0_3d[3:], dtype=float)
     anchor = r0 - v0 * t0
-    if abs(np.linalg.norm(anchor) - abs(k)) > 1e-9:
+    if not abs(np.linalg.norm(anchor) - abs(k)) <= 1e-9:
         raise ValueError("ambient data not on the moving level set for this k")
 
     def radial_state(t):
@@ -153,12 +154,6 @@ def state_to_matrices(x) -> tuple[np.ndarray, np.ndarray]:
     X = np.array([[x[0], x[1] / SQRT2], [x[1] / SQRT2, x[2]]])
     Xd = np.array([[x[3], x[4] / SQRT2], [x[4] / SQRT2, x[5]]])
     return X, Xd
-
-
-def commutator_matrix(x) -> np.ndarray:
-    """M = [X, Xdot]; constant along the free matrix flow."""
-    X, Xd = state_to_matrices(x)
-    return X @ Xd - Xd @ X
 
 
 def angular_constant(x):
@@ -197,13 +192,6 @@ def eigen_decompose_tracked(traj: Trajectory, gap_tol: float = 1e-10):
 
     two_phi = np.unwrap(np.arctan2(u / (q2 - q1), w / (q2 - q1)))
     return q1, q2, two_phi / 2.0
-
-
-def angular_rate(x) -> float:
-    """phidot from state data (derivative of the atan2 branch, pointwise)."""
-    u, w = SQRT2 * x[1], x[2] - x[0]
-    ud, wd = SQRT2 * x[4], x[5] - x[3]
-    return 0.5 * (ud * w - u * wd) / (u * u + w * w)
 
 
 def calogero_two_body(g: float) -> VectorFieldSystem:
@@ -257,22 +245,22 @@ def rotation_equivariance_residual(
         rotated = np.asarray(
             force(list(R @ r), list(R @ v)), dtype=float
         )
-        worst = max(worst, float(np.max(np.abs(direct - rotated))))
+        dev = float(np.max(np.abs(direct - rotated)))
+        worst = dev if math.isnan(dev) or dev > worst else worst
     return worst
 
 
-def so3_reduced(force: Callable | None = None, check: bool = True) -> VectorFieldSystem:
+def so3_reduced(force: Callable | None = None) -> VectorFieldSystem:
     """Rotation-invariant dynamics projected to the invariant chart.
 
     ``force(r_vec, v_vec)`` is the acceleration of the ambient second-order
     field; it must be rotation-equivariant (the caller's responsibility,
-    spot-checked statistically on rotated samples unless ``check`` is
-    False) and is evaluated through a representative lift.  None means
-    free motion.
+    spot-checked statistically on rotated samples) and is evaluated through
+    a representative lift.  None means free motion.
     """
-    if force is not None and check:
+    if force is not None:
         residual = rotation_equivariance_residual(force)
-        if residual > 1e-8:
+        if not residual <= 1e-8:
             raise ValueError(
                 f"force is not rotation-equivariant (residual {residual:.3e})"
             )
@@ -340,10 +328,6 @@ def linear_2d(a: float, b: float, c: float) -> VectorFieldSystem:
         ("x", "y"),
         label="linear projective ambient",
     )
-
-
-def euler_field_2d() -> VectorFieldFn:
-    return VectorFieldFn(2, lambda z: [z[0], z[1]], "Delta")
 
 
 def riccati_zeta_coefficients(a: float, b: float, c: float) -> tuple[float, float, float]:

@@ -112,10 +112,6 @@ def _pb_from_grads(space: PhaseSpace, df, dg):
     return total
 
 
-def minkowski_dot(space: PhaseSpace, u, v):
-    return space.signature.dot(u, v)
-
-
 @dataclass(frozen=True)
 class PoincareGenerator:
     label: str
@@ -172,15 +168,9 @@ class Constraint:
     label: str
     fn: Callable  # (z, tau) -> value
     role: ConstraintRole
-    tau_dependent: bool = False
 
     def __call__(self, z, tau=0.0):
         return self.fn(z, tau)
-
-    def check_tau_flag(self, z, tau: float = 0.3, h: float = 1e-6) -> bool:
-        """Spot-check the declared tau sensitivity by a finite difference."""
-        slope = (self.fn(z, tau + h) - self.fn(z, tau - h)) / (2 * h)
-        return (abs(slope) > 1e-9) == self.tau_dependent
 
 
 @dataclass
@@ -206,12 +196,6 @@ class ConstraintSet:
         j = int(np.argmax(np.abs(vals)))  # the first NaN, if any
         if not abs(vals[j]) <= self.surface_tol:
             raise OffSurface(z, j, float(vals[j]))
-
-    def classification_matrix(self, point, tau: float = 0.0):
-        """Pairwise canonical brackets of every constraint with every other;
-        the set is second class where this matrix is invertible."""
-        frame = DiracFrame(self, point, tau)
-        return frame.matrix, frame.grads
 
 
 class DiracFrame:
@@ -322,10 +306,6 @@ class InteractionPotential:
             return self.Vprime(xi)
         return _jvp(lambda xs: (self.V(xs[0]),), [xi], [1.0])[0]
 
-    def check_derivative(self, xi: float, step: float = 1e-6) -> bool:
-        fd = (self.V(xi + step) - self.V(xi - step)) / (2 * step)
-        return abs(fd - float(self.derivative(xi))) < 1e-6 * (1 + abs(fd))
-
 
 def linear_potential(lam: float = 0.1) -> InteractionPotential:
     return InteractionPotential(lambda xi: lam * xi, lambda xi: lam)
@@ -381,7 +361,7 @@ def two_particle_model(
         space,
         [
             Constraint("chi1", chi1, ConstraintRole.GAUGE),
-            Constraint("chi2", chi2, ConstraintRole.GAUGE, tau_dependent=True),
+            Constraint("chi2", chi2, ConstraintRole.GAUGE),
             make_shell(0, m1),
             make_shell(1, m2),
         ],
@@ -408,7 +388,7 @@ def kinematical_gauge_model(
         space,
         [
             Constraint("chi1", chi1, ConstraintRole.GAUGE),
-            Constraint("chi2", chi2, ConstraintRole.GAUGE, tau_dependent=True),
+            Constraint("chi2", chi2, ConstraintRole.GAUGE),
             base.constraints[2],
             base.constraints[3],
         ],

@@ -36,13 +36,11 @@ __all__ = [
     "tangent_part",
     "sqrt",
     "exp",
-    "log",
     "sin",
     "cos",
     "tan",
     "sinh",
     "cosh",
-    "atan2",
 ]
 
 
@@ -74,12 +72,6 @@ def exp(x):
     return math.exp(x)
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.a), x.b / x.a)
-    return math.log(x)
-
-
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.a), cos(x.a) * x.b)
@@ -109,12 +101,3 @@ def cosh(x):
     if isinstance(x, Dual):
         return Dual(cosh(x.a), sinh(x.a) * x.b)
     return math.cosh(x)
-
-
-def atan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        ya, yb = (y.a, y.b) if isinstance(y, Dual) else (y, 0.0)
-        xa, xb = (x.a, x.b) if isinstance(x, Dual) else (x, 0.0)
-        denom = xa * xa + ya * ya
-        return Dual(atan2(ya, xa), (xa * yb - ya * xb) / denom)
-    return math.atan2(y, x)

@@ -88,14 +88,6 @@ class DegenerateLagrangian(GeoredError):
     """Velocity Hessian singular; regular-bracket machinery does not apply."""
 
 
-class NotTimelike(GeoredError):
-    pass
-
-
-class ZeroTimeVelocity(GeoredError):
-    pass
-
-
 class ConnectionInvalid(GeoredError):
     """Connection tensor violated A*A = A or the kernel-matching requirement."""
 

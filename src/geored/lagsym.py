@@ -15,7 +15,6 @@ independent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,8 +27,6 @@ from geored.errors import (
     ConnectionInvalid,
     DegenerateLagrangian,
     DomainError,
-    NotTimelike,
-    ZeroTimeVelocity,
 )
 
 KERNEL_RTOL = 1e-8
@@ -280,28 +277,12 @@ def kernel_basis(omega, tol: float = KERNEL_RTOL) -> list[np.ndarray]:
     return [vh[i] for i in range(len(svals)) if svals[i] <= cutoff]
 
 
-def newton_wigner(point, signature: MetricSignature = MINKOWSKI, m: float = 1.0, c: float = 1.0):
-    """Canonical chart on the manifold of motions of the free relativistic
-    particle: Q^j = -x^j + (v^j / v^0) x^0 and P^j = v^j / L."""
-    n = signature.dim
-    z = [float(u) for u in point]
-    x, v = z[:n], z[n:]
-    if v[0] == 0.0:
-        raise ZeroTimeVelocity("the chart needs a nonzero time velocity")
-    s2 = signature.dot(v, v)
-    if s2 <= 0.0:
-        raise NotTimelike("velocity square is not positive")
-    lag = m * c * math.sqrt(s2)
-    Q = np.asarray([-x[j] + (v[j] / v[0]) * x[0] for j in range(1, n)])
-    P = np.asarray([v[j] / lag for j in range(1, n)])
-    return Q, P
-
-
 def newton_wigner_fields(
     signature: MetricSignature = MINKOWSKI, m: float = 1.0, c: float = 1.0
 ) -> tuple[list[ScalarField], list[ScalarField]]:
-    """The chart of ``newton_wigner`` as differentiable fields on the
-    (x, v) coordinates."""
+    """The Newton-Wigner chart on the manifold of motions of the free
+    relativistic particle, Q^j = -x^j + (v^j / v^0) x^0 and P^j = v^j / L,
+    as differentiable fields on the (x, v) coordinates."""
     n = signature.dim
 
     def make_q(j):

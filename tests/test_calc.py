@@ -13,7 +13,6 @@ from geored.calc import (
     DiffScheme,
     ScalarField,
     VectorFieldFn,
-    field_commutator,
     gradient,
     hessian,
     jacobian,
@@ -142,40 +141,6 @@ def test_lie_derivative_linear_flow_gives_riccati_rhs():
     ratio = ScalarField(2, lambda x: x[0] / x[1])
     # c + 2b*xi - a*xi^2 at xi = 1
     assert lie_derivative(gamma, ratio, [1.0, 1.0]) == pytest.approx(2.0, abs=1e-13)
-
-
-def test_commutator_with_self_vanishes():
-    X = VectorFieldFn(2, lambda x: [x[1] * x[0], x[0] - x[1]])
-    out = field_commutator(X, X, [0.7, -1.2])
-    assert np.allclose(out, 0.0)
-
-
-def test_commutator_coordinate_fields():
-    X = VectorFieldFn(2, lambda x: [1.0, 0.0])
-    Y = VectorFieldFn(2, lambda x: [0.0, 1.0])
-    assert np.allclose(field_commutator(X, Y, [0.3, 0.4]), 0.0)
-
-
-def test_commutator_dilation_with_second_order_field():
-    # [Delta, Gamma] = Gamma for Gamma = v d/dx, Delta = v d/dv on (x, v)
-    n = 4
-    gamma = VectorFieldFn(2 * n, lambda z: [z[n + i] for i in range(n)] + [0.0] * n)
-    delta = VectorFieldFn(2 * n, lambda z: [0.0] * n + [z[n + i] for i in range(n)])
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-1, 1, size=2 * n)
-    out = field_commutator(delta, gamma, z)
-    assert np.allclose(out, gamma(z), atol=1e-13)
-
-
-def test_commutator_antisymmetry_property():
-    X = VectorFieldFn(3, lambda x: [x[1], x[2] * x[0], x[0] - x[1]])
-    Y = VectorFieldFn(3, lambda x: [x[0] * x[0], 1.0, x[1]])
-    z = [0.4, -0.2, 0.9]
-    assert np.allclose(
-        np.asarray(field_commutator(X, Y, z)) + np.asarray(field_commutator(Y, X, z)),
-        0.0,
-        atol=1e-14,
-    )
 
 
 def test_evaluation_error_carries_index():
@@ -543,30 +508,16 @@ def _hand_lie(X, f, x):
     return dn.tangent_part(f([dn.Dual(float(x[j]), float(vx[j])) for j in range(len(x))]))
 
 
-def _hand_commutator(X, Y, x):
-    """Reference: the hand seeding field_commutator used before calc._jvp."""
-    n = len(x)
-    vx, vy = X(list(x)), Y(list(x))
-    dy_x = Y([dn.Dual(float(x[j]), float(vx[j])) for j in range(n)])
-    dx_y = X([dn.Dual(float(x[j]), float(vy[j])) for j in range(n)])
-    return np.asarray(
-        [float(dn.tangent_part(dy_x[r]) - dn.tangent_part(dx_y[r])) for r in range(n)]
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_lie_derivative_and_commutator_bit_identical_to_hand_seeding(data):
+def test_lie_derivative_bit_identical_to_hand_seeding(data):
     n = data.draw(st.integers(1, 8))
     f = ScalarField(n, data.draw(_closed_form(n)))
     xc = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
-    yc = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
     X = VectorFieldFn(n, lambda z: [c(z) for c in xc])
-    Y = VectorFieldFn(n, lambda z: [c(z) for c in yc])
     x = data.draw(_point(n))
     for point in (x, np.asarray(x)):
         assert _same_bits(np.float64(lie_derivative(X, f, point)), np.float64(_hand_lie(X, f, x)))
-        assert _same_bits(field_commutator(X, Y, point), _hand_commutator(X, Y, x))
 
 
 def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
@@ -611,5 +562,3 @@ def test_jvp_zero_division_and_non_finite_tangents_raise():
     X = VectorFieldFn(1, lambda z: [10.0])
     with pytest.raises(EvaluationError):
         lie_derivative(X, ScalarField(1, lambda z: z[0] * 1e308), [1.0])
-    with pytest.raises(EvaluationError):
-        field_commutator(X, VectorFieldFn(1, lambda z: [z[0] * 1e308]), [1.0])

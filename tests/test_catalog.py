@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from geored import catalog
-from geored.calc import ScalarField, field_commutator
+from geored.calc import ScalarField
 from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
-from geored.flow import IntegratorConfig, VectorFieldSystem, conserved_drift, integrate
+from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, conserved_drift, integrate
 from geored.reduce import verify_commuting_diagram
 
 
@@ -98,16 +98,15 @@ def test_matrix_motion_commutator_is_constant():
     sys = catalog.matrix_free_symmetric()
     x0 = [1.0, 0.3, -0.8, 0.2, 0.5, -0.1]
     traj = integrate(sys, x0, 0.0, 10.0)
-    for i, j in ((0, 1), (1, 0), (0, 0), (1, 1)):
-        f = ScalarField(
-            6, lambda x, i=i, j=j: float(catalog.commutator_matrix(x)[i, j])
-        )
-        assert conserved_drift(sys, f, traj) < 1e-10
+    # [X, Xdot] is antisymmetric 2x2, so (1/2) Tr([X, Xdot] alpha) is all of it
+    f = ScalarField(6, catalog.angular_constant)
+    assert conserved_drift(sys, f, traj) < 1e-10
 
 
 def test_commutator_matrix_is_antisymmetric_multiple_of_alpha():
     x = np.array([0.9, -0.4, 0.2, 0.3, 0.8, -0.6])
-    M = catalog.commutator_matrix(x)
+    X, Xd = catalog.state_to_matrices(x)
+    M = X @ Xd - Xd @ X
     assert M[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert M[1, 1] == pytest.approx(0.0, abs=1e-15)
     assert M[0, 1] == pytest.approx(-M[1, 0], abs=1e-15)
@@ -137,13 +136,12 @@ def test_eigen_tracking_trace_and_constants():
     traj = integrate(sys, x0, 0.0, 5.0)
     q1, q2, phi = catalog.eigen_decompose_tracked(traj)
     assert np.max(np.abs((q1 + q2) - (traj.states[:, 0] + traj.states[:, 2]))) < 1e-12
-    # phidot (q2-q1)^2 stays at its initial value
-    g_series = [
-        catalog.angular_rate(s) * (b - a) ** 2
-        for s, a, b in zip(traj.states, q1, q2)
-    ]
-    assert np.max(np.abs(np.asarray(g_series) - g_series[0])) < 1e-8
-    assert g_series[0] == pytest.approx(catalog.angular_constant(x0), abs=1e-12)
+    # phidot (q2-q1)^2 stays at the angular constant; phidot is the tracked
+    # angle differenced on a fine grid (second order, h = 2.5e-3)
+    ts = np.linspace(0.0, 5.0, 2001)
+    q1, q2, phi = catalog.eigen_decompose_tracked(Trajectory(ts, traj.resample(ts), "grid"))
+    g_series = np.gradient(phi, ts, edge_order=2) * (q2 - q1) ** 2
+    assert np.max(np.abs(g_series - catalog.angular_constant(x0))) < 1e-6
 
 
 def test_eigen_tracking_degenerate_spectrum_raises():
@@ -242,16 +240,6 @@ def test_riccati_time_dependent_coefficients():
     assert abs(traj.states[-1][0] - 2.0) < 1e-9
 
 
-def test_linear_2d_commutes_with_euler_field():
-    sys = catalog.linear_2d(1.0, 0.5, -0.7)
-    from geored.calc import VectorFieldFn
-
-    gamma = VectorFieldFn(2, sys.rhs, "Gamma")
-    delta = catalog.euler_field_2d()
-    z = [0.8, -1.4]
-    assert np.allclose(field_commutator(delta, gamma, z), 0.0, atol=1e-13)
-
-
 def test_zeta_chart_obeys_swapped_riccati():
     a, b, c = 1.0, 0.4, 0.9
     sys = catalog.linear_2d(a, b, c)
@@ -333,3 +321,27 @@ def test_calogero_comparison_truncates_at_small_gap():
         ref = pair.sample(float(t))
         worst = max(worst, abs(ref[0] - q1[idx]), abs(ref[1] - q2[idx]))
     assert worst < 1e-6
+
+
+# -- guards fail closed on NaN --------------------------------------------------
+
+
+@pytest.mark.parametrize("k, index", [(2.0, 0), (2.0, 4), (math.nan, None)])
+def test_radial_time_dependent_consistency_rejects_nan_data(k, index):
+    x0 = [1.0, 0.0, 0.0, 0.0, math.sqrt(3.0), 0.0]  # |r - v t|=2 at t=1
+    if index is not None:
+        x0[index] = math.nan
+    with pytest.raises(ValueError, match="moving level set"):
+        catalog.radial_time_dependent_consistency(k, x0)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_so3_reduced_rejects_nan_force(index):
+    def force(r, v):
+        out = [-r[0], -r[1], -r[2]]
+        out[index] = math.nan
+        return out
+
+    assert math.isnan(catalog.rotation_equivariance_residual(force))
+    with pytest.raises(ValueError, match="rotation-equivariant"):
+        catalog.so3_reduced(force)

@@ -58,7 +58,7 @@ def single_particle_set():
     cset = ConstraintSet(
         space,
         [
-            Constraint("chi", chi, ConstraintRole.GAUGE, tau_dependent=True),
+            Constraint("chi", chi, ConstraintRole.GAUGE),
             Constraint("K", K, ConstraintRole.MASS_SHELL),
         ],
     )
@@ -155,7 +155,7 @@ def test_constraint_matrix_single_particle():
     cset2 = ConstraintSet(
         space,
         [
-            Constraint("chi", chi_px, ConstraintRole.GAUGE, tau_dependent=True),
+            Constraint("chi", chi_px, ConstraintRole.GAUGE),
             cset.shells[0],
         ],
     )
@@ -189,7 +189,7 @@ def test_constraint_matrix_two_particle_first_principles():
             # with V' = 0 the printed closed form vanishes on the surface,
             # yet the full constraint matrix is well conditioned there: the
             # printed form cannot be the determinant of this second-class set
-            M, _ = cset.classification_matrix(z)
+            M = DiracFrame(cset, z).matrix
             assert np.linalg.cond(np.asarray(M, dtype=float)) < 1e2
             assert abs(report["published_det"]) < 1e-12 * abs(report["measured_det"])
 
@@ -417,7 +417,7 @@ def test_singular_constraint_matrix_detected():
     cset = ConstraintSet(
         space,
         [
-            Constraint("chi", chi, ConstraintRole.GAUGE, tau_dependent=True),
+            Constraint("chi", chi, ConstraintRole.GAUGE),
             Constraint("K", K, ConstraintRole.MASS_SHELL),
         ],
     )
@@ -429,21 +429,12 @@ def test_singular_constraint_matrix_detected():
         dirac_bracket(cset, f, g, z, tau=1.0)
 
 
-def test_constraint_tau_flags():
-    cset, _ = model()
-    rng = np.random.default_rng(23)
-    z = sample_on_shell(cset, rng, (1.0, 2.0))
-    for c in cset.constraints:
-        assert c.check_tau_flag(list(z))
-
-
 def test_potential_derivative_check():
-    pot = linear_potential(0.1)
-    assert pot.check_derivative(0.3)
+    assert linear_potential(0.1).derivative(0.3) == 0.1
     from geored.dirac import InteractionPotential
 
+    # no Vprime given: the derivative is taken by the dual scheme
     curved = InteractionPotential(lambda xi: 0.2 * xi * xi)
-    assert curved.check_derivative(-0.7)
     assert float(curved.derivative(-0.7)) == pytest.approx(-0.28, abs=1e-12)
 
 
@@ -519,8 +510,7 @@ def test_frame_brackets_equal_fresh_dirac_brackets_exactly():
     for f in coords[:8] + gens[:3]:
         for g in [c.fn for c in cset.constraints] + coords[8:] + gens[3:]:
             assert frame.bracket(f, g) == dirac_bracket(cset, f, g, z)
-    M, _ = cset.classification_matrix(z)
-    assert M == frame.matrix
+    assert DiracFrame(cset, z).matrix == frame.matrix
     assert np.array_equal(constraint_matrix(cset, z), frame.gauge_shell_block())
 
 

@@ -177,8 +177,8 @@ def test_frame_gradients_are_float_lists_and_constraint_rows_are_cached():
     assert all(type(row) is list and all(type(v) is float for v in row) for row in frame.grads)
     for c, row in zip(cset.constraints, frame.grads):
         assert frame.grad(c.fn) is row
-    M, grads = cset.classification_matrix(z)
-    assert M == frame.matrix and grads == frame.grads
+    fresh = DiracFrame(cset, z)
+    assert fresh.matrix == frame.matrix and fresh.grads == frame.grads
     assert type(dirac.canonical_pb(space, cset.constraints[0], cset.constraints[2], z)) is float
 
 

@@ -123,12 +123,6 @@ def test_dualnum_math_chain_rules():
     assert dn.cos(u).b == pytest.approx(-math.sin(0.7), abs=1e-15)
     assert dn.sqrt(u).b == pytest.approx(0.5 / math.sqrt(0.7), abs=1e-15)
     assert dn.exp(u).b == pytest.approx(math.exp(0.7), abs=1e-15)
-    assert dn.log(u).b == pytest.approx(1 / 0.7, abs=1e-15)
     assert dn.tan(u).b == pytest.approx(1 / math.cos(0.7) ** 2, abs=1e-12)
     assert dn.sinh(u).b == pytest.approx(math.cosh(0.7), abs=1e-15)
     assert dn.cosh(u).b == pytest.approx(math.sinh(0.7), abs=1e-15)
-    # atan2 total derivative with both slots dual
-    y = dn.Dual(0.3, 1.0)
-    x = dn.Dual(0.9, 0.5)
-    expected = (0.9 * 1.0 - 0.3 * 0.5) / (0.9**2 + 0.3**2)
-    assert dn.atan2(y, x).b == pytest.approx(expected, abs=1e-15)

@@ -1,17 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from geored import catalog
 from geored.calc import ScalarField
-from geored.errors import OffSurface, PreflightFailed
-from geored.flow import IntegratorConfig, integrate
+from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
+from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
 from geored.reduce import (
     InvariantSurface,
     QuotientMap,
     ReductionScenario,
     check_invariant_surface,
     check_projectable,
-    reduced_field,
     verify_commuting_diagram,
 )
 
@@ -103,7 +104,7 @@ def test_projectable_fails_for_insufficient_invariants():
 def test_reduced_field_free_quotient_values():
     quotient = catalog.so3_invariants()
     x = np.array([0.4, -0.7, 0.1, 0.5, 0.2, -0.9])
-    out = reduced_field(FREE, quotient, x)
+    out = quotient.pushforward(FREE, x)
     xi2 = _dot3(x[3:], x[3:])
     xi3 = _dot3(x[:3], x[3:])
     assert out[0] == pytest.approx(2.0 * xi3, abs=1e-12)
@@ -114,7 +115,7 @@ def test_reduced_field_free_quotient_values():
 def test_reduced_field_riccati_value():
     sys = catalog.linear_2d(1.0, 1.0, 1.0)
     xi = QuotientMap((ScalarField(2, lambda z: z[0] / z[1], "xi"),), ("xi",))
-    assert reduced_field(sys, xi, [1.0, 1.0])[0] == pytest.approx(2.0, abs=1e-12)
+    assert xi.pushforward(sys, [1.0, 1.0])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_commuting_diagram_so3_against_closed_form():
@@ -244,8 +245,6 @@ def test_projectability_rejects_unrelated_pair():
 
 def _spiral_out():
     """(-y + t x, x + t y): tangent to the unit circle at t = 0 only."""
-    from geored.flow import VectorFieldSystem
-
     return VectorFieldSystem(
         2, lambda z, t: [-z[1] + t * z[0], z[0] + t * z[1]], ("x", "y"), autonomous=False
     )
@@ -267,8 +266,6 @@ def test_surface_check_evaluates_field_at_sample_time():
 
 
 def test_projectability_evaluates_field_at_pair_time():
-    from geored.flow import VectorFieldSystem
-
     # x' = t y, y' = 0: the pushforward of x is t y, different on (1, 0) and (1, 1)
     sys = VectorFieldSystem(2, lambda z, t: [t * z[1], 0.0], ("x", "y"), autonomous=False)
     quotient = QuotientMap((ScalarField(2, lambda z: z[0], "x"),), ("x",))
@@ -279,8 +276,6 @@ def test_projectability_evaluates_field_at_pair_time():
 
 
 def test_non_autonomous_field_leaving_the_surface_fails_preflight():
-    from geored.flow import VectorFieldSystem
-
     def rotate(z, rng):
         a = rng.uniform(0.3, 2.8)
         return np.array([np.cos(a) * z[0] - np.sin(a) * z[1], np.sin(a) * z[0] + np.cos(a) * z[1]])
@@ -314,3 +309,59 @@ def test_diagram_projection_bit_identical_to_array_rows(tol):
         assert projected.tobytes() == as_floats.tobytes(), sc.name
         reduced = integrate(sc.reduced, sc.quotient(entry.default_x0), t0, t1, cfg)
         assert report.max_dev == float(np.max(np.abs(projected - reduced.resample(grid))))
+
+
+# -- guards fail closed on NaN --------------------------------------------------
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_require_on_surface_rejects_nan_coordinate(index):
+    surface = InvariantSurface((ScalarField(6, _cross_sq, "l2"),), (1.0,))
+    x = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    surface.require_on_surface(x)
+    x[index] = math.nan
+    with pytest.raises(OffSurface) as err:
+        surface.require_on_surface(x)
+    assert math.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_surface_tangency_rejects_nan_velocity(index):
+    # |v|^2 reads no position velocity, so its rate stays finite (0) while
+    # the speed that scales the tolerance is NaN
+    def rhs(x):
+        out = list(x[3:]) + [0.0, 0.0, 0.0]
+        out[index] = math.nan
+        return out
+
+    sys = VectorFieldSystem(6, rhs, tuple("abcdef"))
+    surface = InvariantSurface((ScalarField(6, lambda z: _dot3(z[3:], z[3:]), "v2"),), (1.0,))
+    rep = check_invariant_surface(sys, surface, [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    assert not rep.ok and math.isnan(rep.worst)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_projectable_rejects_nan_pair_point(which):
+    pair = [np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0, 0.0, 0.0])]
+    pair[which][3] = math.nan
+    with pytest.raises(PairNotEquivalent):
+        check_projectable(FREE, catalog.so3_invariants(), [tuple(pair)])
+
+
+class _NaNVelocityQuotient(QuotientMap):
+    """``pushforward`` checks its tangents and never returns NaN; this one
+    puts a NaN velocity behind that check, at points with x[0] < 0."""
+
+    def pushforward(self, sys, x, t=0.0):
+        out = super().pushforward(sys, x, t)
+        return out * math.nan if x[0] < 0.0 else out
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_projectable_rejects_nan_velocity(which):
+    so3 = catalog.so3_invariants()
+    quotient = _NaNVelocityQuotient(so3.invariants, so3.names)
+    m = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    pair = (m, -m) if which else (-m, m)
+    rep = check_projectable(FREE, quotient, [pair])
+    assert not rep.ok and math.isnan(rep.worst)
