@@ -8,10 +8,10 @@ helpers), because the dual scheme threads ``Dual`` scalars through them.
 Point components may themselves be duals, so gradients of gradients (and
 brackets of brackets) nest without special cases.
 
-``gradient``, ``jacobian`` and ``vector_jacobian`` share one forward-mode
-kernel, ``_dual_rows``.  At a point whose coordinates are all plain numbers
-it seeds ``Dual(x[j], e_j)`` with ``e_j`` a row of a float identity array
-and evaluates each field once: the tangent of every output is its whole
+``gradient`` and ``jacobian`` share one forward-mode kernel, ``_dual_rows``.
+At a point whose coordinates are all plain numbers it seeds
+``Dual(x[j], e_j)`` with ``e_j`` a row of a float identity array and
+evaluates each field once: the tangent of every output is its whole
 gradient row (the vector mode of Griewank and Walther, *Evaluating
 Derivatives*, 2nd ed., 2008, ch. 3).  At a point that holds duals it seeds
 one scalar direction per evaluation, as every nested layer does.  Tangent
@@ -53,35 +53,17 @@ class ScalarField:
         return self.fn(x)
 
 
-@dataclass(frozen=True)
-class VectorFieldFn:
-    """An n-vector-valued function of an n-vector (same arity in and out)."""
+class DiffScheme(Enum):
+    """Exact forward-mode duals, or the central-difference oracle."""
 
-    arity: int
-    fn: Callable
-    label: str = "X"
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-class DiffMode(Enum):
     DUAL = "dual"
     CENTRAL = "central"
 
 
-@dataclass(frozen=True)
-class DiffScheme:
-    mode: DiffMode = DiffMode.DUAL
-    step: float = 1e-6
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-
-
-DUAL = DiffScheme(DiffMode.DUAL)
-CENTRAL = DiffScheme(DiffMode.CENTRAL)
+DUAL = DiffScheme.DUAL
+CENTRAL = DiffScheme.CENTRAL
+# CENTRAL's step, scaled per component by 1 + |x_i|
+_CENTRAL_STEP = 1e-6
 
 
 def _check_finite(value, index):
@@ -225,9 +207,9 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     second-order finite-difference oracle with per-component step scaling.
     """
     n = f.arity
-    if scheme.mode is DiffMode.DUAL:
+    if scheme is DUAL:
         return _dual_rows(lambda xs: (f(xs),), x, n)[0]
-    h = scheme.step
+    h = _CENTRAL_STEP
     out = []
     for i in range(n):
         hi = h * (1.0 + abs(real_part(x[i])))
@@ -246,29 +228,9 @@ def jacobian(fields: Sequence[ScalarField], x: Sequence, scheme: DiffScheme = DU
     if len(arities) != 1:
         raise ValueError("all fields must share one arity")
     n = arities.pop()
-    if scheme.mode is DiffMode.DUAL:
+    if scheme is DUAL:
         return _dual_rows(lambda xs: [f(xs) for f in fields], x, n)
     return _pack_rows([list(gradient(f, x, scheme)) for f in fields], x)
-
-
-def vector_jacobian(X: VectorFieldFn, x: Sequence, scheme: DiffScheme = DUAL):
-    """Matrix of partials of a vector field (row = output component)."""
-    n = X.arity
-    if scheme.mode is DiffMode.DUAL:
-        return _dual_rows(X, x, n)
-    h = scheme.step
-    rows = None
-    for i in range(n):
-        hi = h * (1.0 + abs(real_part(x[i])))
-        xp = [x[j] + (hi if j == i else 0.0) for j in range(n)]
-        xm = [x[j] - (hi if j == i else 0.0) for j in range(n)]
-        yp, ym = _eval(X, xp, i), _eval(X, xm, i)
-        col = [(yp[r] - ym[r]) / (2.0 * hi) for r in range(n)]
-        if rows is None:
-            rows = [[0.0] * n for _ in range(n)]
-        for r in range(n):
-            rows[r][i] = col[r]
-    return np.asarray(rows, dtype=float)
 
 
 def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
@@ -285,7 +247,7 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     uses the four-point stencil and is symmetrized on return.
     """
     n = f.arity
-    if scheme.mode is DiffMode.DUAL:
+    if scheme is DUAL:
         if Dual not in map(type, x):
             R = _hessian_rows(f, [float(c) for c in x], n)
             if R is not None:
@@ -308,7 +270,7 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
         return _pack_rows(rows, x)
     # second differences lose eps/h^2 to roundoff; sqrt(step) balances that
     # against the O(h^2) truncation term
-    h = math.sqrt(scheme.step)
+    h = math.sqrt(_CENTRAL_STEP)
     H = np.empty((n, n))
     steps = [h * (1.0 + abs(real_part(x[i]))) for i in range(n)]
     centre = _eval(f, list(x), 0)
@@ -333,14 +295,3 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
                 ) / (4.0 * hi * hj)
             H[i, j] = H[j, i] = _check_finite(val, i)
     return 0.5 * (H + H.T)
-
-
-def lie_derivative(X: VectorFieldFn, f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
-    """Derivative of ``f`` along the flow of ``X``: grad f(x) . X(x)."""
-    if X.arity != f.arity:
-        raise ValueError("vector field and function arities differ")
-    if scheme.mode is DiffMode.DUAL:
-        return _jvp(lambda xs: (f(xs),), x, X(list(x)))[0]
-    g = gradient(f, x, scheme)
-    vx = X(list(x))
-    return float(sum(g[i] * vx[i] for i in range(f.arity)))

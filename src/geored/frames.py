@@ -40,9 +40,9 @@ class FrameTensorAtPoint:
     point: tuple
 
     def __post_init__(self):
-        if np.max(np.abs(self.R @ self.R - self.R)) > NORMALIZATION_TOL:
+        if not np.max(np.abs(self.R @ self.R - self.R)) <= NORMALIZATION_TOL:
             raise ValueError("frame tensor must be idempotent")
-        if abs(np.trace(self.R) - 1.0) > NORMALIZATION_TOL:
+        if not abs(np.trace(self.R) - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("frame tensor must have unit trace")
 
 
@@ -96,7 +96,7 @@ def frame_tensor(frame: ReferenceFrame, point) -> FrameTensorAtPoint:
     """R = gamma (x) theta; rejects frames that are not normalized at the
     point rather than silently rescaling them."""
     pairing = frame.pairing(point)
-    if abs(pairing - 1.0) > NORMALIZATION_TOL:
+    if not abs(pairing - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalized(f"theta(gamma) = {pairing!r} at {point}")
     th = np.asarray(frame.theta(point), dtype=float)
     ga = np.asarray(frame.gamma(point), dtype=float)

@@ -194,7 +194,7 @@ class TwoFormAtPoint:
     point: tuple
 
     def __post_init__(self):
-        if np.max(np.abs(self.matrix + self.matrix.T)) > 1e-12:
+        if not np.max(np.abs(self.matrix + self.matrix.T)) <= 1e-12:
             raise ValueError("two-form matrix must be antisymmetric")
 
 
@@ -249,7 +249,7 @@ def el_field(model: LagrangianModel, point) -> np.ndarray:
     e_field = ScalarField(2 * n, lambda w: energy(model, w), "E")
     dE = np.asarray(_grad_list(e_field, z), dtype=float)
     gamma = np.linalg.solve(W, -dE)
-    if np.max(np.abs(gamma[:n] - z[n:])) > 1e-7 * (1.0 + np.max(np.abs(z))):
+    if not np.max(np.abs(gamma[:n] - z[n:])) <= 1e-7 * (1.0 + np.max(np.abs(z))):
         raise DegenerateLagrangian("solution lost second-order structure")
     return gamma
 
@@ -317,12 +317,12 @@ class ConnectionField:
         A = np.asarray(
             [[float(v) for v in row] for row in self.at(list(point))]
         )
-        if np.max(np.abs(A @ A - A)) > tol:
+        if not np.max(np.abs(A @ A - A)) <= tol:
             raise ConnectionInvalid("A is not idempotent at the queried point")
         W = lagrangian_two_form(model, point).matrix
         null = kernel_basis(TwoFormAtPoint(W, tuple(point)))
         for vec in null:
-            if np.max(np.abs(A @ vec)) > 1e-8 * (1.0 + np.linalg.norm(A)):
+            if not np.max(np.abs(A @ vec)) <= 1e-8 * (1.0 + np.linalg.norm(A)):
                 raise ConnectionInvalid("kernel of the two-form is not killed by A")
         rank_a = np.linalg.matrix_rank(A, tol=1e-8)
         if rank_a != A.shape[0] - len(null):

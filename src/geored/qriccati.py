@@ -55,7 +55,7 @@ class BlockHamiltonian:
     def assembled(self, t: float = 0.0) -> np.ndarray:
         h1, h2, v = self._h1(t), self._h2(t), self._v(t)
         for name, block in (("H1", h1), ("H2", h2)):
-            if np.max(np.abs(block - block.conj().T)) > 1e-12:
+            if not np.max(np.abs(block - block.conj().T)) <= 1e-12:
                 raise ValueError(f"{name} is not Hermitian at t={t}")
         top = np.hstack([h1, v])
         bottom = np.hstack([v.conj().T, h2])
@@ -152,7 +152,7 @@ def evolve_unitary(
     def onto_group(t, y):
         U = _state_to_mat(y, shape)
         drift = unitarity_drift(U)
-        if drift > UNITARITY_HARD_LIMIT:
+        if not drift <= UNITARITY_HARD_LIMIT:
             raise UnitarityLost(t, drift)
         return _mat_to_state(polar_project(U)) if drift > PROJECT_TRIGGER else y
 

@@ -118,7 +118,6 @@ class ReductionScenario:
 class CheckReport:
     ok: bool
     worst: float
-    detail: str = ""
 
 
 @dataclass

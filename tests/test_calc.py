@@ -7,19 +7,10 @@ from hypothesis import strategies as st
 
 from geored import calc
 from geored import dualnum as dn
-from geored.calc import (
-    CENTRAL,
-    DUAL,
-    DiffScheme,
-    ScalarField,
-    VectorFieldFn,
-    gradient,
-    hessian,
-    jacobian,
-    lie_derivative,
-    vector_jacobian,
-)
+from geored.calc import CENTRAL, DUAL, ScalarField, gradient, hessian, jacobian
 from geored.errors import EvaluationError
+from geored.flow import VectorFieldSystem
+from geored.reduce import QuotientMap
 
 
 def dot(u, v):
@@ -122,25 +113,30 @@ def test_hessian_matches_jacobian_of_gradient_and_central():
     assert np.max(np.abs(jacobian(grads, x, DUAL) - Hd)) < 1e-8
 
 
+def _lie(rhs, f, x):
+    """Derivative of ``f`` along the autonomous field ``rhs`` at ``x``, by
+    the quotient pushforward that the diagram checks use."""
+    sys = VectorFieldSystem(f.arity, rhs, tuple(f"x{i}" for i in range(f.arity)))
+    return QuotientMap((f,), ("f",)).pushforward(sys, x)[0]
+
+
 def test_lie_derivative_free_flow_conserves_angular_momentum():
-    free = VectorFieldFn(6, lambda x: [x[3], x[4], x[5], 0.0, 0.0, 0.0])
-    f = ScalarField(6, cross_sq)
-    val = lie_derivative(free, f, [1.0, 0.5, -0.2, 0.3, 1.0, 0.4])
+    free = lambda x: [x[3], x[4], x[5], 0.0, 0.0, 0.0]
+    val = _lie(free, ScalarField(6, cross_sq), [1.0, 0.5, -0.2, 0.3, 1.0, 0.4])
     assert abs(val) < 1e-12
 
 
 def test_lie_derivative_euler_field_kills_degree_zero():
-    euler = VectorFieldFn(2, lambda x: [x[0], x[1]])
     ratio = ScalarField(2, lambda x: x[0] / x[1])
-    assert lie_derivative(euler, ratio, [2.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert _lie(lambda x: [x[0], x[1]], ratio, [2.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lie_derivative_linear_flow_gives_riccati_rhs():
     a = b = c = 1.0
-    gamma = VectorFieldFn(2, lambda x: [b * x[0] + c * x[1], a * x[0] - b * x[1]])
+    gamma = lambda x: [b * x[0] + c * x[1], a * x[0] - b * x[1]]
     ratio = ScalarField(2, lambda x: x[0] / x[1])
     # c + 2b*xi - a*xi^2 at xi = 1
-    assert lie_derivative(gamma, ratio, [1.0, 1.0]) == pytest.approx(2.0, abs=1e-13)
+    assert _lie(gamma, ratio, [1.0, 1.0]) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_evaluation_error_carries_index():
@@ -150,9 +146,7 @@ def test_evaluation_error_carries_index():
     assert err.value.index is not None
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        DiffScheme(step=0.0)
+def test_scalar_field_rejects_zero_arity():
     with pytest.raises(ValueError):
         ScalarField(0, lambda x: 1.0)
 
@@ -256,12 +250,13 @@ def test_vector_mode_rows_bit_identical_to_scalar_seeding(data):
     comps = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
     x = data.draw(_point(n))
     fields = [ScalarField(n, fn) for fn in fns]
-    X = VectorFieldFn(n, lambda z: [c(z) for c in comps])
     rows = _scalar_rows(lambda z: [fn(z) for fn in fns], x)
     assert _same_bits(gradient(fields[0], x), rows[0])
     assert _same_bits(jacobian(fields, x), rows)
     assert _same_bits(jacobian(fields, np.asarray(x)), rows)
-    assert _same_bits(vector_jacobian(X, x), _scalar_rows(X, x))
+    # a square Jacobian: the components of a vector field
+    field_rows = _scalar_rows(lambda z: [c(z) for c in comps], x)
+    assert _same_bits(jacobian([ScalarField(n, c) for c in comps], x), field_rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +281,7 @@ def test_injected_nan_or_inf_names_first_bad_component(data):
     for call in (
         lambda: gradient(ScalarField(n, poisoned), x),
         lambda: jacobian([other, ScalarField(n, poisoned)], x),
-        lambda: vector_jacobian(VectorFieldFn(n, lambda z: [poisoned(z)] * n), x),
+        lambda: jacobian([ScalarField(n, poisoned)] * n, x),
     ):
         with pytest.raises(EvaluationError) as err:
             call()
@@ -502,9 +497,9 @@ def test_central_hessian_evaluates_centre_once_through_eval():
 # -- directional derivatives (calc._jvp) --------------------------------------
 
 
-def _hand_lie(X, f, x):
-    """Reference: the hand seeding lie_derivative used before calc._jvp."""
-    vx = X(list(x))
+def _hand_lie(rhs, f, x):
+    """Reference: the hand seeding of a Lie derivative before calc._jvp."""
+    vx = rhs(list(x))
     return dn.tangent_part(f([dn.Dual(float(x[j]), float(vx[j])) for j in range(len(x))]))
 
 
@@ -514,10 +509,10 @@ def test_lie_derivative_bit_identical_to_hand_seeding(data):
     n = data.draw(st.integers(1, 8))
     f = ScalarField(n, data.draw(_closed_form(n)))
     xc = data.draw(st.lists(_closed_form(n), min_size=n, max_size=n))
-    X = VectorFieldFn(n, lambda z: [c(z) for c in xc])
+    rhs = lambda z: [c(z) for c in xc]
     x = data.draw(_point(n))
     for point in (x, np.asarray(x)):
-        assert _same_bits(np.float64(lie_derivative(X, f, point)), np.float64(_hand_lie(X, f, x)))
+        assert _same_bits(np.float64(_lie(rhs, f, point)), np.float64(_hand_lie(rhs, f, x)))
 
 
 def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
@@ -559,6 +554,5 @@ def test_jvp_zero_division_and_non_finite_tangents_raise():
         calc._jvp(lambda z: [z[0] * 1e308 - z[0] * 1e308], [1.0], [10.0])
     assert err.value.index == 0
     # the public callers go through the same checks
-    X = VectorFieldFn(1, lambda z: [10.0])
     with pytest.raises(EvaluationError):
-        lie_derivative(X, ScalarField(1, lambda z: z[0] * 1e308), [1.0])
+        _lie(lambda z: [10.0], ScalarField(1, lambda z: z[0] * 1e308), [1.0])

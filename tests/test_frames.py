@@ -183,3 +183,40 @@ def test_boost_matrices_are_exact_lorentz():
 def test_frame_tensor_at_point_validation():
     with pytest.raises(ValueError):
         FrameTensorAtPoint(np.eye(4), (0, 0, 0, 0))  # trace 4
+
+
+# -- guards fail closed on NaN --------------------------------------------------
+
+
+def _nan_projector(monkeypatch):
+    R = np.diag([1.0, 0.0, 0.0, 0.0])
+    R[0, 0] = math.nan
+    FrameTensorAtPoint(R, tuple(ORIGIN))
+
+
+def _nan_trace(monkeypatch):
+    # a NaN on the diagonal also makes R R - R NaN, so the trace is made NaN
+    # on its own
+    monkeypatch.setattr(np, "trace", lambda R: math.nan)
+    FrameTensorAtPoint(np.diag([1.0, 0.0, 0.0, 0.0]), tuple(ORIGIN))
+
+
+def _nan_pairing(monkeypatch):
+    frame = ReferenceFrame(
+        theta=lambda pt: np.array([math.nan, 0.0, 0.0, 0.0]), gamma=lab_frame().gamma
+    )
+    frame_tensor(frame, ORIGIN)
+
+
+@pytest.mark.parametrize(
+    "inject, error, match",
+    [
+        (_nan_projector, ValueError, "idempotent"),
+        (_nan_trace, ValueError, "unit trace"),
+        (_nan_pairing, NotNormalized, "nan"),
+    ],
+    ids=["projector", "trace", "pairing"],
+)
+def test_frame_guards_reject_nan(monkeypatch, inject, error, match):
+    with pytest.raises(error, match=match):
+        inject(monkeypatch)

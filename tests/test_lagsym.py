@@ -384,3 +384,45 @@ def test_metric_signature_validation():
 def test_two_form_at_point_rejects_asymmetric():
     with pytest.raises(ValueError):
         TwoFormAtPoint(np.eye(2), (0.0, 0.0))
+
+
+# -- guards fail closed on NaN --------------------------------------------------
+
+
+def _nan_two_form(monkeypatch):
+    TwoFormAtPoint(np.array([[0.0, math.nan], [-1.0, 0.0]]), (0.0, 0.0))
+
+
+def _nan_el_field(monkeypatch):
+    import geored.lagsym as lagsym
+
+    # a regular model whose energy gradient is NaN: the solve returns NaN
+    monkeypatch.setattr(lagsym, "_grad_list", lambda f, z: [math.nan] * len(z))
+    el_field(mechanical_lagrangian(1, potential=lambda q: 0.5 * q[0] ** 2), [0.7, 0.4])
+
+
+def _nan_connection(monkeypatch):
+    ConnectionField(lambda z: np.full((8, 8), math.nan)).validate(REL, timelike_points(1, seed=15)[0])
+
+
+def _nan_kernel_vector(monkeypatch):
+    import geored.lagsym as lagsym
+
+    # a valid projector against a NaN kernel vector
+    monkeypatch.setattr(lagsym, "kernel_basis", lambda form: [np.full(8, math.nan)])
+    CONN.validate(REL, timelike_points(1, seed=14)[0])
+
+
+@pytest.mark.parametrize(
+    "inject, error, match",
+    [
+        (_nan_two_form, ValueError, "antisymmetric"),
+        (_nan_el_field, DegenerateLagrangian, "second-order"),
+        (_nan_connection, ConnectionInvalid, "idempotent"),
+        (_nan_kernel_vector, ConnectionInvalid, "not killed"),
+    ],
+    ids=["two-form", "el-field", "connection", "kernel"],
+)
+def test_lagsym_guards_reject_nan(monkeypatch, inject, error, match):
+    with pytest.raises(error, match=match):
+        inject(monkeypatch)

@@ -4,10 +4,11 @@ is kept on ``KEPT`` with the reason it stays.
 A name is reached when code that is itself reached refers to it as a name,
 an attribute or an import.  Reach starts at the module-level statements of
 ``src/geored`` (the scenario registry, the imports, the ``__main__`` hook)
-and at ``perfbench/*.py``, whose tracer names its targets in strings.  A
-name that only tests use is not reached: no verdict of ``run-all`` or of the
-benchmark sees it.  Names are matched by spelling across modules, so two
-definitions that share a name are reached together.
+and at the code of ``perfbench/*.py``.  A string there (a tracer target)
+does not count: the tracer wraps a target if it exists and reads 0 calls if
+it does not.  A name that only tests use is not reached: no verdict of
+``run-all`` or of the benchmark sees it.  Names are matched by spelling
+across modules, so two definitions that share a name are reached together.
 """
 
 import ast
@@ -35,6 +36,9 @@ KEPT = {
     # inlining these into the tests that use them would only move code
     "conserved_drift": "drift of a first integral along a trajectory",
     "entries": "the catalog's ready-to-verify scenarios",
+    # a paper claim that waits for a gated metric (ROADMAP item 8); the
+    # benchmark traces it by name
+    "eigen_decompose_tracked": "continuous Calogero eigen-branches of the matrix flow",
 }
 
 
@@ -52,16 +56,7 @@ def _refs(nodes) -> set:
 
 
 def _bench_refs() -> set:
-    out = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        out |= _refs([tree])
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                parts = n.value.split(".")
-                if all(p.isidentifier() for p in parts):
-                    out.update(parts)
-    return out
+    return _refs(ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py")))
 
 
 def _library():

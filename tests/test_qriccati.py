@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geored.errors import SingularBlock
+from geored.errors import SingularBlock, UnitarityLost
 from geored.flow import IntegratorConfig, integrate
 from geored.qriccati import (
     BlockHamiltonian,
@@ -409,3 +409,33 @@ def test_singular_block_still_raises_where_it_did(tmp_path, monkeypatch, name):
         assert not csv.exists()
     else:
         assert len(csv.read_text().splitlines()) == 1 + 5
+
+
+# -- guards fail closed on NaN --------------------------------------------------
+
+
+def _nan_block(monkeypatch):
+    BlockHamiltonian(1, 1, np.array([[math.nan]]), np.zeros((1, 1)), np.zeros((1, 1))).assembled()
+
+
+def _nan_drift(monkeypatch):
+    import geored.qriccati as q
+
+    U0 = UnitaryState(np.eye(2))
+    # the stepper raises BlowUp on a NaN state before the hook sees it, so
+    # the drift itself is made NaN
+    monkeypatch.setattr(q, "unitarity_drift", lambda U: math.nan)
+    evolve_unitary(pauli_x_hamiltonian(), U0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "inject, error, match",
+    [
+        (_nan_block, ValueError, "not Hermitian"),
+        (_nan_drift, UnitarityLost, "nan"),
+    ],
+    ids=["hermitian", "unitarity"],
+)
+def test_qriccati_guards_reject_nan(monkeypatch, inject, error, match):
+    with pytest.raises(error, match=match):
+        inject(monkeypatch)
