@@ -6,7 +6,6 @@ system, each packaged as a ready-to-verify ReductionScenario.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from geored import dualnum as dn
 from geored.calc import ScalarField
-from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
+from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime, nan_max
 from geored.flow import Trajectory, VectorFieldSystem, second_order_lift
 from geored.reduce import InvariantSurface, QuotientMap, ReductionScenario
 
@@ -42,7 +41,6 @@ def free_particle_3d() -> VectorFieldSystem:
         6,
         lambda x: [x[3], x[4], x[5], 0.0, 0.0, 0.0],
         ("rx", "ry", "rz", "vx", "vy", "vz"),
-        label="free particle on R^3",
     )
 
 
@@ -52,7 +50,6 @@ def radial_fixed_l(l: float) -> VectorFieldSystem:
         1,
         lambda q, v, t: [l * l / q[0] ** 3],
         coord_names=("r", "rdot"),
-        label=f"radial, angular momentum {l}",
     )
 
 
@@ -62,7 +59,6 @@ def radial_fixed_E(E: float) -> VectorFieldSystem:
         1,
         lambda q, v, t: [2.0 * E / q[0] - v[0] * v[0] / q[0]],
         coord_names=("r", "rdot"),
-        label=f"radial, energy {E}",
     )
 
 
@@ -146,7 +142,6 @@ def matrix_free_symmetric() -> VectorFieldSystem:
         6,
         lambda x: [x[3], x[4], x[5], 0.0, 0.0, 0.0],
         ("x1", "x2", "x3", "x1dot", "x2dot", "x3dot"),
-        label="free symmetric matrix",
     )
 
 
@@ -164,9 +159,10 @@ def angular_constant(x):
     return (x[4] * (x[2] - x[0]) - x[1] * (x[5] - x[3])) / SQRT2
 
 
-def eigen_decompose_tracked(traj: Trajectory, gap_tol: float = 1e-10):
+def eigen_decompose_tracked(traj: Trajectory):
     """Continuous eigen-branches (q1, q2) and unwrapped mixing angle phi
-    along a matrix-system trajectory.
+    along a matrix-system trajectory; a spectral gap below 1e-10 raises
+    DegenerateSpectrum.
 
     Branches start ordered q1 <= q2 and continue by nearest-neighbor
     matching, never re-sorting; phi comes from atan2 on the off-diagonal
@@ -178,7 +174,7 @@ def eigen_decompose_tracked(traj: Trajectory, gap_tol: float = 1e-10):
     mean = 0.5 * (states[:, 0] + states[:, 2])
     gap = np.sqrt(w * w + u * u)
     for t, g in zip(traj.times, gap):
-        if g < gap_tol:
+        if g < 1e-10:
             raise DegenerateSpectrum(float(t), float(g))
 
     q1 = np.empty(len(states))
@@ -206,7 +202,6 @@ def calogero_two_body(g: float) -> VectorFieldSystem:
         2,
         force,
         coord_names=("q1", "q2", "q1dot", "q2dot"),
-        label=f"Calogero pair, coupling {g}",
     )
 
 
@@ -230,14 +225,12 @@ def _default_lift(xi):
     return [r, 0.0, 0.0], [xi3 / r, dn.sqrt(tangential_sq), 0.0]
 
 
-def rotation_equivariance_residual(
-    force: Callable, rng=None, samples: int = 8
-) -> float:
+def rotation_equivariance_residual(force: Callable) -> float:
     """Statistical check that a force field commutes with rotations:
-    max |R f(r, v) - f(R r, R v)| over sampled states and rotations."""
-    rng = rng or np.random.default_rng(0)
+    max |R f(r, v) - f(R r, R v)| over 8 seeded states and rotations."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(8):
         r = rng.uniform(-1.5, 1.5, 3)
         v = rng.uniform(-1.5, 1.5, 3)
         R = _rotation_matrix(rng)
@@ -246,7 +239,7 @@ def rotation_equivariance_residual(
             force(list(R @ r), list(R @ v)), dtype=float
         )
         dev = float(np.max(np.abs(direct - rotated)))
-        worst = dev if math.isnan(dev) or dev > worst else worst
+        worst = nan_max(worst, dev)
     return worst
 
 
@@ -276,15 +269,13 @@ def so3_reduced(force: Callable | None = None) -> VectorFieldSystem:
             xi[1] + _dot3(r_vec, f_vec),
         ]
 
-    return VectorFieldSystem(3, rhs, ("xi1", "xi2", "xi3"), label="SO(3) quotient")
+    return VectorFieldSystem(3, rhs, ("xi1", "xi2", "xi3"))
 
 
 def so3_fixed_energy(k: float) -> VectorFieldSystem:
     """Free quotient flow restricted to the xi2 = k level: a constant-force
     particle in the (xi1, xi3) chart."""
-    return VectorFieldSystem(
-        2, lambda y: [2.0 * y[1], k], ("xi1", "xi3"), label="constant force chart"
-    )
+    return VectorFieldSystem(2, lambda y: [2.0 * y[1], k], ("xi1", "xi3"))
 
 
 def so3_fixed_l(l: float) -> VectorFieldSystem:
@@ -316,7 +307,7 @@ def riccati_scalar(a, b, c) -> VectorFieldSystem:
         xi = x[0]
         return [c + 2.0 * b * xi - a * xi * xi]
 
-    return VectorFieldSystem(1, rhs, ("xi",), label="Riccati")
+    return VectorFieldSystem(1, rhs, ("xi",))
 
 
 def linear_2d(a: float, b: float, c: float) -> VectorFieldSystem:
@@ -326,7 +317,6 @@ def linear_2d(a: float, b: float, c: float) -> VectorFieldSystem:
         2,
         lambda z: [b * z[0] + c * z[1], a * z[0] - b * z[1]],
         ("x", "y"),
-        label="linear projective ambient",
     )
 
 
@@ -343,12 +333,10 @@ class ChartPoint:
     value: float
 
 
-def project_projective(
-    states: np.ndarray, hysteresis: float = 0.05
-) -> tuple[list[ChartPoint], list[int]]:
+def project_projective(states: np.ndarray) -> tuple[list[ChartPoint], list[int]]:
     """Chart-aware projection of a planar trajectory to the projective line.
 
-    Uses xi = x/y while |y| >= |x| and zeta = y/x otherwise, with a
+    Uses xi = x/y while |y| >= |x| and zeta = y/x otherwise, with a 5 %
     hysteresis band to avoid chatter at |x| = |y|; returns the per-sample
     chart values and the indices where the chart switched.
     """
@@ -360,10 +348,10 @@ def project_projective(
             raise OriginExcluded("projective charts exclude the origin")
         if chart is None:
             chart = "xi" if abs(y) >= abs(x) else "zeta"
-        elif chart == "xi" and abs(y) < (1.0 - hysteresis) * abs(x):
+        elif chart == "xi" and abs(y) < 0.95 * abs(x):
             chart = "zeta"
             switches.append(i)
-        elif chart == "zeta" and abs(x) < (1.0 - hysteresis) * abs(y):
+        elif chart == "zeta" and abs(x) < 0.95 * abs(y):
             chart = "xi"
             switches.append(i)
         points.append(

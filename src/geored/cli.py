@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from geored import catalog, dirac, frames, lagsym, qriccati
-from geored.errors import ConfigError, UnknownScenario
+from geored.errors import ConfigError, UnknownScenario, nan_max
 from geored.flow import IntegratorConfig, integrate
-from geored.reduce import verify_commuting_diagram
+from geored.reduce import TOLERANCES, verify_commuting_diagram
 
 PASS, FAIL, PARTIAL, ERROR = "PASS", "FAIL", "PARTIAL", "ERROR"
 
@@ -107,7 +107,7 @@ def _run_catalog_entry(entry_name):
                     "name": entry.name,
                     "x0": [float(v) for v in entry.default_x0],
                     "t_span": list(entry.t_span),
-                    "tolerances": entry.scenario.tolerances,
+                    "tolerances": TOLERANCES,
                     "notes": entry.notes,
                 },
                 sort_keys=True,
@@ -175,7 +175,7 @@ def _run_qriccati_pauli(config, rng, outdir):
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
     worst = 0.0
     for point in islice(qriccati.trail_points(H, report.trail, report.points), 1, None):
-        worst = max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
+        worst = nan_max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
     path = outdir / "coset.csv"
     qriccati.coset_trajectory_csv(H, report.trail, path, report.points)
     return (
@@ -185,7 +185,9 @@ def _run_qriccati_pauli(config, rng, outdir):
     )
 
 
-def _seeded_hamiltonian_n3(rng, norm_cap=2.0):
+def _seeded_hamiltonian_n3(rng):
+    """A seeded Hermitian 1 + 2 block generator, scaled down to spectral
+    norm 2 when larger."""
     def herm(n):
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return (A + A.conj().T) / 2.0
@@ -194,8 +196,8 @@ def _seeded_hamiltonian_n3(rng, norm_cap=2.0):
     V = (rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))) / 2.0
     H = qriccati.BlockHamiltonian(1, 2, H1, H2, V)
     scale = np.linalg.norm(H.assembled(0.0), ord=2)
-    if scale > norm_cap:
-        f = norm_cap / scale
+    if scale > 2.0:
+        f = 2.0 / scale
         H = qriccati.BlockHamiltonian(1, 2, H1 * f, H2 * f, V * f)
     return H
 
@@ -228,8 +230,9 @@ def _run_relativistic_free_particle(config, rng, outdir):
         v[0] = rng.uniform(1.2, 2.5) * (1.0 + np.linalg.norm(v[1:]))
         pts.append(np.concatenate([x, v]))
     for z in pts:
-        energy_max = max(energy_max, abs(float(lagsym.energy(model, z))))
+        energy_max = nan_max(energy_max, abs(float(lagsym.energy(model, z))))
     z0 = pts[0]
+    conn.validate(model, z0)
     W = lagsym.lagrangian_two_form(model, z0)
     basis = lagsym.kernel_basis(W)
     kernel_dim_gap = abs(len(basis) - 2)
@@ -238,7 +241,7 @@ def _run_relativistic_free_particle(config, rng, outdir):
     P = np.stack(basis) if basis else np.zeros((0, 8))
     for probe in (np.concatenate([v, np.zeros(4)]), np.concatenate([np.zeros(4), v])):
         proj = P.T @ (P @ probe)
-        contain_gap = max(
+        contain_gap = nan_max(
             contain_gap,
             float(np.max(np.abs(proj - probe)) / (1 + np.linalg.norm(probe))),
         )
@@ -247,31 +250,23 @@ def _run_relativistic_free_particle(config, rng, outdir):
     for z in pts[:5]:
         for i in range(3):
             for j in range(3):
-                qp = float(
-                    lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z, validate=False)
-                )
-                darboux_gap = max(darboux_gap, abs(qp - (1.0 if i == j else 0.0)))
-                qq = float(
-                    lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z, validate=False)
-                )
-                pp = float(
-                    lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z, validate=False)
-                )
-                darboux_gap = max(darboux_gap, abs(qq), abs(pp))
+                qp = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z))
+                darboux_gap = nan_max(darboux_gap, abs(qp - (1.0 if i == j else 0.0)))
+                qq = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z))
+                pp = float(lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z))
+                darboux_gap = nan_max(nan_max(darboux_gap, abs(qq)), abs(pp))
     coords = lagsym.coordinate_fields(
         8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)]
     )
-    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(
-        model, conn, a, b, zz, validate=False
-    )
+    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(model, conn, a, b, zz)
     jacobi_max = 0.0
     for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
-        jacobi_max = max(jacobi_max, lagsym.jacobi_residual(bracket, f, g, h, z0))
+        jacobi_max = nan_max(jacobi_max, lagsym.jacobi_residual(bracket, f, g, h, z0))
     casimir_max = 0.0
     for f in coords:
-        casimir_max = max(
+        casimir_max = nan_max(
             casimir_max,
-            abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z0, validate=False))),
+            abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z0))),
         )
     table_path = outdir / "bracket_table.json"
     table_path.write_text(lagsym.bracket_table_json(bracket, coords, z0))
@@ -312,28 +307,21 @@ def _run_dirac_two_particle(config, rng, outdir):
         frame = dirac.DiracFrame(cset, z)
         for c in cset.constraints:
             for f in xs:
-                kill_max = max(kill_max, abs(float(frame.bracket(f, c.fn))))
+                kill_max = nan_max(kill_max, abs(float(frame.bracket(f, c.fn))))
         if k >= 3:
             continue
         for i, j in ((0, 1), (0, 6), (3, 8), (2, 5)):
             pb = float(dirac.canonical_pb(space, gens[i].fn, gens[j].fn, z))
             db = float(frame.bracket(gens[i].fn, gens[j].fn))
-            gen_gap = max(gen_gap, abs(pb - db))
+            gen_gap = nan_max(gen_gap, abs(pb - db))
     z = points[0]
-    jacobi_max = 0.0
-    f = dirac.coordinate_fn(space, "x", 0, 1)
-    g = dirac.coordinate_fn(space, "x", 0, 2)
-    h = dirac.coordinate_fn(space, "p", 0, 1)
-
-    def pairfn(a, b):
-        return lambda zz, tau: dirac.dirac_bracket(cset, a, b, zz, tau)
-
-    jacobi_max = abs(
-        float(
-            dirac.dirac_bracket(cset, f, pairfn(g, h), z)
-            + dirac.dirac_bracket(cset, g, pairfn(h, f), z)
-            + dirac.dirac_bracket(cset, h, pairfn(f, g), z)
-        )
+    coords = lagsym.coordinate_fields(space.dim)
+    jacobi_max = lagsym.jacobi_residual(
+        lambda a, b, zz: dirac.dirac_bracket(cset, a, b, zz),
+        coords[space.ix(0, 1)],
+        coords[space.ix(0, 2)],
+        coords[space.ip(0, 1)],
+        z,
     )
     det_report = dirac.published_constraint_matrix(cset, z)
     det_path = outdir / "constraint_matrix.json"
@@ -341,10 +329,9 @@ def _run_dirac_two_particle(config, rng, outdir):
     traj = dirac.constrained_flow(cset, z, (0.0, 3.0), config.integrator)
     flow_path = outdir / "constrained_flow.csv"
     traj.to_csv(flow_path, time_label="tau")
-    flow_drift = max(
-        float(np.max(np.abs(cset.values(s, t))))
-        for t, s in zip(traj.times, traj.states)
-    )
+    flow_drift = 0.0
+    for t, s in zip(traj.times, traj.states):
+        flow_drift = nan_max(flow_drift, float(np.max(np.abs(cset.values(s, t)))))
     return (
         {
             "constraint_kill_max": kill_max,
@@ -402,7 +389,7 @@ def _run_wlc(config, rng, outdir):
                 omega[nu, mu] = -omega[mu, nu]
         norm = float(np.max(np.abs(omega)))
         report = dirac.wlc_residual(cset, omega, np.zeros(4), z)
-        worst_ratio = max(worst_ratio, report["residual"] / norm)
+        worst_ratio = nan_max(worst_ratio, report["residual"] / norm)
         rows.append({"omega_norm": norm, "residual": report["residual"]})
     trans = dirac.wlc_residual(cset, np.zeros((4, 4)), rng.uniform(-1, 1, 4) * scale, z)
     path = outdir / "wlc.json"
@@ -421,7 +408,7 @@ def _run_deformed_poincare(config, rng, outdir):
     worst = 0.0
     for K in (0.1, 1.0, 100.0):
         alg = dirac.deformed_poincare(K)
-        worst = max(worst, alg.jacobi_residual_all())
+        worst = nan_max(worst, alg.jacobi_residual_all())
     a, b = dirac.deformed_poincare(1.0), dirac.deformed_poincare(10.0)
     scaling_gap = float(np.max(np.abs(a.position_block() - 10.0 * b.position_block())))
     path = outdir / "structure.json"
@@ -466,7 +453,7 @@ def _run_kernel_crosscheck(config, rng, outdir):
             gd = gradient(f, x, DUAL)
             gc = gradient(f, x, CENTRAL)
             rel = float(np.max(np.abs(gd - gc)) / (1.0 + np.max(np.abs(gd))))
-            worst = max(worst, rel)
+            worst = nan_max(worst, rel)
 
     import math
 
@@ -493,8 +480,8 @@ def _run_frames_suite(config, rng, outdir):
         L = frames.boost_matrix(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1, 3))
         fr = frames.transform_frame(frames.lab_frame(), L)
         R = frames.frame_tensor(fr, [0.0, 0.0, 0.0, 0.0])
-        proj_gap = max(proj_gap, float(np.max(np.abs(R.R @ R.R - R.R))))
-        proj_gap = max(proj_gap, abs(float(np.trace(R.R)) - 1.0))
+        proj_gap = nan_max(proj_gap, float(np.max(np.abs(R.R @ R.R - R.R))))
+        proj_gap = nan_max(proj_gap, abs(float(np.trace(R.R)) - 1.0))
     pts = [rng.uniform(-1, 1, 4) for _ in range(6)]
     frobenius_conformal = frames.frobenius_residual(
         lambda pt: np.array([np.exp(-pt[1]), 0.0, 0.0, 0.0]), pts
@@ -743,23 +730,29 @@ def run_all(
 ) -> dict:
     """Aggregate every registered scenario; per-scenario JSON files in
     ``configs_dir`` override the defaults, and an empty or absent directory
-    just means defaults.  Prints one status line as each scenario finishes."""
-    counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
-    reports = []
+    just means defaults.  Every configuration is built before the first
+    scenario runs, so a ``ConfigError`` leaves no output.  Prints one status
+    line as each scenario finishes."""
+    configs = []
     for name in sorted(REGISTRY):
         file_cfg = {}
         if configs_dir:
             candidate = Path(configs_dir) / f"{name}.json"
             if candidate.exists():
                 file_cfg = _load_config_file(str(candidate))
-        config = _make_config(
-            name,
-            seed=int(file_cfg.get("seed", seed)),
-            output_dir=output_dir,
-            rk45_tol=file_cfg.get("rk45_tol", rk45_tol),
-            params=file_cfg.get("params"),
-            tolerances=file_cfg.get("tolerances"),
+        configs.append(
+            _make_config(
+                name,
+                seed=int(file_cfg.get("seed", seed)),
+                output_dir=output_dir,
+                rk45_tol=file_cfg.get("rk45_tol", rk45_tol),
+                params=file_cfg.get("params"),
+                tolerances=file_cfg.get("tolerances"),
+            )
         )
+    counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
+    reports = []
+    for config in configs:
         report = run(config)
         reports.append(report)
         counts[report.status.lower()] += 1
@@ -775,11 +768,14 @@ def run_all(
 
 
 def _make_config(name, seed=0, output_dir="geored-out", rk45_tol=None, params=None, tolerances=None):
-    integrator = (
-        IntegratorConfig(abs_tol=rk45_tol, rel_tol=rk45_tol)
-        if rk45_tol
-        else IntegratorConfig()
-    )
+    try:
+        integrator = (
+            IntegratorConfig()
+            if rk45_tol is None
+            else IntegratorConfig(abs_tol=rk45_tol, rel_tol=rk45_tol)
+        )
+    except (TypeError, ValueError) as err:  # a config file may hold any JSON value
+        raise ConfigError(f"rk45_tol {rk45_tol!r}: {err}", fields=["rk45_tol"])
     return ScenarioConfig(
         name=name,
         seed=seed,
@@ -842,7 +838,7 @@ def main(argv=None) -> int:
                 )
             seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
             out_dir = args.out_dir or file_cfg.get("out_dir", "geored-out")
-            rk45 = args.rk45_tol or file_cfg.get("rk45_tol")
+            rk45 = args.rk45_tol if args.rk45_tol is not None else file_cfg.get("rk45_tol")
             config = _make_config(
                 name,
                 seed=seed,

@@ -26,15 +26,23 @@ from geored.errors import (
     GeoredError,
     OffSurface,
     SingularConstraintMatrix,
+    nan_max,
 )
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
-from geored.lagsym import MINKOWSKI, MetricSignature, _apply_plan, _dot, _eliminate
+from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, lower, minkowski_dot
+
+# a point is on the constraint surface when every |constraint| is within this
+SURFACE_TOL = 1e-9
+# the constraint residual at which the energy Newton solve and the
+# Gauss-Newton projection onto the surface stop
+NEWTON_TOL = 1e-12
+# constrained_flow aborts once the constraints drift past this
+HARD_DRIFT_LIMIT = 1e-7
 
 
 @dataclass(frozen=True)
 class PhaseSpace:
     particles: int
-    signature: MetricSignature = MINKOWSKI
 
     @property
     def dim(self) -> int:
@@ -56,9 +64,8 @@ class PhaseSpace:
     def canonical_pairs(self) -> tuple:
         """(x index, p index, metric sign) of every canonical pair, particle
         by particle: the terms of every bracket and Hamiltonian field."""
-        diag = self.signature.diag
         return tuple(
-            (self.ix(alpha, mu), self.ip(alpha, mu), diag[mu])
+            (self.ix(alpha, mu), self.ip(alpha, mu), ETA[mu])
             for alpha in range(self.particles)
             for mu in range(4)
         )
@@ -73,9 +80,7 @@ def as_phase_fn(f) -> Callable:
 
 def coordinate_fn(space: PhaseSpace, kind: str, alpha: int, mu: int) -> Callable:
     idx = space.ix(alpha, mu) if kind == "x" else space.ip(alpha, mu)
-    fn = lambda z, tau: z[idx]
-    fn.label = f"{kind}{mu}@{alpha}"
-    return fn
+    return lambda z, tau: z[idx]
 
 
 def _as_lists(rows):
@@ -124,7 +129,6 @@ class PoincareGenerator:
 def poincare_generators(space: PhaseSpace) -> list[PoincareGenerator]:
     """The six rotation-boost generators J_{mu nu} (mu < nu) and the four
     translation generators P_mu, summed over particles, lowered indices."""
-    diag = space.signature.diag
     gens = []
 
     def make_j(mu, nu):
@@ -134,8 +138,8 @@ def poincare_generators(space: PhaseSpace) -> list[PoincareGenerator]:
                 x = space.x(z, alpha)
                 p = space.p(z, alpha)
                 total = total + (
-                    diag[mu] * x[mu] * diag[nu] * p[nu]
-                    - diag[nu] * x[nu] * diag[mu] * p[mu]
+                    ETA[mu] * x[mu] * ETA[nu] * p[nu]
+                    - ETA[nu] * x[nu] * ETA[mu] * p[mu]
                 )
             return total
 
@@ -145,7 +149,7 @@ def poincare_generators(space: PhaseSpace) -> list[PoincareGenerator]:
         def fn(z, tau):
             total = 0.0
             for alpha in range(space.particles):
-                total = total + diag[mu] * space.p(z, alpha)[mu]
+                total = total + ETA[mu] * space.p(z, alpha)[mu]
             return total
 
         return PoincareGenerator(f"P{mu}", fn)
@@ -177,7 +181,6 @@ class Constraint:
 class ConstraintSet:
     space: PhaseSpace
     constraints: list[Constraint]
-    surface_tol: float = 1e-9
     potential: "InteractionPotential | None" = None
 
     @property
@@ -194,7 +197,7 @@ class ConstraintSet:
     def require_on_surface(self, z, tau):
         vals = self.values(z, tau)
         j = int(np.argmax(np.abs(vals)))  # the first NaN, if any
-        if not abs(vals[j]) <= self.surface_tol:
+        if not abs(vals[j]) <= SURFACE_TOL:
             raise OffSurface(z, j, float(vals[j]))
 
 
@@ -319,27 +322,27 @@ def invariant_separation(space: PhaseSpace):
         p1, p2 = space.p(z, 0), space.p(z, 1)
         r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
         P = [a + b for a, b in zip(p1, p2)]
-        rr = space.signature.dot(r, r)
-        Pr = space.signature.dot(P, r)
-        PP = space.signature.dot(P, P)
+        rr = minkowski_dot(r, r)
+        Pr = minkowski_dot(P, r)
+        PP = minkowski_dot(P, P)
         return rr - Pr * Pr / PP
 
     return fn
 
 
 def two_particle_model(
-    m1: float, m2: float, V: InteractionPotential, signature: MetricSignature = MINKOWSKI
+    m1: float, m2: float, V: InteractionPotential
 ) -> tuple[ConstraintSet, PhaseSpace]:
     """Two mass-shell constraints sharing one invariant interaction, the
     relative-time gauge P.r = 0, and the dynamical evolution gauge
     P.(x1+x2)/2 = tau."""
-    space = PhaseSpace(2, signature)
+    space = PhaseSpace(2)
     xi = invariant_separation(space)
 
     def make_shell(alpha, mass):
         def fn(z, tau):
             p = space.p(z, alpha)
-            return space.signature.dot(p, p) - mass * mass + V(xi(z, tau))
+            return minkowski_dot(p, p) - mass * mass + V(xi(z, tau))
 
         return Constraint(f"K{alpha + 1}", fn, ConstraintRole.MASS_SHELL)
 
@@ -348,14 +351,14 @@ def two_particle_model(
         p1, p2 = space.p(z, 0), space.p(z, 1)
         r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
         P = [a + b for a, b in zip(p1, p2)]
-        return space.signature.dot(P, r)
+        return minkowski_dot(P, r)
 
     def chi2(z, tau):
         x1, x2 = space.x(z, 0), space.x(z, 1)
         p1, p2 = space.p(z, 0), space.p(z, 1)
         X = [(a + b) / 2.0 for a, b in zip(x1, x2)]
         P = [a + b for a, b in zip(p1, p2)]
-        return space.signature.dot(P, X) - tau
+        return minkowski_dot(P, X) - tau
 
     cset = ConstraintSet(
         space,
@@ -371,12 +374,12 @@ def two_particle_model(
 
 
 def kinematical_gauge_model(
-    m1: float, m2: float, V: InteractionPotential, signature: MetricSignature = MINKOWSKI
+    m1: float, m2: float, V: InteractionPotential
 ) -> tuple[ConstraintSet, PhaseSpace]:
     """Same shells, but the evolution gauge pins the laboratory time
     difference-and-mean instead of the state of motion: chi2 = x1^0 - tau
     with chi1 = x1^0 - x2^0.  Used to document the world-line failure."""
-    base, space = two_particle_model(m1, m2, V, signature)
+    base, space = two_particle_model(m1, m2, V)
 
     def chi1(z, tau):
         return z[space.ix(0, 0)] - z[space.ix(1, 0)]
@@ -402,7 +405,6 @@ def sample_on_shell(
     rng: np.random.Generator,
     masses: tuple[float, float],
     tau: float = 0.0,
-    newton_tol: float = 1e-12,
 ):
     """Random point on the full constraint surface.
 
@@ -418,9 +420,9 @@ def sample_on_shell(
         z[space.ip(alpha, 0)] = math.sqrt(
             masses[alpha] ** 2 + float(np.sum(z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] ** 2))
         )
-    _newton_energies(cset, z, tau, newton_tol)
+    _newton_energies(cset, z, tau)
     P = np.asarray(space.p(z, 0)) + np.asarray(space.p(z, 1))
-    diag = np.asarray(space.signature.diag)
+    diag = np.asarray(ETA)
     PP = float(P @ (diag * P))
     x1 = np.asarray(space.x(z, 0))
     x2 = np.asarray(space.x(z, 1))
@@ -437,12 +439,12 @@ def sample_on_shell(
     return z
 
 
-def _newton_energies(cset: ConstraintSet, z, tau, newton_tol):
+def _newton_energies(cset: ConstraintSet, z, tau):
     """Fix each particle's energy component in place by Newton iteration on
     its mass shell, the other coordinates frozen."""
     space, shells = cset.space, cset.shells
     for _ in range(60):
-        if max(abs(float(s(z, tau))) for s in shells) < newton_tol:
+        if max(abs(float(s(z, tau))) for s in shells) < NEWTON_TOL:
             return
         for alpha, shell in enumerate(shells):
             i0 = space.ip(alpha, 0)
@@ -461,13 +463,13 @@ def hamiltonian_flow_rhs(cset: ConstraintSet, z, tau):
     return DiracFrame(cset, z, tau).flow_rhs()
 
 
-def _project_to_surface(cset: ConstraintSet, z, tau, tol=1e-12, max_iter=6):
+def _project_to_surface(cset: ConstraintSet, z, tau, max_iter=6):
     """Gauss-Newton projection onto the constraint surface; raises
-    ConstraintDrift when ``max_iter`` steps do not reach ``tol``."""
+    ConstraintDrift when ``max_iter`` steps do not reach ``NEWTON_TOL``."""
     out = np.array(z, dtype=float)
     for step in range(max_iter + 1):
         vals = cset.values(out, tau)
-        if float(np.max(np.abs(vals))) <= tol:
+        if float(np.max(np.abs(vals))) <= NEWTON_TOL:
             return out
         if step == max_iter:
             raise ConstraintDrift(tau, float(np.max(np.abs(vals))))
@@ -481,13 +483,12 @@ def constrained_flow(
     tau_span: tuple[float, float],
     cfg: IntegratorConfig | None = None,
     drift_limit: float = 1e-9,
-    hard_limit: float = 1e-7,
 ) -> Trajectory:
     """Integrate the multiplier-fixed flow on the constraint surface.
 
     The four constraint values are monitored at every accepted step; drift
     past ``drift_limit`` triggers a Newton projection back to the surface,
-    and exceeding ``hard_limit`` aborts with ConstraintDrift.
+    and exceeding ``HARD_DRIFT_LIMIT`` aborts with ConstraintDrift.
     """
     t0, t1 = tau_span
     z0 = np.asarray(point0, dtype=float)
@@ -498,7 +499,7 @@ def constrained_flow(
 
     def onto_surface(tau, z):
         drift = float(np.max(np.abs(cset.values(z, tau))))
-        if not drift <= hard_limit:  # a NaN drift fails too
+        if not drift <= HARD_DRIFT_LIMIT:  # a NaN drift fails too
             raise ConstraintDrift(tau, drift)
         return z if drift <= drift_limit else _project_to_surface(cset, z, tau)
 
@@ -506,7 +507,7 @@ def constrained_flow(
     names = tuple(
         f"{kind}{mu}@{alpha}" for alpha in range(space.particles) for kind in "xp" for mu in "0123"
     )
-    system = VectorFieldSystem(space.dim, rhs, names, autonomous=False, label="constrained flow")
+    system = VectorFieldSystem(space.dim, rhs, names, autonomous=False)
     return integrate(system, z0, t0, t1, cfg, project=onto_surface)
 
 
@@ -528,22 +529,19 @@ def position_noncommutativity(cset: ConstraintSet | None, space: PhaseSpace, poi
                     val = float(frame.bracket(f, g))
                 T[mu, nu] = val
                 T[nu, mu] = -val
-                worst = max(worst, abs(val))
+                worst = nan_max(worst, abs(val))
         tables.append(T)
     return {"tables": tables, "max_abs": worst}
 
 
 def poincare_transformation_fn(space: PhaseSpace, omega: np.ndarray, a: np.ndarray) -> Callable:
     """Generator G = (1/2) omega^{mu nu} J_{mu nu} - a^mu P_mu."""
-    diag = space.signature.diag
 
     def fn(z, tau):
         total = 0.0
         for alpha in range(space.particles):
-            x = space.x(z, alpha)
-            p = space.p(z, alpha)
-            x_low = [diag[m] * x[m] for m in range(4)]
-            p_low = [diag[m] * p[m] for m in range(4)]
+            x_low = lower(space.x(z, alpha))
+            p_low = lower(space.p(z, alpha))
             for mu in range(4):
                 for nu in range(4):
                     total = total + 0.5 * omega[mu][nu] * (
@@ -580,7 +578,6 @@ def wlc_residual(
     G = poincare_transformation_fn(space, omega, a)
     frame = DiracFrame(cset, z, tau)
     flow, _ = frame.flow_rhs()
-    diag = space.signature.diag
     per_particle = []
     for alpha in range(space.particles):
         lhs = np.empty(4)
@@ -590,16 +587,16 @@ def wlc_residual(
             xf = coordinate_fn(space, "x", alpha, mu)
             lhs[mu] = float(frame.bracket(G, xf))
             x = [float(v) for v in space.x(z, alpha)]
-            geo[mu] = sum(omega[mu][nu] * diag[nu] * x[nu] for nu in range(4)) + a[mu]
+            geo[mu] = sum(omega[mu][nu] * ETA[nu] * x[nu] for nu in range(4)) + a[mu]
             u[mu] = flow[space.ix(alpha, mu)]
         denom = float(u @ u)
         delta_tau = float(u @ (lhs - geo)) / denom if denom > 0 else 0.0
         residual = float(np.max(np.abs(lhs - geo - u * delta_tau)))
         per_particle.append({"residual": residual, "delta_tau": delta_tau})
-    return {
-        "residual": max(p["residual"] for p in per_particle),
-        "per_particle": per_particle,
-    }
+    worst = 0.0
+    for p in per_particle:
+        worst = nan_max(worst, p["residual"])
+    return {"residual": worst, "per_particle": per_particle}
 
 
 # -- published two-particle matrix, for side-by-side reporting ---------------
@@ -626,14 +623,13 @@ def published_constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) ->
     """
     space = cset.space
     z = list(point)
-    diag = space.signature.diag
     p1 = [float(v) for v in space.p(z, 0)]
     p2 = [float(v) for v in space.p(z, 1)]
     x1 = [float(v) for v in space.x(z, 0)]
     x2 = [float(v) for v in space.x(z, 1)]
     P = [a + b for a, b in zip(p1, p2)]
     r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
-    dot = space.signature.dot
+    dot = minkowski_dot
     p1p1, p2p2, p1p2 = dot(p1, p1), dot(p2, p2), dot(p1, p2)
     PP, Pr = dot(P, P), dot(P, r)
     xi = dot(r, r) - Pr * Pr / PP
@@ -659,7 +655,6 @@ def sample_on_shell_kinematical(
     rng: np.random.Generator,
     masses: tuple[float, float],
     tau: float = 0.0,
-    newton_tol: float = 1e-12,
 ):
     """On-shell sampler for the equal-laboratory-time gauge: pin both time
     components to tau, fix the energies by Newton, polish with a full
@@ -674,7 +669,7 @@ def sample_on_shell_kinematical(
             masses[alpha] ** 2
             + float(np.sum(z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] ** 2))
         )
-    _newton_energies(cset, z, tau, newton_tol)
+    _newton_energies(cset, z, tau)
     z = _project_to_surface(cset, z, tau)
     cset.require_on_surface(z, tau)
     return z
@@ -689,7 +684,6 @@ class DeformedPoincare:
     where positions close on the Lorentz block divided by the scale K."""
 
     K: float
-    signature: MetricSignature = MINKOWSKI
 
     def __post_init__(self):
         if self.K <= 0:
@@ -701,7 +695,7 @@ class DeformedPoincare:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pair_index", {p: 4 + idx for idx, p in enumerate(pairs)})
         # structure constants, C[i, j, :] = [e_i, e_j]; the instance is
-        # frozen, so K and the signature cannot drift from the tensor
+        # frozen, so K cannot drift from the tensor
         C = np.array([[self.bracket_basis(i, j) for j in range(10)] for i in range(10)])
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -726,7 +720,6 @@ class DeformedPoincare:
         return out
 
     def bracket_basis(self, i: int, j: int) -> np.ndarray:
-        eta = self.signature.diag
         if i < 4 and j < 4:
             return self._l_vec(i, j) / self.K
         if i >= 4 and j < 4:
@@ -735,9 +728,9 @@ class DeformedPoincare:
             rho = j
             out = np.zeros(10)
             if mu == rho:
-                out += eta[mu] * self._x_vec(nu)
+                out += ETA[mu] * self._x_vec(nu)
             if nu == rho:
-                out -= eta[nu] * self._x_vec(mu)
+                out -= ETA[nu] * self._x_vec(mu)
             return out
         if i < 4 and j >= 4:
             return -self.bracket_basis(j, i)
@@ -746,13 +739,13 @@ class DeformedPoincare:
         rho, sig = pairs[j - 4]
         out = np.zeros(10)
         if mu == rho:
-            out += eta[mu] * self._l_vec(nu, sig)
+            out += ETA[mu] * self._l_vec(nu, sig)
         if mu == sig:
-            out -= eta[mu] * self._l_vec(nu, rho)
+            out -= ETA[mu] * self._l_vec(nu, rho)
         if nu == rho:
-            out -= eta[nu] * self._l_vec(mu, sig)
+            out -= ETA[nu] * self._l_vec(mu, sig)
         if nu == sig:
-            out += eta[nu] * self._l_vec(mu, rho)
+            out += ETA[nu] * self._l_vec(mu, rho)
         return out
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -781,5 +774,5 @@ def jacobi_residual(C: np.ndarray) -> float:
     return float(np.abs(total, out=total).max())
 
 
-def deformed_poincare(K: float, signature: MetricSignature = MINKOWSKI) -> DeformedPoincare:
-    return DeformedPoincare(K, signature)
+def deformed_poincare(K: float) -> DeformedPoincare:
+    return DeformedPoincare(K)

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the fail-closed maximum
+that checks accumulate their worst value with."""
 
 from __future__ import annotations
+
+import math
+
+
+def nan_max(worst: float, x: float) -> float:
+    """The larger of ``worst`` and ``x``, or NaN once either is NaN: the
+    built-in ``max(worst, nan)`` returns ``worst``, so a NaN check value
+    would vanish before its gate."""
+    return x if math.isnan(x) or x > worst else worst
 
 
 class GeoredError(Exception):

@@ -81,8 +81,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if min(self.dt, self.abs_tol, self.rel_tol) <= 0:
-            raise ValueError("dt and tolerances must be positive")
+        for value in (self.dt, self.abs_tol, self.rel_tol):
+            if not (value > 0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError("dt and tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class VectorFieldSystem:
     rhs: Callable
     coord_names: tuple[str, ...]
     autonomous: bool = True
-    label: str = ""
 
     def __post_init__(self):
         if len(self.coord_names) != self.dim:
@@ -416,7 +416,6 @@ def second_order_lift(
     force: Callable,
     coord_names: tuple[str, ...] | None = None,
     autonomous: bool = True,
-    label: str = "",
 ) -> VectorFieldSystem:
     """Lift a force law (q, v, t) -> n-vector to the 2n first-order system
     (q, v) -> (v, force)."""
@@ -439,5 +438,5 @@ def second_order_lift(
             return [x[n + i] for i in range(n)] + [acc[i] for i in range(n)]
 
     return VectorFieldSystem(
-        dim=2 * n, rhs=rhs, coord_names=names, autonomous=autonomous, label=label
+        dim=2 * n, rhs=rhs, coord_names=names, autonomous=autonomous
     )

@@ -12,11 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from geored import lagsym
 from geored.calc import CENTRAL, ScalarField, jacobian
-from geored.errors import NotNormalized
+from geored.errors import NotNormalized, nan_max
 
 NORMALIZATION_TOL = 1e-10
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# bound on the entries of L^T eta L - eta for a Lorentz map, and on the
+# residuals of metric_from_frame_family
+LORENTZ_TOL = 1e-12
+ETA = np.diag(lagsym.ETA)
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,6 @@ class ReferenceFrame:
 
     theta: Callable  # point -> 4-covector
     gamma: Callable  # point -> 4-vector
-    label: str = "frame"
 
     def pairing(self, point) -> float:
         th = np.asarray(self.theta(point), dtype=float)
@@ -50,7 +53,6 @@ def lab_frame() -> ReferenceFrame:
     return ReferenceFrame(
         theta=lambda pt: np.array([1.0, 0.0, 0.0, 0.0]),
         gamma=lambda pt: np.array([1.0, 0.0, 0.0, 0.0]),
-        label="lab",
     )
 
 
@@ -76,11 +78,11 @@ def rotation_matrix_4d(angle: float, axis: Sequence[float] = (0.0, 0.0, 1.0)) ->
     return out
 
 
-def is_lorentz(L: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(L.T @ ETA @ L - ETA)) <= tol)
+def is_lorentz(L: np.ndarray) -> bool:
+    return bool(np.max(np.abs(L.T @ ETA @ L - ETA)) <= LORENTZ_TOL)
 
 
-def transform_frame(frame: ReferenceFrame, L: np.ndarray, label: str = "") -> ReferenceFrame:
+def transform_frame(frame: ReferenceFrame, L: np.ndarray) -> ReferenceFrame:
     """Push the frame through an invertible linear map: vectors by L,
     covectors by the inverse transpose."""
     L = np.asarray(L, dtype=float)
@@ -88,7 +90,6 @@ def transform_frame(frame: ReferenceFrame, L: np.ndarray, label: str = "") -> Re
     return ReferenceFrame(
         theta=lambda pt: np.asarray(frame.theta(pt), dtype=float) @ L_inv,
         gamma=lambda pt: L @ np.asarray(frame.gamma(pt), dtype=float),
-        label=label or f"{frame.label}-transformed",
     )
 
 
@@ -155,11 +156,11 @@ def frobenius_residual(theta: Callable, points: Sequence) -> float:
                         + th[c] * d_theta[a, b]
                     )
                     total += comp * comp
-        worst = max(worst, math.sqrt(total))
+        worst = nan_max(worst, math.sqrt(total))
     return worst
 
 
-def metric_from_frame_family(boost_params: Sequence, tol: float = 1e-12) -> dict:
+def metric_from_frame_family(boost_params: Sequence) -> dict:
     """Check that lowering the boosted time axes with the diagonal metric
     reproduces the boosted time covectors, across a family of exact
     Lorentz maps; also verifies the covariant and contravariant forms are
@@ -177,15 +178,15 @@ def metric_from_frame_family(boost_params: Sequence, tol: float = 1e-12) -> dict
         else:
             rapidity, direction = spec
             L = boost_matrix(rapidity, direction)
-        if not is_lorentz(L, tol):
+        if not is_lorentz(L):
             raise ValueError("transformation is not a Lorentz map")
         moved_gamma = L @ gamma
         moved_alpha = np.linalg.inv(L).T @ alpha
-        worst = max(worst, float(np.max(np.abs(ETA @ moved_gamma - moved_alpha))))
+        worst = nan_max(worst, float(np.max(np.abs(ETA @ moved_gamma - moved_alpha))))
     eta_inv = np.linalg.inv(ETA)
     inverse_residual = float(np.max(np.abs(eta_inv @ ETA - np.eye(4))))
     return {
         "residual": worst,
         "inverse_residual": inverse_residual,
-        "ok": worst <= tol and inverse_residual <= tol,
+        "ok": worst <= LORENTZ_TOL and inverse_residual <= LORENTZ_TOL,
     }

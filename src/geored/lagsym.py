@@ -32,29 +32,17 @@ from geored.errors import (
 KERNEL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MetricSignature:
-    """Diagonal flat metric; the relativistic cases use (+, -, -, -) so a
-    timelike velocity has positive square."""
-
-    diag: tuple[float, ...] = (1.0, -1.0, -1.0, -1.0)
-
-    def __post_init__(self):
-        if any(d not in (1.0, -1.0) for d in self.diag):
-            raise ValueError("signature entries must be +1 or -1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-    def dot(self, u, v):
-        return sum(d * ui * vi for d, ui, vi in zip(self.diag, u, v))
-
-    def lower(self, u):
-        return [d * ui for d, ui in zip(self.diag, u)]
+# The Minkowski metric, signature (+, -, -, -): a timelike vector has
+# positive square.  Every relativistic model of the package uses it.
+ETA = (1.0, -1.0, -1.0, -1.0)
 
 
-MINKOWSKI = MetricSignature()
+def minkowski_dot(u, v):
+    return sum(d * ui * vi for d, ui, vi in zip(ETA, u, v))
+
+
+def lower(u):
+    return [d * ui for d, ui in zip(ETA, u)]
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,6 @@ class LagrangianModel:
 
     n: int
     L: ScalarField
-    label: str = "L"
 
     def __post_init__(self):
         if self.L.arity != 2 * self.n:
@@ -77,24 +64,22 @@ def mechanical_lagrangian(n: int, potential: Callable | None = None) -> Lagrangi
         kinetic = sum(z[n + i] * z[n + i] for i in range(n)) * 0.5
         return kinetic - (potential(z[:n]) if potential is not None else 0.0)
 
-    return LagrangianModel(n, ScalarField(2 * n, fn, "mechanical"), "mechanical")
+    return LagrangianModel(n, ScalarField(2 * n, fn, "mechanical"))
 
 
-def relativistic_lagrangian(
-    m: float = 1.0, c: float = 1.0, signature: MetricSignature = MINKOWSKI
-) -> LagrangianModel:
+def relativistic_lagrangian(m: float = 1.0, c: float = 1.0) -> LagrangianModel:
     """Reparametrization-invariant square-root Lagrangian on TR^4; defined
     only for timelike velocities."""
-    n = signature.dim
+    n = len(ETA)
 
     def fn(z):
         v = z[n:]
-        s2 = signature.dot(v, v)
+        s2 = minkowski_dot(v, v)
         if real_part(s2) <= 0.0:
             raise DomainError("velocity is not timelike")
         return (m * c) * dn.sqrt(s2)
 
-    return LagrangianModel(n, ScalarField(2 * n, fn, "sqrt"), "relativistic")
+    return LagrangianModel(n, ScalarField(2 * n, fn, "sqrt"))
 
 
 # -- generic helpers (work on float or dual points) --------------------------
@@ -220,7 +205,7 @@ class RegularityReport:
     rank: int
 
 
-def is_regular(model: LagrangianModel, point, tol: float = KERNEL_RTOL) -> RegularityReport:
+def is_regular(model: LagrangianModel, point) -> RegularityReport:
     """Rank and determinant of the velocity Hessian."""
     n = model.n
     z = list(point)
@@ -229,7 +214,7 @@ def is_regular(model: LagrangianModel, point, tol: float = KERNEL_RTOL) -> Regul
     H = hessian(restricted, z[n:], DUAL)
     H = np.asarray(H, dtype=float)
     svals = np.linalg.svd(H, compute_uv=False)
-    rank = int(np.sum(svals > tol * max(svals[0], 1e-300)))
+    rank = int(np.sum(svals > KERNEL_RTOL * max(svals[0], 1e-300)))
     return RegularityReport(
         regular=rank == n, det=float(np.linalg.det(H)), rank=rank
     )
@@ -268,22 +253,22 @@ def pb_regular(model: LagrangianModel, f: ScalarField, g: ScalarField, point):
     return -_dot(df, xg)
 
 
-def kernel_basis(omega, tol: float = KERNEL_RTOL) -> list[np.ndarray]:
+def kernel_basis(omega) -> list[np.ndarray]:
     """Orthonormal basis of the two-form kernel (singular vectors below
-    tol * sigma_max)."""
+    KERNEL_RTOL * sigma_max)."""
     M = omega.matrix if isinstance(omega, TwoFormAtPoint) else np.asarray(omega)
     _, svals, vh = np.linalg.svd(M)
-    cutoff = tol * max(float(svals[0]), 1e-300)
+    cutoff = KERNEL_RTOL * max(float(svals[0]), 1e-300)
     return [vh[i] for i in range(len(svals)) if svals[i] <= cutoff]
 
 
 def newton_wigner_fields(
-    signature: MetricSignature = MINKOWSKI, m: float = 1.0, c: float = 1.0
+    m: float = 1.0, c: float = 1.0
 ) -> tuple[list[ScalarField], list[ScalarField]]:
     """The Newton-Wigner chart on the manifold of motions of the free
     relativistic particle, Q^j = -x^j + (v^j / v^0) x^0 and P^j = v^j / L,
     as differentiable fields on the (x, v) coordinates."""
-    n = signature.dim
+    n = len(ETA)
 
     def make_q(j):
         def fn(z):
@@ -294,7 +279,7 @@ def newton_wigner_fields(
     def make_p(j):
         def fn(z):
             v = z[n:]
-            return z[n + j] / ((m * c) * dn.sqrt(signature.dot(v, v)))
+            return z[n + j] / ((m * c) * dn.sqrt(minkowski_dot(v, v)))
 
         return ScalarField(2 * n, fn, f"P{j}")
 
@@ -303,21 +288,15 @@ def newton_wigner_fields(
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """Point-dependent projector complementing the two-form kernel.
-
-    ``pair_metric`` carries the diagonal weights contracting the velocity
-    and position frames in the bivector; None means Euclidean pairing.
-    """
+    """Point-dependent projector complementing the two-form kernel."""
 
     at: Callable
-    label: str = "A"
-    pair_metric: tuple | None = None
 
-    def validate(self, model: LagrangianModel, point, tol: float = 1e-9) -> None:
+    def validate(self, model: LagrangianModel, point) -> None:
         A = np.asarray(
             [[float(v) for v in row] for row in self.at(list(point))]
         )
-        if not np.max(np.abs(A @ A - A)) <= tol:
+        if not np.max(np.abs(A @ A - A)) <= 1e-9:
             raise ConnectionInvalid("A is not idempotent at the queried point")
         W = lagrangian_two_form(model, point).matrix
         null = kernel_basis(TwoFormAtPoint(W, tuple(point)))
@@ -329,27 +308,25 @@ class ConnectionField:
             raise ConnectionInvalid("rank of A does not complement the kernel")
 
 
-def relativistic_connection(
-    m: float = 1.0, c: float = 1.0, signature: MetricSignature = MINKOWSKI
-) -> ConnectionField:
+def relativistic_connection(m: float = 1.0, c: float = 1.0) -> ConnectionField:
     """Flat Lorentz-invariant connection for the square-root model: the
     identity minus the projector onto the span of the dynamical and dilation
     directions, built from degree-zero covectors."""
-    n = signature.dim
+    n = len(ETA)
 
     def at(z):
         x, v = list(z[:n]), list(z[n:])
-        s2 = signature.dot(v, v)
+        s2 = minkowski_dot(v, v)
         if real_part(s2) <= 0.0:
             raise DomainError("connection defined over timelike velocities only")
-        v_low = signature.lower(v)
+        v_low = lower(v)
         x_dot_v = _dot(v_low, x)
         # theta1 = (m^2 c^2 / L) d((v.x)/L); theta2 = v_mu dv^mu / s2
         theta1 = [0.0] * (2 * n)
         theta2 = [0.0] * (2 * n)
         for nu in range(n):
             theta1[nu] = v_low[nu] / s2
-            theta1[n + nu] = (x[nu] * signature.diag[nu] - x_dot_v * v_low[nu] / s2) / s2
+            theta1[n + nu] = (x[nu] * ETA[nu] - x_dot_v * v_low[nu] / s2) / s2
             theta2[n + nu] = v_low[nu] / s2
         rows = [[0.0] * (2 * n) for _ in range(2 * n)]
         for i in range(2 * n):
@@ -360,9 +337,7 @@ def relativistic_connection(
                 rows[i][j] = val
         return rows
 
-    return ConnectionField(
-        at, label="relativistic connection", pair_metric=signature.diag
-    )
+    return ConnectionField(at)
 
 
 def presymplectic_bracket(
@@ -371,27 +346,24 @@ def presymplectic_bracket(
     f: ScalarField,
     g: ScalarField,
     point,
-    validate: bool = True,
 ):
     """Bracket of the degenerate model through the connection: the bivector
     pairs the horizontal lifts of the position and velocity frames with the
     metric contraction (required for Lorentz invariance), weighted by the
     (Casimir) Lagrangian; oriented so the canonical chart of the motion
-    manifold satisfies {Q^i, P^j} = +delta."""
+    manifold satisfies {Q^i, P^j} = +delta.  The connection is not
+    validated here (``ConnectionField.validate``)."""
     n = model.n
     z = list(point)
-    if validate and not any(is_dual(u) for u in z):
-        A.validate(model, z)
     rows = A.at(z)
     weight = model.L(z)
-    metric = A.pair_metric or (1.0,) * n
     df = _grad_list(f, z)
     dg = _grad_list(g, z)
     total = 0.0
     for mu in range(n):
         u_col = [rows[r][n + mu] for r in range(2 * n)]  # lift of d/dv^mu
         w_col = [rows[r][mu] for r in range(2 * n)]  # lift of d/dx^mu
-        total = total + metric[mu] * (
+        total = total + ETA[mu] * (
             _dot(df, w_col) * _dot(dg, u_col) - _dot(df, u_col) * _dot(dg, w_col)
         )
     return weight * total
@@ -413,7 +385,7 @@ def jacobi_residual(bracket: Callable, f: ScalarField, g: ScalarField, h: Scalar
     return abs(float(total))
 
 
-def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point, tol: float = 1e-8):
+def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point):
     """Matrix-level compatibility of the connection bivector with the
     two-form: Lambda omega Lambda = Lambda, and the kernel of Lambda meets
     the image of omega only at zero.
@@ -423,11 +395,11 @@ def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point, tol
     the block-form matrix from ``lagrangian_two_form``.
     """
     n = model.n
+    tol = 1e-8  # the rank cut-off of both SVDs and the pass bound
     z = [float(u) for u in point]
     rows = np.asarray([[float(v) for v in row] for row in A.at(z)])
     weight = float(model.L(z))
-    metric = np.asarray(A.pair_metric or (1.0,) * n)
-    Av, Ax = rows[:, n:] * metric, rows[:, :n]
+    Av, Ax = rows[:, n:] * np.asarray(ETA), rows[:, :n]
     lam = weight * (Ax @ Av.T - Av @ Ax.T)
     W = -lagrangian_two_form(model, z).matrix
     residual = float(np.max(np.abs(lam @ W @ lam - lam)))
@@ -476,9 +448,7 @@ def coordinate_fields(dim: int, names: Sequence[str] | None = None) -> list[Scal
     ]
 
 
-def measured_position_brackets(
-    m: float = 1.0, c: float = 1.0, point=None, signature: MetricSignature = MINKOWSKI
-) -> dict:
+def measured_position_brackets(m: float = 1.0, c: float = 1.0, point=None) -> dict:
     """Bracket table of the physical coordinates for the degenerate model
     with the mass and light-speed constants restored.
 
@@ -486,15 +456,15 @@ def measured_position_brackets(
     (v^sigma x^rho - v^rho x^sigma); the measured prefactor is reported
     next to the published closed form m^2 c^2 / L, which is not asserted.
     """
-    model = relativistic_lagrangian(m, c, signature)
-    A = relativistic_connection(m, c, signature)
-    n = signature.dim
+    model = relativistic_lagrangian(m, c)
+    A = relativistic_connection(m, c)
+    n = len(ETA)
     z = [float(u) for u in point]
     coords = coordinate_fields(2 * n, [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
     xs, vs = coords[:n], coords[n:]
 
     def br(f, g):
-        return float(presymplectic_bracket(model, A, f, g, z, validate=False))
+        return float(presymplectic_bracket(model, A, f, g, z))
 
     vv = np.array([[br(vs[r], vs[s]) for s in range(n)] for r in range(n)])
     vx = np.array([[br(vs[r], xs[s]) for s in range(n)] for r in range(n)])

@@ -13,7 +13,6 @@ shared uniform grid.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,8 +21,15 @@ import numpy as np
 # ``gradient`` is not called here; perfbench's tracer test checks that this
 # module-level binding of it is wrapped and restored
 from geored.calc import ScalarField, _jvp, gradient  # noqa: F401
-from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
+from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed, nan_max
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
+
+# A diagram is compared on GRID_POINTS uniform times, of which preflight
+# checks SAMPLE_COUNT; TOLERANCES bounds the surface and projectability
+# residuals and the diagram deviation.
+SAMPLE_COUNT = 64
+GRID_POINTS = 512
+TOLERANCES = {"surface": 1e-8, "projectable": 1e-8, "diagram": 1e-6}
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class QuotientMap:
 @dataclass
 class ReductionScenario:
     """One reduction to verify: ambient system, optional surface, quotient,
-    the claimed reduced system, and sampling/tolerance knobs.
+    and the claimed reduced system.
 
     ``orbit_map(point, rng)`` must return a distinct point on the same
     equivalence class (and the same surface); it drives projectability
@@ -97,15 +103,6 @@ class ReductionScenario:
     quotient: QuotientMap | None = None
     surface: InvariantSurface | None = None
     orbit_map: Callable | None = None
-    sample_count: int = 64
-    grid_points: int = 512
-    tolerances: dict = field(
-        default_factory=lambda: {
-            "surface": 1e-8,
-            "projectable": 1e-8,
-            "diagram": 1e-6,
-        }
-    )
 
     def __post_init__(self):
         if self.surface is None and self.quotient is None:
@@ -170,7 +167,7 @@ def check_invariant_surface(
             # the tangent is finite, but a velocity component the constraints
             # do not read can be NaN; 0.0 * speed carries it into the residual
             res = abs(rate) + 0.0 * speed
-            worst = res if math.isnan(res) or res > worst else worst
+            worst = nan_max(worst, res)
             if not res <= tol * (1.0 + speed):
                 ok = False
     return CheckReport(ok=ok, worst=worst)
@@ -196,7 +193,7 @@ def check_projectable(
         dev = float(
             np.max(np.abs(quotient.pushforward(sys, m, t) - quotient.pushforward(sys, m2, t)))
         )
-        worst = dev if math.isnan(dev) or dev > worst else worst
+        worst = nan_max(worst, dev)
         if not dev <= tol:
             ok = False
     return CheckReport(ok=ok, worst=worst)
@@ -216,7 +213,7 @@ def _preflight(scenario: ReductionScenario, samples, times, rng) -> None:
             scenario.system,
             scenario.surface,
             samples,
-            scenario.tolerances["surface"],
+            TOLERANCES["surface"],
             times,
         )
         if not rep.ok:
@@ -229,7 +226,7 @@ def _preflight(scenario: ReductionScenario, samples, times, rng) -> None:
             scenario.system,
             scenario.quotient,
             pairs,
-            scenario.tolerances["projectable"],
+            TOLERANCES["projectable"],
             times,
         )
         if not rep.ok:
@@ -260,10 +257,10 @@ def verify_commuting_diagram(
         scenario.surface.require_on_surface(x0)
 
     ambient = integrate(scenario.system, x0, t0, t1, cfg)
-    grid = np.linspace(t0, t1, scenario.grid_points)
+    grid = np.linspace(t0, t1, GRID_POINTS)
     states = ambient.resample(grid)
 
-    n_check = min(scenario.sample_count, len(states))
+    n_check = min(SAMPLE_COUNT, len(states))
     idx = np.linspace(0, len(states) - 1, n_check).astype(int)
     _preflight(scenario, [states[i] for i in idx], grid[idx], rng)
 
@@ -277,8 +274,8 @@ def verify_commuting_diagram(
     return DiagramReport(
         scenario=scenario.name,
         max_dev=max_dev,
-        ok=max_dev <= scenario.tolerances["diagram"],
+        ok=max_dev <= TOLERANCES["diagram"],
         samples=len(grid),
-        tolerances=dict(scenario.tolerances),
+        tolerances=dict(TOLERANCES),
         ambient=ambient,
     )

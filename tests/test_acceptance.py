@@ -133,18 +133,18 @@ def test_criterion_4_relativistic_free_particle():
     for z in pts[:5]:
         for i in range(3):
             for j in range(3):
-                qp = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z, validate=False))
+                qp = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z))
                 darboux = max(darboux, abs(qp - (1.0 if i == j else 0.0)))
                 darboux = max(
                     darboux,
-                    abs(float(lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z, validate=False))),
-                    abs(float(lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z, validate=False))),
+                    abs(float(lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z))),
+                    abs(float(lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z))),
                 )
     ok_darboux = darboux < 1e-8
     _report("criterion 4 canonical chart relations", darboux, 1e-8, ok_darboux)
 
     coords = lagsym.coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(model, conn, a, b, zz, validate=False)
+    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(model, conn, a, b, zz)
     jacobi = 0.0
     for f, g, h in [
         (coords[0], coords[1], coords[5]),
@@ -160,7 +160,7 @@ def test_criterion_4_relativistic_free_particle():
         for f in coords:
             casimir = max(
                 casimir,
-                abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z, validate=False))),
+                abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z))),
             )
     ok_casimir = casimir < 1e-8
     _report("criterion 4 Casimir property", casimir, 1e-8, ok_casimir)

@@ -10,7 +10,7 @@ from geored import dualnum as dn
 from geored.calc import CENTRAL, DUAL, ScalarField, gradient, hessian, jacobian
 from geored.errors import EvaluationError
 from geored.flow import VectorFieldSystem
-from geored.reduce import QuotientMap
+from geored.reduce import GRID_POINTS, SAMPLE_COUNT, QuotientMap
 
 
 def dot(u, v):
@@ -523,9 +523,9 @@ def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
         sc = entry.scenario
         t0, t1 = entry.t_span
         states = integrate(sc.system, entry.default_x0, t0, t1).resample(
-            np.linspace(t0, t1, sc.grid_points)
+            np.linspace(t0, t1, GRID_POINTS)
         )
-        idx = np.linspace(0, len(states) - 1, sc.sample_count).astype(int)
+        idx = np.linspace(0, len(states) - 1, SAMPLE_COUNT).astype(int)
         rng = np.random.default_rng(0)
         points = [states[i] for i in idx]
         points += [sc.orbit_map(x, rng) for x in points]

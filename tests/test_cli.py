@@ -1,6 +1,11 @@
+import dataclasses
+import itertools
 import json
+import math
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from geored.cli import (
@@ -90,6 +95,36 @@ def test_main_unknown_scenario_exit_code(tmp_path, capsys):
     code = main(["run", "--scenario", "missing", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "run-all"])
+def test_bad_rk45_tol_is_a_config_error(tmp_path, monkeypatch, capsys, command, tol):
+    from geored import cli as cli_mod
+
+    spec = cli_mod.REGISTRY["riccati-classical"]
+    monkeypatch.setattr(cli_mod, "REGISTRY", {spec.name: spec})
+    argv = [command, f"--rk45-tol={tol}", "--out-dir", str(tmp_path)]
+    if command == "run":
+        argv += ["--scenario", spec.name]
+    assert main(argv) == 2
+    assert "rk45_tol" in capsys.readouterr().err
+    assert not (tmp_path / spec.name).exists()
+
+
+def test_bad_rk45_tol_in_config_files_is_a_config_error(tmp_path, capsys):
+    # a JSON string is no tolerance; in a configs dir, a bad value in any
+    # scenario's file stops run-all before the first scenario runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "deformed-poincare-jacobi", "rk45_tol": "1e-9"}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "one")]) == 2
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "riccati-classical.json").write_text(json.dumps({"rk45_tol": 0}))
+    out = tmp_path / "all"
+    assert main(["run-all", "--configs-dir", str(configs), "--out-dir", str(out)]) == 2
+    assert "rk45_tol" in capsys.readouterr().err
+    assert not (tmp_path / "one").exists() and not out.exists()
 
 
 def test_config_file_overrides(tmp_path):
@@ -192,3 +227,134 @@ def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, cap
     for rel in ("report.json", "structure.json"):
         written = (out / real.name / rel).read_bytes()
         assert written == (single / real.name / rel).read_bytes()
+
+
+# -- scenario accumulators keep a NaN --------------------------------------------
+
+
+def _poison(monkeypatch, owner, name, nth, value=None, when=None):
+    """Replace the ``nth`` result of ``owner.name`` among the calls that
+    ``when`` selects (all by default) by ``value(result)`` (NaN by default)."""
+    original = getattr(owner, name)
+    count = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if (when is None or when(*args)) and next(count) == nth:
+            return math.nan if value is None else value(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def _nan_state(traj):
+    states = traj.states.copy()
+    states[2] = math.nan
+    return dataclasses.replace(traj, states=states)
+
+
+def _nan_points(points):
+    # the Pauli closed-form loop skips the first trail point
+    for k, point in enumerate(points):
+        yield SimpleNamespace(t=point.t, Z=np.full((1, 1), math.nan)) if k == 3 else point
+
+
+def _nan_coset_point(point):
+    return SimpleNamespace(t=point.t, Z=np.full(point.Z.shape, math.nan))
+
+
+_NAN_CASES = [
+    ("relativistic-free-particle", "energy_max", "lagsym", "energy", 5, None, None),
+    (
+        "relativistic-free-particle",
+        "kernel_contains_gap",
+        "lagsym",
+        "kernel_basis",
+        2,  # the first call is the connection's validation
+        lambda basis: [np.full(8, math.nan)] + basis[1:],
+        None,
+    ),
+    ("relativistic-free-particle", "darboux_gap", "lagsym", "presymplectic_bracket", 2, None, None),
+    ("relativistic-free-particle", "jacobi_max", "lagsym", "jacobi_residual", 2, None, None),
+    (
+        "relativistic-free-particle",
+        "casimir_max",
+        "lagsym",
+        "presymplectic_bracket",
+        2,
+        None,
+        lambda model, conn, f, g, z: f is model.L,
+    ),
+    ("dirac-two-particle", "constraint_kill_max", "DiracFrame", "bracket", 3, None, None),
+    ("dirac-two-particle", "generator_bracket_gap", "dirac", "canonical_pb", 2, None, None),
+    ("dirac-two-particle", "flow_constraint_drift", "dirac", "constrained_flow", 1, _nan_state, None),
+    (
+        "wlc-dynamical-gauge",
+        "boost_residual_over_omega",
+        "dirac",
+        "wlc_residual",
+        2,
+        lambda rep: {**rep, "residual": math.nan},
+        None,
+    ),
+    ("deformed-poincare-jacobi", "jacobi_max", "DeformedPoincare", "jacobi_residual_all", 2, None, None),
+    (
+        "kernel-crosscheck",
+        "corpus_rel_dev",
+        "calc",
+        "gradient",
+        3,
+        lambda g: np.full_like(g, math.nan),
+        None,
+    ),
+    (
+        "frames-suite",
+        "projector_gap",
+        "frames",
+        "frame_tensor",
+        2,
+        lambda R: SimpleNamespace(R=np.full((4, 4), math.nan)),
+        None,
+    ),
+    ("qriccati-pauli", "closed_form_dev", "qriccati", "trail_points", 1, _nan_points, None),
+    ("qriccati-n3", "coset_dev", "qriccati", "extract_Z", 4, _nan_coset_point, None),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, metric, owner, name, nth, value, when",
+    _NAN_CASES,
+    ids=[f"{case[0]}:{case[1]}" for case in _NAN_CASES],
+)
+def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric, owner, name, nth, value, when):
+    # a NaN met after the first finite value must reach the gate, not vanish
+    # under the built-in max
+    from geored import calc, dirac, frames, lagsym, qriccati
+
+    owners = {
+        "lagsym": lagsym,
+        "dirac": dirac,
+        "calc": calc,
+        "frames": frames,
+        "qriccati": qriccati,
+        "DiracFrame": dirac.DiracFrame,
+        "DeformedPoincare": dirac.DeformedPoincare,
+    }
+    _poison(monkeypatch, owners[owner], name, nth, value, when)
+    report = run(_make_config(scenario, output_dir=str(tmp_path)))
+    assert report.error is None
+    assert math.isnan(report.metrics[metric])
+    assert report.status == "FAIL"
+
+
+def test_relativistic_free_particle_rejects_an_invalid_connection(tmp_path, monkeypatch):
+    # negative control: twice the projector is not idempotent, and the run
+    # must stop at the connection's validation rather than gate its brackets
+    from geored import lagsym
+
+    good = lagsym.relativistic_connection()
+    doubled = lagsym.ConnectionField(lambda z: [[2.0 * a for a in row] for row in good.at(z)])
+    monkeypatch.setattr(lagsym, "relativistic_connection", lambda *args: doubled)
+    report = run(_make_config("relativistic-free-particle", output_dir=str(tmp_path)))
+    assert report.status == "ERROR"
+    assert report.error["type"] == "ConnectionInvalid"

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from geored import dirac
 from geored.dirac import (
     Constraint,
     ConstraintRole,
@@ -39,6 +41,7 @@ from geored.errors import (
     OffSurface,
     SingularConstraintMatrix,
 )
+from geored.lagsym import ETA, minkowski_dot
 
 
 def model():
@@ -50,7 +53,7 @@ def single_particle_set():
 
     def K(z, tau):
         p = space.p(z, 0)
-        return space.signature.dot(p, p) - 1.0
+        return minkowski_dot(p, p) - 1.0
 
     def chi(z, tau):
         return z[space.ix(0, 0)] - tau
@@ -103,7 +106,7 @@ def test_single_particle_generator_form():
     gens = {g.label: g for g in poincare_generators(space)}
     z = np.random.default_rng(2).uniform(-1, 1, 8)
     x, p = space.x(z, 0), space.p(z, 0)
-    eta = space.signature.diag
+    eta = ETA
     for mu in range(4):
         for nu in range(mu + 1, 4):
             expected = eta[mu] * x[mu] * eta[nu] * p[nu] - eta[nu] * x[nu] * eta[mu] * p[mu]
@@ -150,7 +153,7 @@ def test_constraint_matrix_single_particle():
     def chi_px(zz, tau):
         p = space.p(zz, 0)
         x = space.x(zz, 0)
-        return space.signature.dot(p, x) - tau
+        return minkowski_dot(p, x) - tau
 
     cset2 = ConstraintSet(
         space,
@@ -317,6 +320,33 @@ def test_position_noncommutativity_tables():
         assert np.max(np.abs(T + T.T)) < 1e-12
 
 
+def _nan_on_call(monkeypatch, owner, name, nth):
+    original, count = getattr(owner, name), itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return math.nan if next(count) == nth else out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+def test_noncommutativity_keeps_a_nan_after_a_finite_bracket(monkeypatch):
+    cset, space = model()
+    z = sample_on_shell(cset, np.random.default_rng(16), (1.0, 2.0))
+    _nan_on_call(monkeypatch, dirac, "canonical_pb", 2)
+    assert math.isnan(position_noncommutativity(None, space, z)["max_abs"])
+
+
+def test_wlc_residual_keeps_a_nan_of_the_second_particle(monkeypatch):
+    cset, _ = model()
+    z = sample_on_shell(cset, np.random.default_rng(17), (1.0, 2.0))
+    # four brackets per particle: the fifth is the second particle's first
+    _nan_on_call(monkeypatch, DiracFrame, "bracket", 5)
+    report = wlc_residual(cset, np.zeros((4, 4)), 1e-4 * np.ones(4), z)
+    assert math.isfinite(report["per_particle"][0]["residual"])
+    assert math.isnan(report["residual"])
+
+
 def test_off_surface_rejected():
     cset, _ = model()
     with pytest.raises(OffSurface):
@@ -407,12 +437,12 @@ def test_singular_constraint_matrix_detected():
 
     def K(z, tau):
         p = space.p(z, 0)
-        return space.signature.dot(p, p) - 1.0
+        return minkowski_dot(p, p) - 1.0
 
     # a gauge that commutes with K: {chi, K} = 0 identically
     def chi(z, tau):
         p = space.p(z, 0)
-        return space.signature.dot(p, p) - tau
+        return minkowski_dot(p, p) - tau
 
     cset = ConstraintSet(
         space,
@@ -562,7 +592,7 @@ def test_newton_zero_energy_slope_raises():
     z = np.zeros(8)
     z[space.ip(0, 1)] = 1.0
     with pytest.raises(GeoredError, match="zero energy slope"):
-        _newton_energies(cset, z, 0.0, 1e-12)
+        _newton_energies(cset, z, 0.0)
 
 
 def test_projection_that_does_not_converge_raises():

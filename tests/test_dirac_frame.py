@@ -32,7 +32,7 @@ from geored.dirac import (
 )
 from geored.dualnum import Dual, is_dual, real_part
 from geored.errors import ConstraintDrift, DegenerateLagrangian, OffSurface
-from geored.lagsym import _apply_plan, _dot, _eliminate, _solve_generic
+from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, _solve_generic
 from geored.qriccati import UnitaryState
 
 # -- reference: the per-bracket frame -----------------------------------------
@@ -40,7 +40,7 @@ from geored.qriccati import UnitaryState
 
 def ref_pb_from_grads(space, df, dg):
     total = 0.0
-    diag = space.signature.diag
+    diag = ETA
     for alpha in range(space.particles):
         for mu in range(4):
             i, j = space.ix(alpha, mu), space.ip(alpha, mu)
@@ -105,7 +105,7 @@ class RefFrame:
         gauges = [self.cset.constraints[a] for a in self.gauge_ix]
         tau_rates = _jvp(lambda ts: [g(self.z, ts[0]) for g in gauges], [self.tau], [1.0])
         v = np.linalg.solve(A, np.asarray([-rate for rate in tau_rates]))
-        diag = space.signature.diag
+        diag = ETA
         out = np.zeros(space.dim)
         for i, s in enumerate(self.shell_ix):
             grad = self.grads[s]

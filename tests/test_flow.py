@@ -23,7 +23,6 @@ def free_3d():
         6,
         lambda x: [x[3], x[4], x[5], 0.0, 0.0, 0.0],
         FREE_NAMES,
-        label="free particle",
     )
 
 
@@ -83,7 +82,7 @@ def test_time_reversal_property():
             sys.dim, lambda x, s=sys: [-v for v in s.rhs(x)], sys.coord_names
         )
         back = integrate(rev_sys, fwd.states[-1], 0.0, horizon)
-        assert np.max(np.abs(back.states[-1] - x0)) < 10 * 1e-9, sys.label
+        assert np.max(np.abs(back.states[-1] - x0)) < 10 * 1e-9, sys.coord_names
 
 
 def test_conserved_drift_free_system():
@@ -185,6 +184,13 @@ def test_integrator_config_validation():
         integrate(harmonic(), [1.0, 0.0], 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["dt", "abs_tol", "rel_tol"])
+def test_integrator_config_rejects_non_positive_or_non_finite(field, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        IntegratorConfig(**{field: bad})
+
+
 # -- batched dense output against the per-point interpolant -------------------
 
 
@@ -218,12 +224,13 @@ def _assert_resample_matches_points(traj, ts):
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_resample_bit_identical_to_point_samples_on_catalog(tol):
     from geored import catalog
+    from geored.reduce import GRID_POINTS
 
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
     for entry in catalog.entries():
         sc = entry.scenario
         t0, t1 = entry.t_span
-        grid = np.linspace(t0, t1, sc.grid_points)
+        grid = np.linspace(t0, t1, GRID_POINTS)
         _assert_resample_matches_points(integrate(sc.system, entry.default_x0, t0, t1, cfg), grid)
         x0 = sc.quotient(entry.default_x0)
         _assert_resample_matches_points(integrate(sc.reduced, x0, t0, t1, cfg), grid)

@@ -145,6 +145,20 @@ def test_frobenius_conformal_factor_preserves_integrability():
     assert frobenius_residual(theta, _sample_points(seed=3)) < 1e-7
 
 
+def test_frobenius_residual_keeps_a_nan_after_a_finite_point():
+    # theta is NaN only at the second sample itself, so the central
+    # differences around it stay finite and the wedge product carries the NaN
+    points = _sample_points(seed=3, count=2)
+    bad = tuple(points[1])
+
+    def theta(pt):
+        if tuple(pt) == bad:
+            return np.array([math.nan, 0.0, 0.0, 0.0])
+        return np.array([math.exp(-pt[1]), 0.0, 0.0, 0.0])
+
+    assert math.isnan(frobenius_residual(theta, points))
+
+
 def test_frobenius_contact_form_fails():
     theta = lambda pt: np.array([pt[1], 0.0, 1.0, 0.0])  # x^1 dx^0 + dx^2
     assert frobenius_residual(theta, _sample_points(seed=4)) > 0.1
@@ -175,9 +189,9 @@ def test_boost_matrices_are_exact_lorentz():
     rng = np.random.default_rng(5)
     for _ in range(10):
         L = boost_matrix(rng.uniform(-2, 2), rng.uniform(-1, 1, 3))
-        assert is_lorentz(L, tol=1e-12)
+        assert is_lorentz(L)
         R = rotation_matrix_4d(rng.uniform(0, 2 * math.pi), rng.uniform(-1, 1, 3))
-        assert is_lorentz(R, tol=1e-12)
+        assert is_lorentz(R)
 
 
 def test_frame_tensor_at_point_validation():

@@ -11,9 +11,8 @@ from geored.errors import (
     DomainError,
 )
 from geored.lagsym import (
-    MINKOWSKI,
+    ETA,
     ConnectionField,
-    MetricSignature,
     TwoFormAtPoint,
     bracket_table,
     bracket_table_json,
@@ -25,8 +24,10 @@ from geored.lagsym import (
     jacobi_residual,
     kernel_basis,
     lagrangian_two_form,
+    lower,
     measured_position_brackets,
     mechanical_lagrangian,
+    minkowski_dot,
     newton_wigner_fields,
     pb_regular,
     poisson_compatibility,
@@ -301,10 +302,10 @@ def test_darboux_relations_under_connection_bracket():
     for z in timelike_points(4, seed=16):
         for i in range(3):
             for j in range(3):
-                qp = float(presymplectic_bracket(REL, CONN, Qs[i], Ps[j], z, validate=False))
+                qp = float(presymplectic_bracket(REL, CONN, Qs[i], Ps[j], z))
                 assert qp == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
-                qq = float(presymplectic_bracket(REL, CONN, Qs[i], Qs[j], z, validate=False))
-                pp = float(presymplectic_bracket(REL, CONN, Ps[i], Ps[j], z, validate=False))
+                qq = float(presymplectic_bracket(REL, CONN, Qs[i], Qs[j], z))
+                pp = float(presymplectic_bracket(REL, CONN, Ps[i], Ps[j], z))
                 assert abs(qq) < 1e-8 and abs(pp) < 1e-8
 
 
@@ -314,7 +315,7 @@ def test_velocity_brackets_vanish():
     for z in timelike_points(3, seed=17):
         for r in range(4):
             for s in range(4):
-                val = float(presymplectic_bracket(REL, CONN, vs[r], vs[s], z, validate=False))
+                val = float(presymplectic_bracket(REL, CONN, vs[r], vs[s], z))
                 assert abs(val) < 1e-10
 
 
@@ -332,22 +333,22 @@ def test_lagrangian_is_casimir():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
     for z in timelike_points(3, seed=19):
         for f in coords:
-            val = float(presymplectic_bracket(REL, CONN, REL.L, f, z, validate=False))
+            val = float(presymplectic_bracket(REL, CONN, REL.L, f, z))
             assert abs(val) < 1e-8
 
 
 def test_presymplectic_bracket_scale_invariance_on_degree_zero():
     Qs, Ps = newton_wigner_fields()
     z = timelike_points(1, seed=20)[0]
-    base = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], z, validate=False))
+    base = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], z))
     scaled = np.concatenate([z[:4], 1.7 * z[4:]])
-    again = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], scaled, validate=False))
+    again = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], scaled))
     assert again == pytest.approx(base, abs=1e-8)
 
 
 def test_presymplectic_jacobi_on_coordinate_triples():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z, validate=False)
+    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z)
     z = timelike_points(1, seed=21)[0]
     triples = [
         (coords[0], coords[1], coords[5]),
@@ -366,7 +367,7 @@ def test_poisson_compatibility_conditions():
 
 def test_bracket_table_json_schema():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z, validate=False)
+    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z)
     z = timelike_points(1, seed=23)[0]
     payload = json.loads(bracket_table_json(bracket, coords[:3], z))
     assert set(payload) == {"point", "pairs", "residuals"}
@@ -374,11 +375,17 @@ def test_bracket_table_json_schema():
     assert payload["residuals"]["antisymmetry"] < 1e-10
 
 
-def test_metric_signature_validation():
-    with pytest.raises(ValueError):
-        MetricSignature((1.0, 2.0, -1.0, -1.0))
-    assert MINKOWSKI.dot([1, 0, 0, 0], [1, 0, 0, 0]) == 1.0
-    assert MINKOWSKI.dot([0, 1, 0, 0], [0, 1, 0, 0]) == -1.0
+def test_minkowski_product_and_lowering():
+    from geored import frames
+
+    assert ETA == (1.0, -1.0, -1.0, -1.0)
+    assert np.array_equal(frames.ETA, np.diag(ETA))
+    assert minkowski_dot([1, 0, 0, 0], [1, 0, 0, 0]) == 1.0
+    assert minkowski_dot([0, 1, 0, 0], [0, 1, 0, 0]) == -1.0
+    u, v = [2.0, 0.5, -1.0, 3.0], [1.5, 2.0, 0.25, -0.5]
+    assert minkowski_dot(u, v) == 3.75
+    assert minkowski_dot(lower(u), v) == 3.0 + 1.0 - 0.25 - 1.5
+    assert lower(u) == [2.0, -0.5, 1.0, -3.0]
 
 
 def test_two_form_at_point_rejects_asymmetric():

@@ -8,6 +8,7 @@ from geored.calc import ScalarField
 from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
 from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
 from geored.reduce import (
+    GRID_POINTS,
     InvariantSurface,
     QuotientMap,
     ReductionScenario,
@@ -302,7 +303,7 @@ def test_diagram_projection_bit_identical_to_array_rows(tol):
         sc = entry.scenario
         t0, t1 = entry.t_span
         report = verify_commuting_diagram(sc, entry.default_x0, t0, t1, cfg)
-        grid = np.linspace(t0, t1, sc.grid_points)
+        grid = np.linspace(t0, t1, GRID_POINTS)
         rows = report.ambient.resample(grid)
         projected = np.asarray([sc.quotient(row) for row in rows])
         as_floats = np.asarray([sc.quotient(row) for row in rows.tolist()])
