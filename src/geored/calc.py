@@ -219,11 +219,18 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     return _pack(out, x)
 
 
-def jacobian(fields: Sequence[ScalarField], x: Sequence, scheme: DiffScheme = DUAL):
-    """Stacked gradients; row i is the gradient of ``fields[i]``.
+def jacobian(fields: Sequence[ScalarField] | Callable, x: Sequence, scheme: DiffScheme = DUAL):
+    """Stacked gradients; row i is the gradient of ``fields[i]``.  ``fields``
+    may instead be one map from the point to the sequence of its outputs,
+    whose subexpressions the outputs then share; row i is the gradient of
+    output i, and the map's arity is ``len(x)`` (DUAL mode only).
 
     In DUAL mode each seeded evaluation covers every field at once.
     """
+    if callable(fields):
+        if scheme is not DUAL:
+            raise ValueError("a map of outputs is differentiated in DUAL mode only")
+        return _dual_rows(fields, x, len(x))
     arities = {f.arity for f in fields}
     if len(arities) != 1:
         raise ValueError("all fields must share one arity")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import sys
 import time
 import traceback
@@ -246,14 +247,15 @@ def _run_relativistic_free_particle(config, rng, outdir):
             float(np.max(np.abs(proj - probe)) / (1 + np.linalg.norm(probe))),
         )
     Qs, Ps = lagsym.newton_wigner_fields()
+    frames = [lagsym.ConnectionFrame(model, conn, z) for z in pts[:5]]
     darboux_gap = 0.0
-    for z in pts[:5]:
+    for frame in frames:
         for i in range(3):
             for j in range(3):
-                qp = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z))
+                qp = float(frame.bracket(Qs[i], Ps[j]))
                 darboux_gap = nan_max(darboux_gap, abs(qp - (1.0 if i == j else 0.0)))
-                qq = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z))
-                pp = float(lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z))
+                qq = float(frame.bracket(Qs[i], Qs[j]))
+                pp = float(frame.bracket(Ps[i], Ps[j]))
                 darboux_gap = nan_max(nan_max(darboux_gap, abs(qq)), abs(pp))
     coords = lagsym.coordinate_fields(
         8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)]
@@ -262,14 +264,13 @@ def _run_relativistic_free_particle(config, rng, outdir):
     jacobi_max = 0.0
     for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
         jacobi_max = nan_max(jacobi_max, lagsym.jacobi_residual(bracket, f, g, h, z0))
+    frame0 = frames[0]  # at z0
     casimir_max = 0.0
     for f in coords:
-        casimir_max = nan_max(
-            casimir_max,
-            abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z0))),
-        )
+        casimir_max = nan_max(casimir_max, abs(float(frame0.bracket(model.L, f))))
     table_path = outdir / "bracket_table.json"
-    table_path.write_text(lagsym.bracket_table_json(bracket, coords, z0))
+    table = lagsym.bracket_table_json(lambda a, b, zz: frame0.bracket(a, b), coords, z0)
+    table_path.write_text(table)
     position_report = lagsym.measured_position_brackets(point=z0)
     pos_path = outdir / "position_brackets.json"
     pos_path.write_text(json.dumps(position_report, sort_keys=True, indent=2))
@@ -743,7 +744,7 @@ def run_all(
         configs.append(
             _make_config(
                 name,
-                seed=int(file_cfg.get("seed", seed)),
+                seed=file_cfg.get("seed", seed),
                 output_dir=output_dir,
                 rk45_tol=file_cfg.get("rk45_tol", rk45_tol),
                 params=file_cfg.get("params"),
@@ -768,13 +769,20 @@ def run_all(
 
 
 def _make_config(name, seed=0, output_dir="geored-out", rk45_tol=None, params=None, tolerances=None):
+    # a config file may hold any JSON value, and a JSON true is an int to Python
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed {seed!r} is not an integer", fields=["seed"])
+    if rk45_tol is not None and (
+        not isinstance(rk45_tol, numbers.Real) or isinstance(rk45_tol, bool)
+    ):
+        raise ConfigError(f"rk45_tol {rk45_tol!r} is not a number", fields=["rk45_tol"])
     try:
         integrator = (
             IntegratorConfig()
             if rk45_tol is None
             else IntegratorConfig(abs_tol=rk45_tol, rel_tol=rk45_tol)
         )
-    except (TypeError, ValueError) as err:  # a config file may hold any JSON value
+    except ValueError as err:
         raise ConfigError(f"rk45_tol {rk45_tol!r}: {err}", fields=["rk45_tol"])
     return ScenarioConfig(
         name=name,
@@ -836,7 +844,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     "no scenario given (flag or config file)", ["scenario"]
                 )
-            seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+            seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
             out_dir = args.out_dir or file_cfg.get("out_dir", "geored-out")
             rk45 = args.rk45_tol if args.rk45_tol is not None else file_cfg.get("rk45_tol")
             config = _make_config(

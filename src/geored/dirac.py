@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -95,10 +95,9 @@ def _grad_z(fn: Callable, z, tau):
 
 
 def _constraint_rows(cset: "ConstraintSet", z, tau) -> list:
-    """Gradients of every constraint, one row each, from one seeding in
-    which each constraint is evaluated once."""
-    fields = [ScalarField(len(z), lambda xs, fn=c.fn: fn(xs, tau)) for c in cset.constraints]
-    return _as_lists(jacobian(fields, z))
+    """Gradients of every constraint, one row each, from one seeding of the
+    set's joint map ``phi``."""
+    return _as_lists(jacobian(lambda xs: cset.phi(xs, tau), z))
 
 
 def canonical_pb(space: PhaseSpace, f, g, point, tau: float = 0.0):
@@ -179,9 +178,19 @@ class Constraint:
 
 @dataclass
 class ConstraintSet:
+    """Constraints with their labels and roles, and ``phi(z, tau)``, the map
+    to all their values in order.  A model supplies a ``phi`` that shares
+    the subexpressions of its constraints; by default ``phi`` lists each
+    constraint's own value."""
+
     space: PhaseSpace
     constraints: list[Constraint]
     potential: "InteractionPotential | None" = None
+    phi: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.phi is None:
+            self.phi = lambda z, tau: [c.fn(z, tau) for c in self.constraints]
 
     @property
     def gauges(self) -> list[Constraint]:
@@ -192,7 +201,7 @@ class ConstraintSet:
         return [c for c in self.constraints if c.role is ConstraintRole.MASS_SHELL]
 
     def values(self, z, tau) -> np.ndarray:
-        return np.asarray([float(c(list(z), tau)) for c in self.constraints])
+        return np.asarray([float(v) for v in self.phi(list(z), tau)])
 
     def require_on_surface(self, z, tau):
         vals = self.values(z, tau)
@@ -314,20 +323,56 @@ def linear_potential(lam: float = 0.1) -> InteractionPotential:
     return InteractionPotential(lambda xi: lam * xi, lambda xi: lam)
 
 
+def _relative(space: PhaseSpace, z):
+    """r = (x1 - x2)/2 and P = p1 + p2."""
+    r = [(a - b) / 2.0 for a, b in zip(space.x(z, 0), space.x(z, 1))]
+    P = [a + b for a, b in zip(space.p(z, 0), space.p(z, 1))]
+    return r, P
+
+
+def _separation(r, P):
+    """xi = r^2 - (P.r)^2 / P^2."""
+    Pr = minkowski_dot(P, r)
+    return minkowski_dot(r, r) - Pr * Pr / minkowski_dot(P, P)
+
+
+def _mean_position(space: PhaseSpace, z):
+    """X = (x1 + x2)/2."""
+    return [(a + b) / 2.0 for a, b in zip(space.x(z, 0), space.x(z, 1))]
+
+
 def invariant_separation(space: PhaseSpace):
     """xi = r^2 - (P.r)^2 / P^2 with r = (x1 - x2)/2 and P = p1 + p2."""
+    return lambda z, tau: _separation(*_relative(space, z))
 
-    def fn(z, tau):
-        x1, x2 = space.x(z, 0), space.x(z, 1)
-        p1, p2 = space.p(z, 0), space.p(z, 1)
-        r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
-        P = [a + b for a, b in zip(p1, p2)]
-        rr = minkowski_dot(r, r)
-        Pr = minkowski_dot(P, r)
-        PP = minkowski_dot(P, P)
-        return rr - Pr * Pr / PP
 
-    return fn
+def _shell(space: PhaseSpace, z, alpha: int, mass: float, v):
+    """K_alpha = p_alpha^2 - m_alpha^2 + v, with v the interaction V(xi)."""
+    p = space.p(z, alpha)
+    return minkowski_dot(p, p) - mass * mass + v
+
+
+def _mass_shells(space: PhaseSpace, masses, V: InteractionPotential):
+    """The two mass shells sharing one invariant interaction, as standalone
+    constraints, and the map (z, xi) -> [K1, K2] that evaluates V(xi) once
+    for both."""
+    xi = invariant_separation(space)
+
+    def make_shell(alpha, mass):
+        def fn(z, tau):
+            return _shell(space, z, alpha, mass, V(xi(z, tau)))
+
+        return Constraint(f"K{alpha + 1}", fn, ConstraintRole.MASS_SHELL)
+
+    def values(z, xi_value):
+        v = V(xi_value)
+        return [_shell(space, z, alpha, mass, v) for alpha, mass in enumerate(masses)]
+
+    return [make_shell(alpha, mass) for alpha, mass in enumerate(masses)], values
+
+
+def _gauges(chi1, chi2) -> list[Constraint]:
+    return [Constraint("chi1", chi1, ConstraintRole.GAUGE), Constraint("chi2", chi2, ConstraintRole.GAUGE)]
 
 
 def two_particle_model(
@@ -335,42 +380,27 @@ def two_particle_model(
 ) -> tuple[ConstraintSet, PhaseSpace]:
     """Two mass-shell constraints sharing one invariant interaction, the
     relative-time gauge P.r = 0, and the dynamical evolution gauge
-    P.(x1+x2)/2 = tau."""
+    P.(x1+x2)/2 = tau.  Its ``phi`` computes r, P and xi once."""
     space = PhaseSpace(2)
-    xi = invariant_separation(space)
-
-    def make_shell(alpha, mass):
-        def fn(z, tau):
-            p = space.p(z, alpha)
-            return minkowski_dot(p, p) - mass * mass + V(xi(z, tau))
-
-        return Constraint(f"K{alpha + 1}", fn, ConstraintRole.MASS_SHELL)
+    shells, shell_values = _mass_shells(space, (m1, m2), V)
 
     def chi1(z, tau):
-        x1, x2 = space.x(z, 0), space.x(z, 1)
-        p1, p2 = space.p(z, 0), space.p(z, 1)
-        r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
-        P = [a + b for a, b in zip(p1, p2)]
+        r, P = _relative(space, z)
         return minkowski_dot(P, r)
 
     def chi2(z, tau):
-        x1, x2 = space.x(z, 0), space.x(z, 1)
-        p1, p2 = space.p(z, 0), space.p(z, 1)
-        X = [(a + b) / 2.0 for a, b in zip(x1, x2)]
-        P = [a + b for a, b in zip(p1, p2)]
-        return minkowski_dot(P, X) - tau
+        _, P = _relative(space, z)
+        return minkowski_dot(P, _mean_position(space, z)) - tau
 
-    cset = ConstraintSet(
-        space,
-        [
-            Constraint("chi1", chi1, ConstraintRole.GAUGE),
-            Constraint("chi2", chi2, ConstraintRole.GAUGE),
-            make_shell(0, m1),
-            make_shell(1, m2),
-        ],
-        potential=V,
-    )
-    return cset, space
+    def phi(z, tau):
+        r, P = _relative(space, z)
+        return [
+            minkowski_dot(P, r),
+            minkowski_dot(P, _mean_position(space, z)) - tau,
+            *shell_values(z, _separation(r, P)),
+        ]
+
+    return ConstraintSet(space, _gauges(chi1, chi2) + shells, potential=V, phi=phi), space
 
 
 def kinematical_gauge_model(
@@ -379,7 +409,8 @@ def kinematical_gauge_model(
     """Same shells, but the evolution gauge pins the laboratory time
     difference-and-mean instead of the state of motion: chi2 = x1^0 - tau
     with chi1 = x1^0 - x2^0.  Used to document the world-line failure."""
-    base, space = two_particle_model(m1, m2, V)
+    space = PhaseSpace(2)
+    shells, shell_values = _mass_shells(space, (m1, m2), V)
 
     def chi1(z, tau):
         return z[space.ix(0, 0)] - z[space.ix(1, 0)]
@@ -387,17 +418,10 @@ def kinematical_gauge_model(
     def chi2(z, tau):
         return 0.5 * (z[space.ix(0, 0)] + z[space.ix(1, 0)]) - tau
 
-    cset = ConstraintSet(
-        space,
-        [
-            Constraint("chi1", chi1, ConstraintRole.GAUGE),
-            Constraint("chi2", chi2, ConstraintRole.GAUGE),
-            base.constraints[2],
-            base.constraints[3],
-        ],
-        potential=V,
-    )
-    return cset, space
+    def phi(z, tau):
+        return [chi1(z, tau), chi2(z, tau), *shell_values(z, _separation(*_relative(space, z)))]
+
+    return ConstraintSet(space, _gauges(chi1, chi2) + shells, potential=V, phi=phi), space
 
 
 def sample_on_shell(

@@ -340,6 +340,52 @@ def relativistic_connection(m: float = 1.0, c: float = 1.0) -> ConnectionField:
     return ConnectionField(at)
 
 
+class ConnectionFrame:
+    """Connection-bracket data at one point, built once: the connection
+    ``A.at(z)``, the weight ``L(z)``, and the horizontal lifts of the
+    position and velocity frames (``w_mu`` and ``u_mu``, columns of A).
+    For each field bracketed here the contractions of its gradient with
+    both lifts are cached per function object, so brackets at the same
+    point take one gradient per distinct field.  At a float point the
+    entries are floats, at a dual point duals (Jacobi checks nest brackets
+    there).  The connection is not validated here
+    (``ConnectionField.validate``)."""
+
+    def __init__(self, model: LagrangianModel, A: ConnectionField, point):
+        n = model.n
+        self.z = list(point)
+        rows = A.at(self.z)
+        self.weight = model.L(self.z)
+        self.w_cols = [[row[mu] for row in rows] for mu in range(n)]  # lifts of d/dx^mu
+        self.u_cols = [[row[n + mu] for row in rows] for mu in range(n)]  # lifts of d/dv^mu
+        self._lifts = {}
+
+    def lifts(self, f: ScalarField):
+        """The contractions ``[df . w_mu]`` and ``[df . u_mu]`` of ``f``."""
+        # keyed by id with the field held alive, so the id cannot be reused
+        hit = self._lifts.get(id(f))
+        if hit is None:
+            df = _grad_list(f, self.z)
+            hit = self._lifts[id(f)] = (
+                f,
+                [_dot(df, w) for w in self.w_cols],
+                [_dot(df, u) for u in self.u_cols],
+            )
+        return hit[1], hit[2]
+
+    def bracket(self, f: ScalarField, g: ScalarField):
+        """The bivector pairs the horizontal lifts of the position and
+        velocity frames with the metric contraction (required for Lorentz
+        invariance), weighted by the (Casimir) Lagrangian; oriented so the
+        canonical chart of the motion manifold satisfies {Q^i, P^j} = +delta."""
+        fw, fu = self.lifts(f)
+        gw, gu = self.lifts(g)
+        total = 0.0
+        for d, fw_mu, fu_mu, gw_mu, gu_mu in zip(ETA, fw, fu, gw, gu):
+            total = total + d * (fw_mu * gu_mu - fu_mu * gw_mu)
+        return self.weight * total
+
+
 def presymplectic_bracket(
     model: LagrangianModel,
     A: ConnectionField,
@@ -347,26 +393,9 @@ def presymplectic_bracket(
     g: ScalarField,
     point,
 ):
-    """Bracket of the degenerate model through the connection: the bivector
-    pairs the horizontal lifts of the position and velocity frames with the
-    metric contraction (required for Lorentz invariance), weighted by the
-    (Casimir) Lagrangian; oriented so the canonical chart of the motion
-    manifold satisfies {Q^i, P^j} = +delta.  The connection is not
-    validated here (``ConnectionField.validate``)."""
-    n = model.n
-    z = list(point)
-    rows = A.at(z)
-    weight = model.L(z)
-    df = _grad_list(f, z)
-    dg = _grad_list(g, z)
-    total = 0.0
-    for mu in range(n):
-        u_col = [rows[r][n + mu] for r in range(2 * n)]  # lift of d/dv^mu
-        w_col = [rows[r][mu] for r in range(2 * n)]  # lift of d/dx^mu
-        total = total + ETA[mu] * (
-            _dot(df, w_col) * _dot(dg, u_col) - _dot(df, u_col) * _dot(dg, w_col)
-        )
-    return weight * total
+    """Bracket of the degenerate model through the connection at one point;
+    see ``ConnectionFrame.bracket``."""
+    return ConnectionFrame(model, A, point).bracket(f, g)
 
 
 def jacobi_residual(bracket: Callable, f: ScalarField, g: ScalarField, h: ScalarField, point) -> float:
@@ -463,8 +492,10 @@ def measured_position_brackets(m: float = 1.0, c: float = 1.0, point=None) -> di
     coords = coordinate_fields(2 * n, [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
     xs, vs = coords[:n], coords[n:]
 
+    frame = ConnectionFrame(model, A, z)
+
     def br(f, g):
-        return float(presymplectic_bracket(model, A, f, g, z))
+        return float(frame.bracket(f, g))
 
     vv = np.array([[br(vs[r], vs[s]) for s in range(n)] for r in range(n)])
     vx = np.array([[br(vs[r], xs[s]) for s in range(n)] for r in range(n)])

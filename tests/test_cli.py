@@ -127,6 +127,29 @@ def test_bad_rk45_tol_in_config_files_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "one").exists() and not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("rk45_tol", True)])
+@pytest.mark.parametrize("command", ["run", "run-all"])
+def test_mistyped_config_file_value_is_a_config_error(tmp_path, monkeypatch, capsys, command, key, value):
+    # a string is no seed, and a JSON true is no tolerance (Python reads it as 1)
+    from geored import cli as cli_mod
+
+    spec = cli_mod.REGISTRY["riccati-classical"]
+    monkeypatch.setattr(cli_mod, "REGISTRY", {spec.name: spec})
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    cfg = configs / f"{spec.name}.json"
+    out = tmp_path / "out"
+    if command == "run":
+        cfg.write_text(json.dumps({"scenario": spec.name, key: value}))
+        argv = ["run", "--config", str(cfg), "--out-dir", str(out)]
+    else:
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["run-all", "--configs-dir", str(configs), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -274,16 +297,16 @@ _NAN_CASES = [
         lambda basis: [np.full(8, math.nan)] + basis[1:],
         None,
     ),
-    ("relativistic-free-particle", "darboux_gap", "lagsym", "presymplectic_bracket", 2, None, None),
+    ("relativistic-free-particle", "darboux_gap", "ConnectionFrame", "bracket", 2, None, None),
     ("relativistic-free-particle", "jacobi_max", "lagsym", "jacobi_residual", 2, None, None),
     (
         "relativistic-free-particle",
         "casimir_max",
-        "lagsym",
-        "presymplectic_bracket",
+        "ConnectionFrame",
+        "bracket",
         2,
         None,
-        lambda model, conn, f, g, z: f is model.L,
+        lambda frame, f, g: f.label == "sqrt",  # the Lagrangian's field
     ),
     ("dirac-two-particle", "constraint_kill_max", "DiracFrame", "bracket", 3, None, None),
     ("dirac-two-particle", "generator_bracket_gap", "dirac", "canonical_pb", 2, None, None),
@@ -338,6 +361,7 @@ def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric,
         "frames": frames,
         "qriccati": qriccati,
         "DiracFrame": dirac.DiracFrame,
+        "ConnectionFrame": lagsym.ConnectionFrame,
         "DeformedPoincare": dirac.DeformedPoincare,
     }
     _poison(monkeypatch, owners[owner], name, nth, value, when)

@@ -227,6 +227,69 @@ def test_nested_dual_jacobi_bracket_bit_identical():
         assert dual_bits(frame.bracket(a, b)) == dual_bits(ref.bracket(a, b))
 
 
+# -- the joint constraint map ----------------------------------------------------
+
+
+def kinematical():
+    return dirac.kinematical_gauge_model(1.0, 2.0, linear_potential(0.1))
+
+
+# each gauge model with its on-shell sampler
+GAUGE_MODELS = {
+    "dynamical": (model, sample_on_shell),
+    "kinematical": (kinematical, dirac.sample_on_shell_kinematical),
+}
+
+
+def model_point(name, seed):
+    make, sample = GAUGE_MODELS[name]
+    cset, _ = make()
+    return cset, sample(cset, np.random.default_rng(seed), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", GAUGE_MODELS)
+def test_phi_bit_identical_to_constraint_fns(name):
+    cset, z = model_point(name, 41)
+    rng = np.random.default_rng(41)
+    off = (z + rng.uniform(-0.1, 0.1, 16)).tolist()
+    scalar = [Dual(v, float(t)) for v, t in zip(z, rng.uniform(-1, 1, 16))]
+    vector = [Dual(v, row) for v, row in zip(off, np.eye(16))]
+    nested = [Dual(d, Dual(float(t), 0.0)) for d, t in zip(scalar, rng.uniform(-1, 1, 16))]
+    for point in (z.tolist(), off, scalar, vector, nested):
+        for tau in (0.0, 0.3):
+            got = cset.phi(point, tau)
+            want = [c.fn(point, tau) for c in cset.constraints]
+            assert [dual_bits(v) for v in got] == [dual_bits(v) for v in want]
+    assert bits(cset.values(off, 0.3)) == bits([float(c(off, 0.3)) for c in cset.constraints])
+
+
+@pytest.mark.parametrize("name", GAUGE_MODELS)
+def test_constraint_rows_evaluate_xi_once_per_seeding(monkeypatch, name):
+    cset, z = model_point(name, 42)
+    separation, calls = dirac._separation, []
+    monkeypatch.setattr(dirac, "_separation", lambda r, P: calls.append(1) or separation(r, P))
+    rows = dirac._constraint_rows(cset, z, 0.0)
+    assert len(calls) == 1  # one vector-mode seeding at a float point
+    want = [ref_grad(c.fn, list(z), 0.0) for c in cset.constraints]
+    assert bits(rows) == bits(want)
+    del calls[:]
+    zd = [Dual(float(v), 0.5) for v in z]
+    rows = dirac._constraint_rows(cset, zd, 0.0)
+    assert len(calls) == 16  # one scalar seeding per direction at a dual point
+    want = [ref_grad(c.fn, zd, 0.0) for c in cset.constraints]
+    assert [[dual_bits(v) for v in row] for row in rows] == [
+        [dual_bits(v) for v in row] for row in want
+    ]
+
+
+def test_a_set_of_separate_constraints_maps_to_their_values():
+    cset, _ = model()
+    again = ConstraintSet(cset.space, list(cset.constraints))
+    z = sample_on_shell(cset, np.random.default_rng(43), (1.0, 2.0)).tolist()
+    assert bits(again.phi(z, 0.2)) == bits([c.fn(z, 0.2) for c in cset.constraints])
+    assert bits(dirac._constraint_rows(again, z, 0.2)) == bits(dirac._constraint_rows(cset, z, 0.2))
+
+
 # -- elimination plans ----------------------------------------------------------
 
 

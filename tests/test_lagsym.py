@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from geored import lagsym
 from geored.calc import CENTRAL, DUAL, ScalarField, gradient, jacobian
 from geored.errors import (
     ConnectionInvalid,
     DegenerateLagrangian,
     DomainError,
 )
+from geored.dualnum import is_dual
 from geored.lagsym import (
     ETA,
     ConnectionField,
+    ConnectionFrame,
     TwoFormAtPoint,
     bracket_table,
     bracket_table_json,
@@ -321,12 +324,17 @@ def test_velocity_brackets_vanish():
 
 def test_position_brackets_proportional_to_boost_combination():
     z = timelike_points(1, seed=18)[0]
-    report = measured_position_brackets(m=1.0, c=1.0, point=z)
-    assert report["vv_max_abs"] < 1e-10
-    # one scalar prefactor across all index pairs
-    assert report["xx_prefactor_spread"] < 1e-8 * (1 + abs(report["xx_prefactor_measured"]))
-    # the published closed form is reported alongside, not asserted
-    assert "xx_prefactor_published_form" in report
+    for m, c in ((1.0, 1.0), (1.7, 0.6)):
+        report = measured_position_brackets(m=m, c=c, point=z)
+        assert report["vv_max_abs"] < 1e-10
+        # one scalar prefactor across all index pairs
+        assert report["xx_prefactor_spread"] < 1e-8 * (1 + abs(report["xx_prefactor_measured"]))
+        # in this orientation the prefactor is -m^2 c^2 / L (README,
+        # "Conventions"); the published closed form has the opposite sign
+        L = m * c * math.sqrt(minkowski_dot(z[4:], z[4:]))
+        derived = -m * m * c * c / L
+        assert report["xx_prefactor_measured"] == pytest.approx(derived, rel=1e-10)
+        assert report["xx_prefactor_published_form"] == pytest.approx(-derived, rel=1e-10)
 
 
 def test_lagrangian_is_casimir():
@@ -357,6 +365,86 @@ def test_presymplectic_jacobi_on_coordinate_triples():
     ]
     for f, g, h in triples:
         assert jacobi_residual(bracket, f, g, h, z) < 1e-6
+
+
+# -- the connection frame ------------------------------------------------------
+
+
+def ref_presymplectic_bracket(model, A, f, g, point):
+    """The per-call bracket the frame replaced: the connection, the weight
+    and both gradients rebuilt for every bracket."""
+    n = model.n
+    z = list(point)
+    rows = A.at(z)
+    weight = model.L(z)
+    df = list(gradient(f, z))
+    dg = list(gradient(g, z))
+    total = 0.0
+    for mu in range(n):
+        u_col = [rows[r][n + mu] for r in range(2 * n)]
+        w_col = [rows[r][mu] for r in range(2 * n)]
+        total = total + ETA[mu] * (
+            lagsym._dot(df, w_col) * lagsym._dot(dg, u_col)
+            - lagsym._dot(df, u_col) * lagsym._dot(dg, w_col)
+        )
+    return weight * total
+
+
+def bits(v):
+    """Real part and every tangent slot of a float or (nested) dual."""
+    if is_dual(v):
+        return (bits(v.a), bits(v.b))
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _frame_fields():
+    Qs, Ps = newton_wigner_fields()
+    coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
+    return Qs + Ps + coords + [REL.L]
+
+
+def test_connection_frame_equals_per_call_bracket_at_float_points():
+    fields = _frame_fields()
+    for z in timelike_points(3, seed=24):
+        frame = ConnectionFrame(REL, CONN, z)
+        for f in fields:
+            for g in fields:
+                got = frame.bracket(f, g)
+                want = ref_presymplectic_bracket(REL, CONN, f, g, z)
+                assert got == want and bits(got) == bits(want), (f.label, g.label)
+        assert bits(presymplectic_bracket(REL, CONN, f, g, z)) == bits(got)
+
+
+def test_connection_frame_equals_per_call_bracket_at_nested_dual_points():
+    coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
+    z = timelike_points(1, seed=25)[0]
+    points = []
+
+    def checked(a, b, zz):
+        got = ConnectionFrame(REL, CONN, zz).bracket(a, b)
+        assert bits(got) == bits(ref_presymplectic_bracket(REL, CONN, a, b, zz))
+        points.append(is_dual(zz[0]))
+        return got
+
+    ref = lambda a, b, zz: ref_presymplectic_bracket(REL, CONN, a, b, zz)
+    for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
+        got = jacobi_residual(checked, f, g, h, z)
+        assert bits(got) == bits(jacobi_residual(ref, f, g, h, z))
+    # the inner brackets ran at the dual points of the outer gradients, once
+    # for the frame and once for the reference
+    assert points.count(False) == 6 and points.count(True) == 12
+
+
+def test_connection_frame_takes_one_gradient_per_field(monkeypatch):
+    grad_list, calls = lagsym._grad_list, []
+    monkeypatch.setattr(lagsym, "_grad_list", lambda f, z: calls.append(f) or grad_list(f, z))
+    fields = _frame_fields()
+    frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=26)[0])
+    for f in fields:
+        for g in fields:
+            frame.bracket(f, g)
+    assert len(calls) == len(fields)
+    assert [id(f) for f in calls] == [id(f) for f in fields]
 
 
 def test_poisson_compatibility_conditions():
