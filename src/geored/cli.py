@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import sys
 import time
@@ -65,8 +66,6 @@ class RunReport:
             body["error"] = self.error
         return body
 
-    def to_json(self) -> str:
-        return json.dumps(self.body(), sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,11 @@ class ScenarioSpec:
     refs: tuple[str, ...]
     tolerances: dict  # metric name -> max allowed value (gated)
     runner: object  # (config, rng, outdir) -> (metrics, artifacts, partial)
+
+
+def _write_json(path: Path, payload) -> None:
+    """The one format of every JSON artifact and report."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _rng_for(name: str, seed: int) -> np.random.Generator:
@@ -100,20 +104,17 @@ def _run_catalog_entry(entry_name):
         csv_path = outdir / "ambient.csv"
         report.ambient.to_csv(csv_path)
         diag_path = outdir / "diagram.json"
-        diag_path.write_text(report.to_json())
+        _write_json(diag_path, report.body())
         scen_path = outdir / "scenario.json"
-        scen_path.write_text(
-            json.dumps(
-                {
-                    "name": entry.name,
-                    "x0": [float(v) for v in entry.default_x0],
-                    "t_span": list(entry.t_span),
-                    "tolerances": TOLERANCES,
-                    "notes": entry.notes,
-                },
-                sort_keys=True,
-                indent=2,
-            )
+        _write_json(
+            scen_path,
+            {
+                "name": entry.name,
+                "x0": [float(v) for v in entry.default_x0],
+                "t_span": list(entry.t_span),
+                "tolerances": TOLERANCES,
+                "notes": entry.notes,
+            },
         )
         return (
             {"max_dev": report.max_dev},
@@ -149,17 +150,14 @@ def _run_radial_time_dependent(config, rng, outdir):
         2.0, [1.0, 0.0, 0.0, 0.0, np.sqrt(3.0), 0.0], cfg=config.integrator
     )
     payload = outdir / "consistency.json"
-    payload.write_text(
-        json.dumps(
-            {
-                "static_stratum_dev": static_dev,
-                "generic_data_dev": generic_dev,
-                "note": "generic deviation quantifies the published equation's "
-                "suspect term; reported, not gated",
-            },
-            sort_keys=True,
-            indent=2,
-        )
+    _write_json(
+        payload,
+        {
+            "static_stratum_dev": static_dev,
+            "generic_data_dev": generic_dev,
+            "note": "generic deviation quantifies the published equation's "
+            "suspect term; reported, not gated",
+        },
     )
     return (
         {"static_stratum_dev": static_dev, "generic_data_dev": generic_dev},
@@ -260,20 +258,18 @@ def _run_relativistic_free_particle(config, rng, outdir):
     coords = lagsym.coordinate_fields(
         8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)]
     )
-    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(model, conn, a, b, zz)
+    frame0 = frames[0]  # at z0
     jacobi_max = 0.0
     for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
-        jacobi_max = nan_max(jacobi_max, lagsym.jacobi_residual(bracket, f, g, h, z0))
-    frame0 = frames[0]  # at z0
+        jacobi_max = nan_max(jacobi_max, lagsym.jacobi_residual(frame0, f, g, h))
     casimir_max = 0.0
     for f in coords:
         casimir_max = nan_max(casimir_max, abs(float(frame0.bracket(model.L, f))))
     table_path = outdir / "bracket_table.json"
-    table = lagsym.bracket_table_json(lambda a, b, zz: frame0.bracket(a, b), coords, z0)
-    table_path.write_text(table)
-    position_report = lagsym.measured_position_brackets(point=z0)
+    _write_json(table_path, lagsym.bracket_table(frame0, coords))
+    position_report = lagsym.measured_position_brackets(z0)
     pos_path = outdir / "position_brackets.json"
-    pos_path.write_text(json.dumps(position_report, sort_keys=True, indent=2))
+    _write_json(pos_path, position_report)
     return (
         {
             "energy_max": energy_max,
@@ -290,10 +286,19 @@ def _run_relativistic_free_particle(config, rng, outdir):
     )
 
 
+_TWO_PARTICLE = {"lambda": 0.1, "m1": 1.0, "m2": 2.0}
+# the params each scenario reads, with their defaults; any other scenario
+# reads none
+PARAMS = {
+    "dirac-two-particle": _TWO_PARTICLE,
+    "dirac-two-particle-noncommuting-positions": _TWO_PARTICLE,
+    "wlc-dynamical-gauge": _TWO_PARTICLE,
+}
+
+
 def _two_particle(config):
-    lam = float(config.params.get("lambda", 0.1))
-    m1 = float(config.params.get("m1", 1.0))
-    m2 = float(config.params.get("m2", 2.0))
+    params = {**PARAMS[config.name], **config.params}
+    lam, m1, m2 = (float(params[key]) for key in ("lambda", "m1", "m2"))
     return dirac.two_particle_model(m1, m2, dirac.linear_potential(lam)), (m1, m2)
 
 
@@ -306,6 +311,8 @@ def _run_dirac_two_particle(config, rng, outdir):
     gens = dirac.poincare_generators(space)
     for k, z in enumerate(points):
         frame = dirac.DiracFrame(cset, z)
+        if k == 0:
+            frame0 = frame  # the Jacobi and determinant checks run on it too
         for c in cset.constraints:
             for f in xs:
                 kill_max = nan_max(kill_max, abs(float(frame.bracket(f, c.fn))))
@@ -315,19 +322,14 @@ def _run_dirac_two_particle(config, rng, outdir):
             pb = float(dirac.canonical_pb(space, gens[i].fn, gens[j].fn, z))
             db = float(frame.bracket(gens[i].fn, gens[j].fn))
             gen_gap = nan_max(gen_gap, abs(pb - db))
-    z = points[0]
     coords = lagsym.coordinate_fields(space.dim)
     jacobi_max = lagsym.jacobi_residual(
-        lambda a, b, zz: dirac.dirac_bracket(cset, a, b, zz),
-        coords[space.ix(0, 1)],
-        coords[space.ix(0, 2)],
-        coords[space.ip(0, 1)],
-        z,
+        frame0, coords[space.ix(0, 1)], coords[space.ix(0, 2)], coords[space.ip(0, 1)]
     )
-    det_report = dirac.published_constraint_matrix(cset, z)
+    det_report = dirac.published_constraint_matrix(frame0)
     det_path = outdir / "constraint_matrix.json"
-    det_path.write_text(json.dumps(det_report, sort_keys=True, indent=2))
-    traj = dirac.constrained_flow(cset, z, (0.0, 3.0), config.integrator)
+    _write_json(det_path, det_report)
+    traj = dirac.constrained_flow(cset, points[0], (0.0, 3.0), config.integrator)
     flow_path = outdir / "constrained_flow.csv"
     traj.to_csv(flow_path, time_label="tau")
     flow_drift = 0.0
@@ -353,15 +355,12 @@ def _run_noncommuting_positions(config, rng, outdir):
     constrained = dirac.position_noncommutativity(cset, space, z)
     free = dirac.position_noncommutativity(None, space, z)
     path = outdir / "position_tables.json"
-    path.write_text(
-        json.dumps(
-            {
-                "constrained": [T.tolist() for T in constrained["tables"]],
-                "canonical": [T.tolist() for T in free["tables"]],
-            },
-            sort_keys=True,
-            indent=2,
-        )
+    _write_json(
+        path,
+        {
+            "constrained": [T.tolist() for T in constrained["tables"]],
+            "canonical": [T.tolist() for T in free["tables"]],
+        },
     )
     # gate: canonical must vanish; the Dirac table must NOT (inverse metric)
     witness = 1.0 / constrained["max_abs"] if constrained["max_abs"] > 0 else np.inf
@@ -378,7 +377,7 @@ def _run_noncommuting_positions(config, rng, outdir):
 
 def _run_wlc(config, rng, outdir):
     (cset, space), masses = _two_particle(config)
-    z = dirac.sample_on_shell(cset, rng, masses)
+    frame = dirac.DiracFrame(cset, dirac.sample_on_shell(cset, rng, masses))
     scale = 1e-4
     worst_ratio = 0.0
     rows = []
@@ -389,12 +388,12 @@ def _run_wlc(config, rng, outdir):
                 omega[mu, nu] = rng.uniform(-1, 1) * scale
                 omega[nu, mu] = -omega[mu, nu]
         norm = float(np.max(np.abs(omega)))
-        report = dirac.wlc_residual(cset, omega, np.zeros(4), z)
+        report = dirac.wlc_residual(frame, omega, np.zeros(4))
         worst_ratio = nan_max(worst_ratio, report["residual"] / norm)
         rows.append({"omega_norm": norm, "residual": report["residual"]})
-    trans = dirac.wlc_residual(cset, np.zeros((4, 4)), rng.uniform(-1, 1, 4) * scale, z)
+    trans = dirac.wlc_residual(frame, np.zeros((4, 4)), rng.uniform(-1, 1, 4) * scale)
     path = outdir / "wlc.json"
-    path.write_text(json.dumps({"boosts": rows, "translation": trans}, sort_keys=True, indent=2))
+    _write_json(path, {"boosts": rows, "translation": trans})
     return (
         {
             "boost_residual_over_omega": worst_ratio,
@@ -408,23 +407,11 @@ def _run_wlc(config, rng, outdir):
 def _run_deformed_poincare(config, rng, outdir):
     worst = 0.0
     for K in (0.1, 1.0, 100.0):
-        alg = dirac.deformed_poincare(K)
-        worst = nan_max(worst, alg.jacobi_residual_all())
-    a, b = dirac.deformed_poincare(1.0), dirac.deformed_poincare(10.0)
+        worst = nan_max(worst, dirac.jacobi_residual(dirac.DeformedPoincare(K).C))
+    a, b = dirac.DeformedPoincare(1.0), dirac.DeformedPoincare(10.0)
     scaling_gap = float(np.max(np.abs(a.position_block() - 10.0 * b.position_block())))
     path = outdir / "structure.json"
-    alg = dirac.deformed_poincare(1.0)
-    path.write_text(
-        json.dumps(
-            {
-                "basis": alg.labels,
-                "jacobi_max": worst,
-                "scaling_gap": scaling_gap,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    _write_json(path, {"basis": a.labels, "jacobi_max": worst, "scaling_gap": scaling_gap})
     return {"jacobi_max": worst, "scaling_gap": scaling_gap}, [path.name], False
 
 
@@ -455,8 +442,6 @@ def _run_kernel_crosscheck(config, rng, outdir):
             gc = gradient(f, x, CENTRAL)
             rel = float(np.max(np.abs(gd - gc)) / (1.0 + np.max(np.abs(gd))))
             worst = nan_max(worst, rel)
-
-    import math
 
     from geored.flow import VectorFieldSystem
 
@@ -676,15 +661,45 @@ def list_scenarios() -> list[dict]:
     return out
 
 
-def run(config: ScenarioConfig) -> RunReport:
+def _is_finite_number(value) -> bool:
+    """A finite real number and no bool: a JSON true is an int to Python."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_config(config: ScenarioConfig) -> None:
+    """Raise unless the scenario exists, every tolerance override names one
+    of its gates with a finite number no looser than the gate, and every
+    param is one the scenario reads, with a finite number."""
     if config.name not in REGISTRY:
         raise UnknownScenario(config.name)
-    spec = REGISTRY[config.name]
-    for key in config.tolerances:
-        if key not in spec.tolerances:
+    gates = REGISTRY[config.name].tolerances
+    for key, value in config.tolerances.items():
+        if key not in gates:
             raise ConfigError(
                 f"unknown tolerance override {key!r} for {config.name}", fields=[key]
             )
+        if not _is_finite_number(value) or value > gates[key]:
+            raise ConfigError(
+                f"tolerance override {key}={value!r} for {config.name} must be a "
+                f"finite number no looser than the gate {gates[key]:g}",
+                fields=[key],
+            )
+    readable = PARAMS.get(config.name, {})
+    for key, value in config.params.items():
+        if key not in readable:
+            raise ConfigError(f"{config.name} reads no param {key!r}", fields=[key])
+        if not _is_finite_number(value):
+            raise ConfigError(f"param {key}={value!r} is not a finite number", fields=[key])
+
+
+def run(config: ScenarioConfig) -> RunReport:
+    _check_config(config)
+    spec = REGISTRY[config.name]
     gates = {**spec.tolerances, **config.tolerances}
     outdir = Path(config.output_dir) / config.name
     outdir.mkdir(parents=True, exist_ok=True)
@@ -719,7 +734,7 @@ def run(config: ScenarioConfig) -> RunReport:
         wall_time=wall,
         error=error,
     )
-    (outdir / "report.json").write_text(report.to_json())
+    _write_json(outdir / "report.json", report.body())
     return report
 
 
@@ -740,7 +755,7 @@ def run_all(
         if configs_dir:
             candidate = Path(configs_dir) / f"{name}.json"
             if candidate.exists():
-                file_cfg = _load_config_file(str(candidate))
+                file_cfg = _load_config_file(str(candidate), _RUN_ALL_KEYS)
         configs.append(
             _make_config(
                 name,
@@ -764,18 +779,17 @@ def run_all(
     }
     path = Path(output_dir) / "summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2))
+    _write_json(path, summary)
     return summary
 
 
 def _make_config(name, seed=0, output_dir="geored-out", rk45_tol=None, params=None, tolerances=None):
-    # a config file may hold any JSON value, and a JSON true is an int to Python
+    """A checked configuration (``_check_config``); a config file may hold
+    any JSON value."""
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed {seed!r} is not an integer", fields=["seed"])
-    if rk45_tol is not None and (
-        not isinstance(rk45_tol, numbers.Real) or isinstance(rk45_tol, bool)
-    ):
-        raise ConfigError(f"rk45_tol {rk45_tol!r} is not a number", fields=["rk45_tol"])
+    if rk45_tol is not None and not _is_finite_number(rk45_tol):
+        raise ConfigError(f"rk45_tol {rk45_tol!r} is not a finite number", fields=["rk45_tol"])
     try:
         integrator = (
             IntegratorConfig()
@@ -784,7 +798,10 @@ def _make_config(name, seed=0, output_dir="geored-out", rk45_tol=None, params=No
         )
     except ValueError as err:
         raise ConfigError(f"rk45_tol {rk45_tol!r}: {err}", fields=["rk45_tol"])
-    return ScenarioConfig(
+    for key, value in (("params", params), ("tolerances", tolerances)):
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{key} {value!r} is not an object", fields=[key])
+    config = ScenarioConfig(
         name=name,
         seed=seed,
         params=params or {},
@@ -792,16 +809,33 @@ def _make_config(name, seed=0, output_dir="geored-out", rk45_tol=None, params=No
         tolerances=tolerances or {},
         output_dir=output_dir,
     )
+    _check_config(config)
+    return config
 
 
-def _load_config_file(path: str) -> dict:
+# the keys of a config file: a run-all file is named after its scenario and
+# writes under the run-all output directory
+_RUN_ALL_KEYS = ("seed", "rk45_tol", "params", "tolerances")
+_RUN_KEYS = ("scenario", "out_dir") + _RUN_ALL_KEYS
+
+
+def _load_config_file(path: str, keys: tuple) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", fields=["config"])
     except json.JSONDecodeError as err:
         raise ConfigError(f"malformed config file: {err}", fields=["config"])
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} does not hold an object", fields=["config"])
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown keys {unknown} in config file {path} (allowed: {', '.join(keys)})",
+            fields=unknown,
+        )
+    return cfg
 
 
 def _print_status(report: RunReport) -> None:
@@ -838,7 +872,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            file_cfg = _load_config_file(args.config) if args.config else {}
+            file_cfg = _load_config_file(args.config, _RUN_KEYS) if args.config else {}
             name = args.scenario or file_cfg.get("scenario")
             if not name:
                 raise ConfigError(

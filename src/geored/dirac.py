@@ -78,6 +78,7 @@ def as_phase_fn(f) -> Callable:
     return f
 
 
+@functools.cache  # one object per coordinate, so frames share its gradient
 def coordinate_fn(space: PhaseSpace, kind: str, alpha: int, mu: int) -> Callable:
     idx = space.ix(alpha, mu) if kind == "x" else space.ip(alpha, mu)
     return lambda z, tau: z[idx]
@@ -219,10 +220,13 @@ class DiracFrame:
     Python float lists, at a dual point lists of duals.  The first bracket
     checks the conditioning of the matrix, except at dual points (Jacobi
     checks nest brackets there), and eliminates it once for every later
-    bracket."""
+    bracket.  ``at(point)`` builds the frame of the same set and tau at
+    another point; it holds no reference to this frame, so a field built
+    over it and cached here forms no cycle."""
 
     def __init__(self, cset: ConstraintSet, point, tau: float = 0.0):
         self.cset, self.z, self.tau = cset, list(point), tau
+        self.at = functools.partial(DiracFrame, cset, tau=tau)
         self.grads = _constraint_rows(cset, self.z, tau)
         self._grads = {id(c.fn): (c.fn, row) for c, row in zip(cset.constraints, self.grads)}
         k = len(self.grads)
@@ -288,13 +292,6 @@ class DiracFrame:
                 out[i] += c * grad[j]
                 out[j] -= c * grad[i]
         return np.array(out), v
-
-
-def constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) -> np.ndarray:
-    """The gauge-versus-shell block {chi_i, K_j} evaluated on the surface."""
-    z = list(point)
-    cset.require_on_surface(z, tau)
-    return DiracFrame(cset, z, tau).gauge_shell_block()
 
 
 def dirac_bracket(cset: ConstraintSet, f, g, point, tau: float = 0.0):
@@ -578,29 +575,22 @@ def poincare_transformation_fn(space: PhaseSpace, omega: np.ndarray, a: np.ndarr
     return fn
 
 
-def wlc_residual(
-    cset: ConstraintSet,
-    omega: np.ndarray,
-    a: np.ndarray,
-    point,
-    tau: float = 0.0,
-) -> dict:
-    """World-line condition residual for an infinitesimal transformation.
+def wlc_residual(frame: DiracFrame, omega: np.ndarray, a: np.ndarray) -> dict:
+    """World-line condition residual at ``frame.z`` for an infinitesimal
+    transformation.
 
     Compares the Dirac-bracket action of the generator on each position
     with the geometric action plus a per-particle reparametrization found
     by scalar least squares along the flow direction; the residual is the
     post-fit maximum component mismatch.
     """
-    space = cset.space
+    space, z = frame.cset.space, frame.z
     omega = np.asarray(omega, dtype=float)
     a = np.asarray(a, dtype=float)
     if not np.max(np.abs(omega + omega.T)) <= 1e-15:
         raise ValueError("omega must be antisymmetric")
-    z = list(point)
-    cset.require_on_surface(z, tau)
+    frame.cset.require_on_surface(z, frame.tau)
     G = poincare_transformation_fn(space, omega, a)
-    frame = DiracFrame(cset, z, tau)
     flow, _ = frame.flow_rhs()
     per_particle = []
     for alpha in range(space.particles):
@@ -626,9 +616,9 @@ def wlc_residual(
 # -- published two-particle matrix, for side-by-side reporting ---------------
 
 
-def published_constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) -> dict:
+def published_constraint_matrix(frame: DiracFrame) -> dict:
     """The gauge-shell bracket block as published, next to the one computed
-    from first principles.
+    from first principles at ``frame.z``, which must be on the surface.
 
     The published entries and determinant (with the stray factors they
     carry) are reproduced verbatim for comparison; the first-principles
@@ -645,8 +635,9 @@ def published_constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) ->
     block once the terms that vanish on the surface (Pr^2/P^4) or drop out
     of the brackets (V') are removed and the sign of {chi1, K2} is flipped.
     """
+    cset, z = frame.cset, frame.z
+    cset.require_on_surface(z, frame.tau)
     space = cset.space
-    z = list(point)
     p1 = [float(v) for v in space.p(z, 0)]
     p2 = [float(v) for v in space.p(z, 1)]
     x1 = [float(v) for v in space.x(z, 0)]
@@ -665,7 +656,7 @@ def published_constraint_matrix(cset: ConstraintSet, point, tau: float = 0.0) ->
         ]
     )
     printed_det = (p1p1 - p2p2) * (Pr**2 / PP**2 - 2.0 * vprime / PP**2)
-    measured = constraint_matrix(cset, z, tau)
+    measured = frame.gauge_shell_block()
     return {
         "measured": measured.tolist(),
         "measured_det": float(np.linalg.det(measured)),
@@ -724,10 +715,6 @@ class DeformedPoincare:
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
 
-    @property
-    def dim(self) -> int:
-        return 10
-
     def _l_vec(self, mu: int, nu: int) -> np.ndarray:
         out = np.zeros(10)
         if mu == nu:
@@ -776,9 +763,6 @@ class DeformedPoincare:
         """[u, v] for coefficient vectors on the basis: u^i v^j C_ij^k."""
         return np.einsum("i,j,ijk->k", u, v, self.C)
 
-    def jacobi_residual_all(self) -> float:
-        return jacobi_residual(self.C)
-
     def position_block(self) -> np.ndarray:
         """Coefficients of {x_rho, x_sigma} on the Lorentz basis; scales as
         1/K exactly."""
@@ -796,7 +780,3 @@ def jacobi_residual(C: np.ndarray) -> float:
     total = T + T.transpose(1, 2, 0, 3)
     total += T.transpose(2, 0, 1, 3)
     return float(np.abs(total, out=total).max())
-
-
-def deformed_poincare(K: float) -> DeformedPoincare:
-    return DeformedPoincare(K)

@@ -14,7 +14,7 @@ independent.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -349,11 +349,14 @@ class ConnectionFrame:
     point take one gradient per distinct field.  At a float point the
     entries are floats, at a dual point duals (Jacobi checks nest brackets
     there).  The connection is not validated here
-    (``ConnectionField.validate``)."""
+    (``ConnectionField.validate``).  ``at(point)`` builds the frame of the
+    same model and connection at another point; it holds no reference to
+    this frame, so a field built over it and cached here forms no cycle."""
 
     def __init__(self, model: LagrangianModel, A: ConnectionField, point):
         n = model.n
         self.z = list(point)
+        self.at = functools.partial(ConnectionFrame, model, A)
         rows = A.at(self.z)
         self.weight = model.L(self.z)
         self.w_cols = [[row[mu] for row in rows] for mu in range(n)]  # lifts of d/dx^mu
@@ -386,30 +389,21 @@ class ConnectionFrame:
         return self.weight * total
 
 
-def presymplectic_bracket(
-    model: LagrangianModel,
-    A: ConnectionField,
-    f: ScalarField,
-    g: ScalarField,
-    point,
-):
-    """Bracket of the degenerate model through the connection at one point;
-    see ``ConnectionFrame.bracket``."""
-    return ConnectionFrame(model, A, point).bracket(f, g)
-
-
-def jacobi_residual(bracket: Callable, f: ScalarField, g: ScalarField, h: ScalarField, point) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| with the inner brackets realized
-    as fields and differentiated by the nested dual scheme."""
-    arity = f.arity
+def jacobi_residual(frame, f: ScalarField, g: ScalarField, h: ScalarField) -> float:
+    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| at ``frame.z``.  The outer
+    brackets share ``frame``; each inner bracket is a field whose value at
+    a point ``zz`` is ``frame.at(zz).bracket``, differentiated by the nested
+    dual scheme.  Any frame with ``z``, ``at`` and ``bracket`` serves
+    (``ConnectionFrame``, ``dirac.DiracFrame``)."""
+    arity, at = len(frame.z), frame.at
 
     def pairfield(a, b):
-        return ScalarField(arity, lambda z: bracket(a, b, z), f"{{{a.label},{b.label}}}")
+        return ScalarField(arity, lambda z: at(z).bracket(a, b), f"{{{a.label},{b.label}}}")
 
     total = (
-        bracket(f, pairfield(g, h), list(point))
-        + bracket(g, pairfield(h, f), list(point))
-        + bracket(h, pairfield(f, g), list(point))
+        frame.bracket(f, pairfield(g, h))
+        + frame.bracket(g, pairfield(h, f))
+        + frame.bracket(h, pairfield(f, g))
     )
     return abs(float(total))
 
@@ -446,28 +440,24 @@ def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point):
     }
 
 
-def bracket_table(bracket: Callable, fields: Sequence[ScalarField], point) -> dict:
-    """All pairwise bracket values at a point plus antisymmetry residuals,
-    in the JSON-exportable layout."""
+def bracket_table(frame, fields: Sequence[ScalarField]) -> dict:
+    """All pairwise bracket values at ``frame.z`` plus antisymmetry
+    residuals, in the JSON-exportable layout."""
     pairs = []
     worst_antisym = 0.0
     for i, f in enumerate(fields):
         for j, g in enumerate(fields):
             if j <= i:
                 continue
-            val = float(bracket(f, g, list(point)))
-            rev = float(bracket(g, f, list(point)))
+            val = float(frame.bracket(f, g))
+            rev = float(frame.bracket(g, f))
             worst_antisym = max(worst_antisym, abs(val + rev))
             pairs.append({"f": f.label, "g": g.label, "value": val})
     return {
-        "point": [float(v) for v in point],
+        "point": [float(v) for v in frame.z],
         "pairs": pairs,
         "residuals": {"antisymmetry": worst_antisym},
     }
-
-
-def bracket_table_json(bracket: Callable, fields: Sequence[ScalarField], point) -> str:
-    return json.dumps(bracket_table(bracket, fields, point), sort_keys=True, indent=2)
 
 
 def coordinate_fields(dim: int, names: Sequence[str] | None = None) -> list[ScalarField]:
@@ -477,7 +467,7 @@ def coordinate_fields(dim: int, names: Sequence[str] | None = None) -> list[Scal
     ]
 
 
-def measured_position_brackets(m: float = 1.0, c: float = 1.0, point=None) -> dict:
+def measured_position_brackets(point, m: float = 1.0, c: float = 1.0) -> dict:
     """Bracket table of the physical coordinates for the degenerate model
     with the mass and light-speed constants restored.
 

@@ -12,7 +12,6 @@ shared uniform grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -127,19 +126,16 @@ class DiagramReport:
     events: list = field(default_factory=list)
     ambient: Trajectory | None = field(default=None, repr=False, compare=False)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "max_dev": self.max_dev,
-                "ok": self.ok,
-                "samples": self.samples,
-                "tolerances": self.tolerances,
-                "events": self.events,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+    def body(self) -> dict:
+        """The JSON-exportable fields (all but the trajectory)."""
+        return {
+            "scenario": self.scenario,
+            "max_dev": self.max_dev,
+            "ok": self.ok,
+            "samples": self.samples,
+            "tolerances": self.tolerances,
+            "events": self.events,
+        }
 
 
 def check_invariant_surface(

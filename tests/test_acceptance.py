@@ -129,39 +129,36 @@ def test_criterion_4_relativistic_free_particle():
     _report("criterion 4 kernel containment", contain, 1e-8, ok_kernel)
 
     Qs, Ps = lagsym.newton_wigner_fields()
+    frames = [lagsym.ConnectionFrame(model, conn, z) for z in pts[:5]]
     darboux = 0.0
-    for z in pts[:5]:
+    for frame in frames:
         for i in range(3):
             for j in range(3):
-                qp = float(lagsym.presymplectic_bracket(model, conn, Qs[i], Ps[j], z))
+                qp = float(frame.bracket(Qs[i], Ps[j]))
                 darboux = max(darboux, abs(qp - (1.0 if i == j else 0.0)))
                 darboux = max(
                     darboux,
-                    abs(float(lagsym.presymplectic_bracket(model, conn, Qs[i], Qs[j], z))),
-                    abs(float(lagsym.presymplectic_bracket(model, conn, Ps[i], Ps[j], z))),
+                    abs(float(frame.bracket(Qs[i], Qs[j]))),
+                    abs(float(frame.bracket(Ps[i], Ps[j]))),
                 )
     ok_darboux = darboux < 1e-8
     _report("criterion 4 canonical chart relations", darboux, 1e-8, ok_darboux)
 
     coords = lagsym.coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, zz: lagsym.presymplectic_bracket(model, conn, a, b, zz)
     jacobi = 0.0
     for f, g, h in [
         (coords[0], coords[1], coords[5]),
         (coords[2], coords[4], coords[7]),
         (coords[3], coords[6], coords[0]),
     ]:
-        jacobi = max(jacobi, lagsym.jacobi_residual(bracket, f, g, h, z0))
+        jacobi = max(jacobi, lagsym.jacobi_residual(frames[0], f, g, h))
     ok_jacobi = jacobi < 1e-6
     _report("criterion 4 bracket Jacobi residual", jacobi, 1e-6, ok_jacobi)
 
     casimir = 0.0
-    for z in pts[:3]:
+    for frame in frames[:3]:
         for f in coords:
-            casimir = max(
-                casimir,
-                abs(float(lagsym.presymplectic_bracket(model, conn, model.L, f, z))),
-            )
+            casimir = max(casimir, abs(float(frame.bracket(model.L, f))))
     ok_casimir = casimir < 1e-8
     _report("criterion 4 Casimir property", casimir, 1e-8, ok_casimir)
     assert ok_energy and ok_kernel and ok_darboux and ok_jacobi and ok_casimir
@@ -253,7 +250,7 @@ def test_criterion_5_determinant_matches_published_form(two_particle_points):
         P = p1 + p2
         Pp1, Pp2, PP = float(P @ (eta * p1)), float(P @ (eta * p2)), float(P @ (eta * P))
         expected = 2.0 * Pp1 * Pp2
-        report = dirac.published_constraint_matrix(cset, z)
+        report = dirac.published_constraint_matrix(dirac.DiracFrame(cset, z))
         measured = report["measured_det"]
         worst = max(worst, abs(measured - expected) / abs(expected))
         published_dev = max(published_dev, abs(measured - report["published_det"]) / abs(measured))
@@ -291,7 +288,7 @@ def test_criterion_6_noncommuting_positions(two_particle_points):
 def test_criterion_7_world_line_condition(two_particle_points):
     cset, space, points = two_particle_points
     rng = np.random.default_rng(7)
-    z = points[1]
+    frame = dirac.DiracFrame(cset, points[1])
     worst_ratio = 0.0
     for _ in range(10):
         omega = np.zeros((4, 4))
@@ -300,7 +297,7 @@ def test_criterion_7_world_line_condition(two_particle_points):
                 omega[mu, nu] = rng.uniform(-1, 1) * 1e-4
                 omega[nu, mu] = -omega[mu, nu]
         norm = float(np.max(np.abs(omega)))
-        report = dirac.wlc_residual(cset, omega, np.zeros(4), z)
+        report = dirac.wlc_residual(frame, omega, np.zeros(4))
         worst_ratio = max(worst_ratio, report["residual"] / norm)
     ok = worst_ratio < 1e-6
     _report("criterion 7 WLC residual / |omega|", worst_ratio, 1e-6, ok)
@@ -313,10 +310,10 @@ def test_criterion_7_world_line_condition(two_particle_points):
 def test_criterion_8_deformed_algebra():
     worst = 0.0
     for K in (0.1, 1.0, 100.0):
-        worst = max(worst, dirac.deformed_poincare(K).jacobi_residual_all())
+        worst = max(worst, dirac.jacobi_residual(dirac.DeformedPoincare(K).C))
     ok_jacobi = worst < 1e-12
     _report("criterion 8 Jacobi residual", worst, 1e-12, ok_jacobi)
-    a, b = dirac.deformed_poincare(1.0), dirac.deformed_poincare(10.0)
+    a, b = dirac.DeformedPoincare(1.0), dirac.DeformedPoincare(10.0)
     gap = float(np.max(np.abs(a.position_block() - 10.0 * b.position_block())))
     ok_scale = gap == 0.0
     _report("criterion 8 exact 1/K scaling", gap, 1e-15, ok_scale)

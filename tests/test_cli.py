@@ -150,6 +150,73 @@ def test_mistyped_config_file_value_is_a_config_error(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+_LOOSE_CONFIGS = [
+    # a tolerance override looser than the registered gate
+    ("qriccati-pauli", {"rk45_tol": 1e-6, "tolerances": {"coset_dev": 1.0, "closed_form_dev": 1.0}}, "coset_dev"),
+    # a tolerance override that is not a finite number
+    ("riccati-classical", {"tolerances": {"max_dev": "1e-9"}}, "max_dev"),
+    ("riccati-classical", {"tolerances": {"max_dev": math.nan}}, "max_dev"),
+    # an unknown top-level key
+    ("radial-l", {"sead": 3}, "sead"),
+    # a param the scenario does not read
+    ("dirac-two-particle", {"params": {"lamda": 0.5}}, "lamda"),
+    ("radial-l", {"params": {"lambda": 0.5}}, "lambda"),
+    ("dirac-two-particle", {"params": {"lambda": True}}, "lambda"),
+    ("wlc-dynamical-gauge", {"params": {"m1": 10**400}}, "m1"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, cfg, field", _LOOSE_CONFIGS, ids=[f"{case[0]}:{case[2]}" for case in _LOOSE_CONFIGS]
+)
+@pytest.mark.parametrize("command", ["run", "run-all"])
+def test_loose_config_file_is_a_config_error(tmp_path, monkeypatch, capsys, command, name, cfg, field):
+    # configuration fails closed: nothing runs, and the error names the field
+    from geored import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "REGISTRY", {name: cli_mod.REGISTRY[name]})
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    path = configs / f"{name}.json"
+    out = tmp_path / "out"
+    if command == "run":
+        path.write_text(json.dumps({"scenario": name, **cfg}))
+        argv = ["run", "--config", str(path), "--out-dir", str(out)]
+    else:
+        path.write_text(json.dumps(cfg))
+        argv = ["run-all", "--configs-dir", str(configs), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_checks_a_built_config(tmp_path):
+    # the library entry point checks what it is given, as the CLI does
+    loose = [
+        ScenarioConfig("riccati-classical", tolerances={"max_dev": 1.0}, output_dir=str(tmp_path)),
+        ScenarioConfig("riccati-classical", tolerances={"max_dev": math.inf}, output_dir=str(tmp_path)),
+        ScenarioConfig("radial-l", params={"m1": 1.0}, output_dir=str(tmp_path)),
+    ]
+    for config in loose:
+        with pytest.raises(ConfigError):
+            run(config)
+    assert not list(tmp_path.iterdir())
+
+
+def test_two_particle_params_are_the_only_params(tmp_path):
+    from geored import cli as cli_mod
+
+    params = {"lambda": 0.2, "m1": 1.1, "m2": 1.9}
+    for name in REGISTRY:
+        config = ScenarioConfig(name, params=dict(params), output_dir=str(tmp_path))
+        if name in cli_mod.PARAMS:
+            assert set(cli_mod.PARAMS[name]) == set(params)
+            cli_mod._check_config(config)
+        else:
+            with pytest.raises(ConfigError):
+                cli_mod._check_config(config)
+
+
 def test_config_file_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -320,7 +387,7 @@ _NAN_CASES = [
         lambda rep: {**rep, "residual": math.nan},
         None,
     ),
-    ("deformed-poincare-jacobi", "jacobi_max", "DeformedPoincare", "jacobi_residual_all", 2, None, None),
+    ("deformed-poincare-jacobi", "jacobi_max", "dirac", "jacobi_residual", 2, None, None),
     (
         "kernel-crosscheck",
         "corpus_rel_dev",
@@ -362,7 +429,6 @@ def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric,
         "qriccati": qriccati,
         "DiracFrame": dirac.DiracFrame,
         "ConnectionFrame": lagsym.ConnectionFrame,
-        "DeformedPoincare": dirac.DeformedPoincare,
     }
     _poison(monkeypatch, owners[owner], name, nth, value, when)
     report = run(_make_config(scenario, output_dir=str(tmp_path)))
@@ -382,3 +448,35 @@ def test_relativistic_free_particle_rejects_an_invalid_connection(tmp_path, monk
     report = run(_make_config("relativistic-free-particle", output_dir=str(tmp_path)))
     assert report.status == "ERROR"
     assert report.error["type"] == "ConnectionInvalid"
+
+
+# -- each point's bracket frame is built once ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "scenario, owner, at_first, count",
+    [
+        ("wlc-dynamical-gauge", "DiracFrame", False, 1),
+        # the kill loop and the first flow step at the first sampled point
+        ("dirac-two-particle", "DiracFrame", True, 2),
+        # the Darboux frame at z0 and the one of the {x, x} prefactor fit
+        ("relativistic-free-particle", "ConnectionFrame", True, 2),
+    ],
+)
+def test_float_point_frames_built_per_run(tmp_path, monkeypatch, scenario, owner, at_first, count):
+    from geored import dirac, lagsym
+    from geored.dualnum import is_dual
+
+    cls = {"DiracFrame": dirac.DiracFrame, "ConnectionFrame": lagsym.ConnectionFrame}[owner]
+    init, points = cls.__init__, []
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not any(is_dual(u) for u in self.z):
+            points.append([float(u) for u in self.z])
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    report = run(_make_config(scenario, output_dir=str(tmp_path)))
+    assert report.status == "PASS"
+    built = points.count(points[0]) if at_first else len(points)
+    assert built == count

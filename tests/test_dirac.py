@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,15 +12,14 @@ from geored.dirac import (
     Constraint,
     ConstraintRole,
     ConstraintSet,
+    DeformedPoincare,
     DiracFrame,
     PhaseSpace,
     _newton_energies,
     _project_to_surface,
     canonical_pb,
     constrained_flow,
-    constraint_matrix,
     coordinate_fn,
-    deformed_poincare,
     dirac_bracket,
     hamiltonian_flow_rhs,
     invariant_separation,
@@ -145,7 +146,7 @@ def test_constraint_matrix_single_particle():
     cset, space = single_particle_set()
     rng = np.random.default_rng(6)
     z = on_shell_single(space, rng)
-    A = constraint_matrix(cset, z, tau=0.0)
+    A = DiracFrame(cset, z, 0.0).gauge_shell_block()
     # {x^0 - tau, p^2} = 2 p^0; with chi = P.x - tau it is 2 p^2 = 2 m^2
     assert A.shape == (1, 1)
     assert A[0, 0] == pytest.approx(2.0 * z[4], abs=1e-12)
@@ -167,7 +168,7 @@ def test_constraint_matrix_single_particle():
     p = z2[4:8]
     eta = np.array([1.0, -1.0, -1.0, -1.0])
     z2[:4] -= (p * eta) @ z2[:4] / ((p * eta) @ p) * p
-    A2 = constraint_matrix(cset2, z2, tau=0.0)
+    A2 = DiracFrame(cset2, z2, 0.0).gauge_shell_block()
     assert A2[0, 0] == pytest.approx(2.0, abs=1e-10)  # 2 m^2 with m = 1
 
 
@@ -184,15 +185,17 @@ def test_constraint_matrix_two_particle_first_principles():
         P = p1 + p2
         Pp1 = float(P @ (eta * p1))
         Pp2 = float(P @ (eta * p2))
-        A = constraint_matrix(cset, z)
+        frame = DiracFrame(cset, z)
+        A = frame.gauge_shell_block()
         assert np.allclose(A, [[Pp1, -Pp2], [Pp1, Pp2]], atol=1e-9)
-        report = published_constraint_matrix(cset, z)
+        report = published_constraint_matrix(frame)
+        assert report["measured"] == A.tolist()
         assert report["measured_det"] == pytest.approx(2.0 * Pp1 * Pp2, rel=1e-9)
         if lam == 0.0:
             # with V' = 0 the printed closed form vanishes on the surface,
             # yet the full constraint matrix is well conditioned there: the
             # printed form cannot be the determinant of this second-class set
-            M = DiracFrame(cset, z).matrix
+            M = frame.matrix
             assert np.linalg.cond(np.asarray(M, dtype=float)) < 1e2
             assert abs(report["published_det"]) < 1e-12 * abs(report["measured_det"])
 
@@ -342,15 +345,18 @@ def test_wlc_residual_keeps_a_nan_of_the_second_particle(monkeypatch):
     z = sample_on_shell(cset, np.random.default_rng(17), (1.0, 2.0))
     # four brackets per particle: the fifth is the second particle's first
     _nan_on_call(monkeypatch, DiracFrame, "bracket", 5)
-    report = wlc_residual(cset, np.zeros((4, 4)), 1e-4 * np.ones(4), z)
+    report = wlc_residual(DiracFrame(cset, z), np.zeros((4, 4)), 1e-4 * np.ones(4))
     assert math.isfinite(report["per_particle"][0]["residual"])
     assert math.isnan(report["residual"])
 
 
 def test_off_surface_rejected():
     cset, _ = model()
+    frame = DiracFrame(cset, np.ones(16))
     with pytest.raises(OffSurface):
-        constraint_matrix(cset, np.ones(16), tau=0.0)
+        published_constraint_matrix(frame)
+    with pytest.raises(OffSurface):
+        wlc_residual(frame, np.zeros((4, 4)), np.zeros(4))
 
 
 def test_wlc_translations_exact():
@@ -358,14 +364,14 @@ def test_wlc_translations_exact():
     rng = np.random.default_rng(17)
     z = sample_on_shell(cset, rng, (1.0, 2.0))
     a = 1e-4 * rng.uniform(-1, 1, 4)
-    report = wlc_residual(cset, np.zeros((4, 4)), a, z)
+    report = wlc_residual(DiracFrame(cset, z), np.zeros((4, 4)), a)
     assert report["residual"] < 1e-10
 
 
 def test_wlc_dynamical_gauge_boosts():
     cset, _ = model()
     rng = np.random.default_rng(18)
-    z = sample_on_shell(cset, rng, (1.0, 2.0))
+    frame = DiracFrame(cset, sample_on_shell(cset, rng, (1.0, 2.0)))
     for _ in range(5):
         omega = np.zeros((4, 4))
         omega[0, 1] = rng.uniform(-1, 1) * 1e-4
@@ -373,7 +379,7 @@ def test_wlc_dynamical_gauge_boosts():
         omega[0, 2] = rng.uniform(-1, 1) * 1e-4
         omega[2, 0] = -omega[0, 2]
         scale = np.max(np.abs(omega))
-        report = wlc_residual(cset, omega, np.zeros(4), z)
+        report = wlc_residual(frame, omega, np.zeros(4))
         assert report["residual"] < 1e-6 * scale
 
 
@@ -384,12 +390,12 @@ def test_wlc_kinematical_gauge_fails_materially():
     # itself is an empirical output, not asserted
     cset, _ = kinematical_gauge_model(1.0, 2.0, linear_potential(0.1))
     rng = np.random.default_rng(19)
-    z = sample_on_shell_kinematical(cset, rng, (1.0, 2.0))
+    frame = DiracFrame(cset, sample_on_shell_kinematical(cset, rng, (1.0, 2.0)))
     omega = np.zeros((4, 4))
     omega[0, 1], omega[1, 0] = 1e-4, -1e-4
-    report = wlc_residual(cset, omega, np.zeros(4), z)
+    report = wlc_residual(frame, omega, np.zeros(4))
     assert report["residual"] > 100.0 * (1e-6 * 1e-4)
-    double = wlc_residual(cset, 2.0 * omega, np.zeros(4), z)
+    double = wlc_residual(frame, 2.0 * omega, np.zeros(4))
     assert double["residual"] == pytest.approx(2.0 * report["residual"], rel=0.2)
 
 
@@ -470,15 +476,14 @@ def test_potential_derivative_check():
 
 def test_deformed_poincare_jacobi_and_scaling():
     for K in (0.1, 1.0, 100.0):
-        alg = deformed_poincare(K)
-        assert alg.jacobi_residual_all() < 1e-12
-    a, b = deformed_poincare(1.0), deformed_poincare(10.0)
+        assert jacobi_residual(DeformedPoincare(K).C) < 1e-12
+    a, b = DeformedPoincare(1.0), DeformedPoincare(10.0)
     # {x, x} entries scale exactly as 1/K
     assert np.allclose(a.position_block(), 10.0 * b.position_block())
 
 
 def test_deformed_poincare_specific_entries():
-    alg = deformed_poincare(2.0)
+    alg = DeformedPoincare(2.0)
     # {x_0, x_1} = l_01 / K
     vec = alg.bracket_basis(0, 1)
     assert vec[4] == pytest.approx(0.5)
@@ -487,7 +492,7 @@ def test_deformed_poincare_specific_entries():
     assert out[1] == pytest.approx(1.0)
     assert np.sum(np.abs(out)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        deformed_poincare(0.0)
+        DeformedPoincare(0.0)
 
 
 @pytest.mark.parametrize("K", [0.1, 1.0, 100.0])
@@ -498,7 +503,7 @@ def test_perturbed_structure_constant_breaks_jacobi(K):
     from geored.cli import REGISTRY
 
     gate = REGISTRY["deformed-poincare-jacobi"].tolerances["jacobi_max"]
-    C = deformed_poincare(K).C.copy()
+    C = DeformedPoincare(K).C.copy()
     assert jacobi_residual(C) <= gate
     assert C[0, 1, 4] != 0.0
     C[0, 1, 4] *= 1.001
@@ -507,7 +512,7 @@ def test_perturbed_structure_constant_breaks_jacobi(K):
 
 
 def test_structure_tensor_exact_and_read_only():
-    alg = deformed_poincare(2.0)
+    alg = DeformedPoincare(2.0)
     C = alg.C
     assert C.shape == (10, 10, 10)
     assert not C.flags.writeable
@@ -541,7 +546,6 @@ def test_frame_brackets_equal_fresh_dirac_brackets_exactly():
         for g in [c.fn for c in cset.constraints] + coords[8:] + gens[3:]:
             assert frame.bracket(f, g) == dirac_bracket(cset, f, g, z)
     assert DiracFrame(cset, z).matrix == frame.matrix
-    assert np.array_equal(constraint_matrix(cset, z), frame.gauge_shell_block())
 
 
 def test_frame_brackets_equal_fresh_inside_dual_jacobi_nesting():
@@ -568,6 +572,47 @@ def test_frame_brackets_equal_fresh_inside_dual_jacobi_nesting():
     for a, b in ((f, g), (g, h), (h, f), (f, cset.constraints[0].fn)):
         got, want = frame.bracket(a, b), dirac_bracket(cset, a, b, zd)
         assert (got.a, got.b) == (want.a, want.b)
+
+
+def test_frame_at_keeps_constraints_and_tau():
+    cset, _ = model()
+    rng = np.random.default_rng(28)
+    z, z2 = (sample_on_shell(cset, rng, (1.0, 2.0), tau=0.3) for _ in range(2))
+    other = DiracFrame(cset, z, 0.3).at(z2)
+    assert other.cset is cset and other.tau == 0.3 and other.z == list(z2)
+    assert other.matrix == DiracFrame(cset, z2, 0.3).matrix
+
+
+def test_jacobi_residual_on_one_frame_equals_fresh_brackets_exactly():
+    # the outer brackets share one frame and the inner ones run on
+    # ``frame.at``: the residual is that of a fresh bracket per call
+    from geored import lagsym
+    from geored.calc import ScalarField
+
+    cset, space = model()
+    z = sample_on_shell(cset, np.random.default_rng(29), (1.0, 2.0))
+    coords = lagsym.coordinate_fields(space.dim)
+    f, g, h = coords[space.ix(0, 1)], coords[space.ix(0, 2)], coords[space.ip(0, 1)]
+
+    def pair(a, b):
+        return ScalarField(space.dim, lambda zz: dirac_bracket(cset, a, b, zz))
+
+    fresh = (
+        dirac_bracket(cset, f, pair(g, h), z)
+        + dirac_bracket(cset, g, pair(h, f), z)
+        + dirac_bracket(cset, h, pair(f, g), z)
+    )
+    frame = DiracFrame(cset, z)
+    got = lagsym.jacobi_residual(frame, f, g, h)
+    assert got == abs(float(fresh)) and got < 1e-6
+    # the pair fields cached in the frame do not hold it: no reference cycle
+    alive = weakref.ref(frame)
+    gc.disable()
+    try:
+        del frame
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_infinite_tangent_raises_evaluation_error():

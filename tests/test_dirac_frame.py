@@ -385,7 +385,7 @@ def test_wlc_residual_rejects_nan_omega():
     omega[0, 1] = math.nan
     omega[1, 0] = -math.nan
     with pytest.raises(ValueError, match="antisymmetric"):
-        wlc_residual(cset, omega, np.zeros(4), z)
+        wlc_residual(DiracFrame(cset, z), omega, np.zeros(4))
 
 
 def test_unitary_state_rejects_nan_matrix():

@@ -18,7 +18,6 @@ from geored.lagsym import (
     ConnectionFrame,
     TwoFormAtPoint,
     bracket_table,
-    bracket_table_json,
     cartan_one_form,
     coordinate_fields,
     el_field,
@@ -34,7 +33,6 @@ from geored.lagsym import (
     newton_wigner_fields,
     pb_regular,
     poisson_compatibility,
-    presymplectic_bracket,
     relativistic_connection,
     relativistic_lagrangian,
 )
@@ -224,12 +222,25 @@ def test_pb_regular_antisymmetry_random_pairs():
         )
 
 
+class RegularFrame:
+    """A bracket frame over ``pb_regular``, which rebuilds the two-form for
+    every bracket."""
+
+    def __init__(self, model, point):
+        self.model, self.z = model, list(point)
+
+    def at(self, point):
+        return RegularFrame(self.model, point)
+
+    def bracket(self, f, g):
+        return pb_regular(self.model, f, g, self.z)
+
+
 def test_jacobi_residual_regular_model():
     model = mechanical_lagrangian(1, potential=lambda q: q[0] ** 4)
     coords = coordinate_fields(2, ["q", "v"])
     f = ScalarField(2, lambda z: z[0] * z[1])
-    bracket = lambda a, b, z: pb_regular(model, a, b, z)
-    res = jacobi_residual(bracket, coords[0], coords[1], f, [0.6, -0.3])
+    res = jacobi_residual(RegularFrame(model, [0.6, -0.3]), coords[0], coords[1], f)
     assert res < 1e-8
 
 
@@ -303,12 +314,13 @@ def test_connection_validation_rejects_non_projector():
 def test_darboux_relations_under_connection_bracket():
     Qs, Ps = newton_wigner_fields()
     for z in timelike_points(4, seed=16):
+        frame = ConnectionFrame(REL, CONN, z)
         for i in range(3):
             for j in range(3):
-                qp = float(presymplectic_bracket(REL, CONN, Qs[i], Ps[j], z))
+                qp = float(frame.bracket(Qs[i], Ps[j]))
                 assert qp == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
-                qq = float(presymplectic_bracket(REL, CONN, Qs[i], Qs[j], z))
-                pp = float(presymplectic_bracket(REL, CONN, Ps[i], Ps[j], z))
+                qq = float(frame.bracket(Qs[i], Qs[j]))
+                pp = float(frame.bracket(Ps[i], Ps[j]))
                 assert abs(qq) < 1e-8 and abs(pp) < 1e-8
 
 
@@ -316,16 +328,17 @@ def test_velocity_brackets_vanish():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
     vs = coords[4:]
     for z in timelike_points(3, seed=17):
+        frame = ConnectionFrame(REL, CONN, z)
         for r in range(4):
             for s in range(4):
-                val = float(presymplectic_bracket(REL, CONN, vs[r], vs[s], z))
+                val = float(frame.bracket(vs[r], vs[s]))
                 assert abs(val) < 1e-10
 
 
 def test_position_brackets_proportional_to_boost_combination():
     z = timelike_points(1, seed=18)[0]
     for m, c in ((1.0, 1.0), (1.7, 0.6)):
-        report = measured_position_brackets(m=m, c=c, point=z)
+        report = measured_position_brackets(z, m=m, c=c)
         assert report["vv_max_abs"] < 1e-10
         # one scalar prefactor across all index pairs
         assert report["xx_prefactor_spread"] < 1e-8 * (1 + abs(report["xx_prefactor_measured"]))
@@ -340,31 +353,31 @@ def test_position_brackets_proportional_to_boost_combination():
 def test_lagrangian_is_casimir():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
     for z in timelike_points(3, seed=19):
+        frame = ConnectionFrame(REL, CONN, z)
         for f in coords:
-            val = float(presymplectic_bracket(REL, CONN, REL.L, f, z))
+            val = float(frame.bracket(REL.L, f))
             assert abs(val) < 1e-8
 
 
 def test_presymplectic_bracket_scale_invariance_on_degree_zero():
     Qs, Ps = newton_wigner_fields()
     z = timelike_points(1, seed=20)[0]
-    base = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], z))
+    base = float(ConnectionFrame(REL, CONN, z).bracket(Qs[0], Ps[0]))
     scaled = np.concatenate([z[:4], 1.7 * z[4:]])
-    again = float(presymplectic_bracket(REL, CONN, Qs[0], Ps[0], scaled))
+    again = float(ConnectionFrame(REL, CONN, scaled).bracket(Qs[0], Ps[0]))
     assert again == pytest.approx(base, abs=1e-8)
 
 
 def test_presymplectic_jacobi_on_coordinate_triples():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z)
-    z = timelike_points(1, seed=21)[0]
+    frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=21)[0])
     triples = [
         (coords[0], coords[1], coords[5]),
         (coords[2], coords[4], coords[7]),
         (coords[1], coords[6], coords[3]),
     ]
     for f, g, h in triples:
-        assert jacobi_residual(bracket, f, g, h, z) < 1e-6
+        assert jacobi_residual(frame, f, g, h) < 1e-6
 
 
 # -- the connection frame ------------------------------------------------------
@@ -412,7 +425,6 @@ def test_connection_frame_equals_per_call_bracket_at_float_points():
                 got = frame.bracket(f, g)
                 want = ref_presymplectic_bracket(REL, CONN, f, g, z)
                 assert got == want and bits(got) == bits(want), (f.label, g.label)
-        assert bits(presymplectic_bracket(REL, CONN, f, g, z)) == bits(got)
 
 
 def test_connection_frame_equals_per_call_bracket_at_nested_dual_points():
@@ -420,16 +432,26 @@ def test_connection_frame_equals_per_call_bracket_at_nested_dual_points():
     z = timelike_points(1, seed=25)[0]
     points = []
 
-    def checked(a, b, zz):
-        got = ConnectionFrame(REL, CONN, zz).bracket(a, b)
-        assert bits(got) == bits(ref_presymplectic_bracket(REL, CONN, a, b, zz))
-        points.append(is_dual(zz[0]))
-        return got
+    class RefFrame:
+        def __init__(self, point):
+            self.z = list(point)
 
-    ref = lambda a, b, zz: ref_presymplectic_bracket(REL, CONN, a, b, zz)
+        def at(self, point):
+            return type(self)(point)
+
+        def bracket(self, a, b):
+            return ref_presymplectic_bracket(REL, CONN, a, b, self.z)
+
+    class CheckedFrame(RefFrame):
+        def bracket(self, a, b):
+            got = ConnectionFrame(REL, CONN, self.z).bracket(a, b)
+            assert bits(got) == bits(super().bracket(a, b))
+            points.append(is_dual(self.z[0]))
+            return got
+
     for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
-        got = jacobi_residual(checked, f, g, h, z)
-        assert bits(got) == bits(jacobi_residual(ref, f, g, h, z))
+        got = jacobi_residual(CheckedFrame(z), f, g, h)
+        assert bits(got) == bits(jacobi_residual(RefFrame(z), f, g, h))
     # the inner brackets ran at the dual points of the outer gradients, once
     # for the frame and once for the reference
     assert points.count(False) == 6 and points.count(True) == 12
@@ -447,6 +469,35 @@ def test_connection_frame_takes_one_gradient_per_field(monkeypatch):
     assert [id(f) for f in calls] == [id(f) for f in fields]
 
 
+def test_connection_frame_at_keeps_model_and_connection():
+    z, z2 = timelike_points(2, seed=27)
+    other = ConnectionFrame(REL, CONN, z).at(z2)
+    fresh = ConnectionFrame(REL, CONN, z2)
+    assert other.z == fresh.z
+    Qs, Ps = newton_wigner_fields()
+    for f, g in ((Qs[0], Ps[1]), (Qs[1], Ps[1]), (REL.L, Qs[2])):
+        assert other.bracket(f, g) == fresh.bracket(f, g)
+
+
+def test_jacobi_residual_leaves_no_reference_cycle():
+    # the frame caches the pair fields built over ``frame.at``; were they to
+    # hold the frame, every Jacobi check would leave garbage for the cyclic
+    # collector
+    import gc
+    import weakref
+
+    coords = coordinate_fields(8)
+    frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=28)[0])
+    jacobi_residual(frame, coords[0], coords[1], coords[5])
+    alive = weakref.ref(frame)
+    gc.disable()
+    try:
+        del frame
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_poisson_compatibility_conditions():
     for z in timelike_points(3, seed=22):
         report = poisson_compatibility(REL, CONN, z)
@@ -455,10 +506,10 @@ def test_poisson_compatibility_conditions():
 
 def test_bracket_table_json_schema():
     coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
-    bracket = lambda a, b, z: presymplectic_bracket(REL, CONN, a, b, z)
     z = timelike_points(1, seed=23)[0]
-    payload = json.loads(bracket_table_json(bracket, coords[:3], z))
+    payload = json.loads(json.dumps(bracket_table(ConnectionFrame(REL, CONN, z), coords[:3])))
     assert set(payload) == {"point", "pairs", "residuals"}
+    assert payload["point"] == z.tolist()
     assert len(payload["pairs"]) == 3
     assert payload["residuals"]["antisymmetry"] < 1e-10
 

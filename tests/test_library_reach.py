@@ -121,8 +121,6 @@ OPTIONS_KEPT = {
     "catalog.radial_time_dependent_consistency.t0": "start of the compared time span",
     "catalog.radial_time_dependent_consistency.t1": "end of the compared time span",
     "dirac.position_noncommutativity.tau": "evolution parameter",
-    "dirac.wlc_residual.tau": "evolution parameter",
-    "dirac.published_constraint_matrix.tau": "evolution parameter",
     "dirac.sample_on_shell_kinematical.tau": "evolution parameter",
     "lagsym.newton_wigner_fields.m": "particle mass",
     "lagsym.newton_wigner_fields.c": "speed of light",

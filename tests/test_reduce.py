@@ -206,7 +206,7 @@ def test_report_json_schema():
     report = verify_commuting_diagram(entry.scenario, entry.default_x0, 0.0, 1.0)
     import json
 
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.body()))
     assert set(payload) == {
         "scenario",
         "max_dev",
@@ -228,7 +228,7 @@ def test_report_carries_ambient_trajectory_outside_json_and_equality():
     bare = dataclasses.replace(report, ambient=None)
     assert report == bare
     assert repr(report) == repr(bare)
-    assert report.to_json() == bare.to_json()
+    assert report.body() == bare.body()
 
 
 def test_projectability_rejects_unrelated_pair():
