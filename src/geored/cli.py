@@ -2,12 +2,15 @@
 executed with configured tolerances, emitting machine-readable reports and
 plot-ready CSV data.
 
+A scenario's runner writes no file: it returns its metrics and its
+artifacts, and ``run`` alone writes the output tree.
+
 Reports are deterministic for a fixed (config, seed): the JSON body carries
 no timestamps, randomness derives from the global seed split per scenario
 by name hashing, and wall time lives only on the in-memory report object.
 A scenario that raises is reported with status ERROR (exception type and
-message in the body, traceback in ``traceback.txt``) instead of stopping a
-``run-all``.
+message in the body, traceback in ``traceback.txt``, and no other file)
+instead of stopping a ``run-all``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from geored.errors import ConfigError, UnknownScenario, nan_max
 from geored.flow import IntegratorConfig, integrate
 from geored.reduce import TOLERANCES, verify_commuting_diagram
 
-PASS, FAIL, PARTIAL, ERROR = "PASS", "FAIL", "PARTIAL", "ERROR"
+PASS, FAIL, ERROR = "PASS", "FAIL", "ERROR"
 
 
 @dataclass
@@ -67,19 +70,52 @@ class RunReport:
         return body
 
 
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     description: str
     refs: tuple[str, ...]
     tolerances: dict  # metric name -> max allowed value (gated)
-    runner: object  # (config, rng, outdir) -> (metrics, artifacts, partial)
+    runner: object  # (config, rng) -> (metrics, {file name: payload})
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV artifact: the header, and rows of numbers drawn as they are
+    written, so no file is held in memory whole."""
+
+    header: Sequence[str]
+    rows: Iterable[Sequence[float]]
 
 
 def _write_json(path: Path, payload) -> None:
     """The one format of every JSON artifact and report."""
     path.write_text(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _write_csv(path: Path, table: CsvTable) -> None:
+    """The one format of every CSV artifact: comma-separated cells, numbers
+    to 17 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(",".join(table.header) + "\n")
+        for row in table.rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _trajectory_table(traj, time_label: str) -> CsvTable:
+    """Time plus one column per coordinate of a trajectory's samples."""
+    return CsvTable(
+        (time_label, *traj.coord_names),
+        ((t, *state) for t, state in zip(traj.times, traj.states)),
+    )
+
+
+def _coset_table(H: qriccati.BlockHamiltonian, report: qriccati.CosetReport) -> CsvTable:
+    """Time plus Re and Im of each coset entry along the unitary trail."""
+    return CsvTable(
+        ("t", *qriccati.riccati_matrix_system(H).coord_names),
+        ((point.t, *point.coords()) for point in report.points),
+    )
 
 
 def _rng_for(name: str, seed: int) -> np.random.Generator:
@@ -92,7 +128,7 @@ def _rng_for(name: str, seed: int) -> np.random.Generator:
 
 
 def _run_catalog_entry(entry_name):
-    def runner(config, rng, outdir):
+    def runner(config, rng):
         entry = catalog.entry(entry_name)
         report = verify_commuting_diagram(
             entry.scenario,
@@ -101,31 +137,26 @@ def _run_catalog_entry(entry_name):
             config.integrator,
             seed=config.seed,
         )
-        csv_path = outdir / "ambient.csv"
-        report.ambient.to_csv(csv_path)
-        diag_path = outdir / "diagram.json"
-        _write_json(diag_path, report.body())
-        scen_path = outdir / "scenario.json"
-        _write_json(
-            scen_path,
-            {
-                "name": entry.name,
-                "x0": [float(v) for v in entry.default_x0],
-                "t_span": list(entry.t_span),
-                "tolerances": TOLERANCES,
-                "notes": entry.notes,
-            },
-        )
+        scenario = {
+            "name": entry.name,
+            "x0": [float(v) for v in entry.default_x0],
+            "t_span": list(entry.t_span),
+            "tolerances": TOLERANCES,
+            "notes": entry.notes,
+        }
         return (
             {"max_dev": report.max_dev},
-            [csv_path.name, diag_path.name, scen_path.name],
-            False,
+            {
+                "ambient.csv": _trajectory_table(report.ambient, "t"),
+                "diagram.json": report.body(),
+                "scenario.json": scenario,
+            },
         )
 
     return runner
 
 
-def _run_riccati_cross_ratio(config, rng, outdir):
+def _run_riccati_cross_ratio(config, rng):
     sys_lin = catalog.linear_2d(1.0, 1.0, 1.0)
     seeds = [0.3, 1.0, 1.7, 2.9]
     trajs = [integrate(sys_lin, [s, 1.0], 0.0, 2.5, config.integrator) for s in seeds]
@@ -133,54 +164,41 @@ def _run_riccati_cross_ratio(config, rng, outdir):
     xis = [s[:, 0] / s[:, 1] for s in (t.resample(ts) for t in trajs)]
     ratios = catalog.cross_ratio(*xis)
     drift = float(np.max(np.abs(ratios - ratios[0])))
-    path = outdir / "cross_ratio.csv"
-    with open(path, "w") as fh:
-        fh.write("t,xi1,xi2,xi3,xi4,cross_ratio\n")
-        for k, t in enumerate(ts):
-            cells = [f"{t:.17g}"] + [f"{x[k]:.17g}" for x in xis] + [f"{ratios[k]:.17g}"]
-            fh.write(",".join(cells) + "\n")
-    return {"cross_ratio_drift": drift}, [path.name], False
+    table = CsvTable(("t", "xi1", "xi2", "xi3", "xi4", "cross_ratio"), zip(ts, *xis, ratios))
+    return {"cross_ratio_drift": drift}, {"cross_ratio.csv": table}
 
 
-def _run_radial_time_dependent(config, rng, outdir):
+def _run_radial_time_dependent(config, rng):
     static_dev = catalog.radial_time_dependent_consistency(
         1.0, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], cfg=config.integrator
     )
     generic_dev = catalog.radial_time_dependent_consistency(
         2.0, [1.0, 0.0, 0.0, 0.0, np.sqrt(3.0), 0.0], cfg=config.integrator
     )
-    payload = outdir / "consistency.json"
-    _write_json(
-        payload,
-        {
-            "static_stratum_dev": static_dev,
-            "generic_data_dev": generic_dev,
-            "note": "generic deviation quantifies the published equation's "
-            "suspect term; reported, not gated",
-        },
-    )
+    consistency = {
+        "static_stratum_dev": static_dev,
+        "generic_data_dev": generic_dev,
+        "note": "generic deviation quantifies the published equation's "
+        "suspect term; reported, not gated",
+    }
     return (
         {"static_stratum_dev": static_dev, "generic_data_dev": generic_dev},
-        [payload.name],
-        False,
+        {"consistency.json": consistency},
     )
 
 
-def _run_qriccati_pauli(config, rng, outdir):
+def _run_qriccati_pauli(config, rng):
     H = qriccati.BlockHamiltonian(
         1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
     )
     state0 = qriccati.UnitaryState(np.eye(2))
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
     worst = 0.0
-    for point in islice(qriccati.trail_points(H, report.trail, report.points), 1, None):
+    for point in report.points[1:]:
         worst = nan_max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
-    path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, report.trail, path, report.points)
     return (
         {"closed_form_dev": float(worst), "coset_dev": report.max_dev},
-        [path.name],
-        False,
+        {"coset.csv": _coset_table(H, report)},
     )
 
 
@@ -201,24 +219,20 @@ def _seeded_hamiltonian_n3(rng):
     return H
 
 
-def _run_qriccati_n3(config, rng, outdir):
+def _run_qriccati_n3(config, rng):
     H = _seeded_hamiltonian_n3(rng)
     state0 = qriccati.UnitaryState(np.eye(3))
     report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
-    path = outdir / "coset.csv"
-    qriccati.coset_trajectory_csv(H, report.trail, path, report.points)
-    partial = report.t_exit is not None
     return (
         {
             "coset_dev": report.max_dev,
             "unitarity_drift": report.unitarity_drift,
         },
-        [path.name],
-        partial,
+        {"coset.csv": _coset_table(H, report)},
     )
 
 
-def _run_relativistic_free_particle(config, rng, outdir):
+def _run_relativistic_free_particle(config, rng):
     model = lagsym.relativistic_lagrangian()
     conn = lagsym.relativistic_connection()
     energy_max = 0.0
@@ -265,11 +279,8 @@ def _run_relativistic_free_particle(config, rng, outdir):
     casimir_max = 0.0
     for f in coords:
         casimir_max = nan_max(casimir_max, abs(float(frame0.bracket(model.L, f))))
-    table_path = outdir / "bracket_table.json"
-    _write_json(table_path, lagsym.bracket_table(frame0, coords))
+    table = lagsym.bracket_table(frame0, coords)
     position_report = lagsym.measured_position_brackets(z0)
-    pos_path = outdir / "position_brackets.json"
-    _write_json(pos_path, position_report)
     return (
         {
             "energy_max": energy_max,
@@ -281,8 +292,7 @@ def _run_relativistic_free_particle(config, rng, outdir):
             "xx_prefactor_measured": position_report["xx_prefactor_measured"],
             "xx_prefactor_published_form": position_report["xx_prefactor_published_form"],
         },
-        [table_path.name, pos_path.name],
-        False,
+        {"bracket_table.json": table, "position_brackets.json": position_report},
     )
 
 
@@ -302,7 +312,7 @@ def _two_particle(config):
     return dirac.two_particle_model(m1, m2, dirac.linear_potential(lam)), (m1, m2)
 
 
-def _run_dirac_two_particle(config, rng, outdir):
+def _run_dirac_two_particle(config, rng):
     (cset, space), masses = _two_particle(config)
     kill_max = 0.0
     gen_gap = 0.0
@@ -327,11 +337,7 @@ def _run_dirac_two_particle(config, rng, outdir):
         frame0, coords[space.ix(0, 1)], coords[space.ix(0, 2)], coords[space.ip(0, 1)]
     )
     det_report = dirac.published_constraint_matrix(frame0)
-    det_path = outdir / "constraint_matrix.json"
-    _write_json(det_path, det_report)
     traj = dirac.constrained_flow(cset, points[0], (0.0, 3.0), config.integrator)
-    flow_path = outdir / "constrained_flow.csv"
-    traj.to_csv(flow_path, time_label="tau")
     flow_drift = 0.0
     for t, s in zip(traj.times, traj.states):
         flow_drift = nan_max(flow_drift, float(np.max(np.abs(cset.values(s, t)))))
@@ -344,24 +350,22 @@ def _run_dirac_two_particle(config, rng, outdir):
             "det_first_principles": det_report["measured_det"],
             "det_published_form": det_report["published_det"],
         },
-        [det_path.name, flow_path.name],
-        False,
+        {
+            "constraint_matrix.json": det_report,
+            "constrained_flow.csv": _trajectory_table(traj, "tau"),
+        },
     )
 
 
-def _run_noncommuting_positions(config, rng, outdir):
+def _run_noncommuting_positions(config, rng):
     (cset, space), masses = _two_particle(config)
     z = dirac.sample_on_shell(cset, rng, masses)
     constrained = dirac.position_noncommutativity(cset, space, z)
     free = dirac.position_noncommutativity(None, space, z)
-    path = outdir / "position_tables.json"
-    _write_json(
-        path,
-        {
-            "constrained": [T.tolist() for T in constrained["tables"]],
-            "canonical": [T.tolist() for T in free["tables"]],
-        },
-    )
+    tables = {
+        "constrained": [T.tolist() for T in constrained["tables"]],
+        "canonical": [T.tolist() for T in free["tables"]],
+    }
     # gate: canonical must vanish; the Dirac table must NOT (inverse metric)
     witness = 1.0 / constrained["max_abs"] if constrained["max_abs"] > 0 else np.inf
     return (
@@ -370,12 +374,11 @@ def _run_noncommuting_positions(config, rng, outdir):
             "dirac_max_abs": constrained["max_abs"],
             "dirac_witness_inverse": float(witness),
         },
-        [path.name],
-        False,
+        {"position_tables.json": tables},
     )
 
 
-def _run_wlc(config, rng, outdir):
+def _run_wlc(config, rng):
     (cset, space), masses = _two_particle(config)
     frame = dirac.DiracFrame(cset, dirac.sample_on_shell(cset, rng, masses))
     scale = 1e-4
@@ -392,30 +395,26 @@ def _run_wlc(config, rng, outdir):
         worst_ratio = nan_max(worst_ratio, report["residual"] / norm)
         rows.append({"omega_norm": norm, "residual": report["residual"]})
     trans = dirac.wlc_residual(frame, np.zeros((4, 4)), rng.uniform(-1, 1, 4) * scale)
-    path = outdir / "wlc.json"
-    _write_json(path, {"boosts": rows, "translation": trans})
     return (
         {
             "boost_residual_over_omega": worst_ratio,
             "translation_residual": trans["residual"],
         },
-        [path.name],
-        False,
+        {"wlc.json": {"boosts": rows, "translation": trans}},
     )
 
 
-def _run_deformed_poincare(config, rng, outdir):
+def _run_deformed_poincare(config, rng):
     worst = 0.0
     for K in (0.1, 1.0, 100.0):
         worst = nan_max(worst, dirac.jacobi_residual(dirac.DeformedPoincare(K).C))
     a, b = dirac.DeformedPoincare(1.0), dirac.DeformedPoincare(10.0)
     scaling_gap = float(np.max(np.abs(a.position_block() - 10.0 * b.position_block())))
-    path = outdir / "structure.json"
-    _write_json(path, {"basis": a.labels, "jacobi_max": worst, "scaling_gap": scaling_gap})
-    return {"jacobi_max": worst, "scaling_gap": scaling_gap}, [path.name], False
+    structure = {"basis": a.labels, "jacobi_max": worst, "scaling_gap": scaling_gap}
+    return {"jacobi_max": worst, "scaling_gap": scaling_gap}, {"structure.json": structure}
 
 
-def _run_kernel_crosscheck(config, rng, outdir):
+def _run_kernel_crosscheck(config, rng):
     from geored.calc import CENTRAL, DUAL, ScalarField, gradient
 
     def dot(u, v):
@@ -453,14 +452,10 @@ def _run_kernel_crosscheck(config, rng, outdir):
         exact = np.array([math.cos(1.0), -math.sin(1.0)])
         errs.append(float(np.max(np.abs(traj.states[-1] - exact))))
     order = math.log2(errs[0] / errs[1])
-    return (
-        {"corpus_rel_dev": worst, "rk4_order_gap": abs(order - 4.0)},
-        [],
-        False,
-    )
+    return {"corpus_rel_dev": worst, "rk4_order_gap": abs(order - 4.0)}, {}
 
 
-def _run_frames_suite(config, rng, outdir):
+def _run_frames_suite(config, rng):
     proj_gap = 0.0
     for _ in range(10):
         L = frames.boost_matrix(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1, 3))
@@ -489,8 +484,7 @@ def _run_frames_suite(config, rng, outdir):
             "metric_residual": metric_report["residual"],
             "compatibility_gap": abs(trace - np.cosh(1.0) ** 2),
         },
-        [],
-        False,
+        {},
     )
 
 
@@ -707,23 +701,28 @@ def run(config: ScenarioConfig) -> RunReport:
     started = time.perf_counter()
     error = None
     try:
-        metrics, artifacts, partial = spec.runner(config, rng, outdir)
+        metrics, artifacts = spec.runner(config, rng)
     except Exception as err:  # a crashed scenario is reported, never lost
         (outdir / "traceback.txt").write_text(traceback.format_exc())
         error = {"type": type(err).__name__, "message": str(err)}
-        metrics, artifacts, partial = {}, ["traceback.txt"], False
+        metrics, artifacts = {}, {}
+    for name, payload in artifacts.items():
+        if isinstance(payload, CsvTable):
+            _write_csv(outdir / name, payload)
+        else:
+            _write_json(outdir / name, payload)
     wall = time.perf_counter() - started
     # fail closed: a gated metric that is missing or not finite fails
     failed = any(
         not np.isfinite(metrics.get(key, np.nan)) or metrics[key] > limit
         for key, limit in gates.items()
     )
-    status = ERROR if error else FAIL if failed else (PARTIAL if partial else PASS)
+    status = ERROR if error else FAIL if failed else PASS
     report = RunReport(
         name=config.name,
         status=status,
         metrics={k: float(v) for k, v in metrics.items()},
-        artifacts=sorted(artifacts),
+        artifacts=["traceback.txt"] if error else sorted(artifacts),
         config_echo={
             "seed": config.seed,
             "params": config.params,
@@ -766,7 +765,7 @@ def run_all(
                 tolerances=file_cfg.get("tolerances"),
             )
         )
-    counts = {"pass": 0, "fail": 0, "partial": 0, "error": 0}
+    counts = {"pass": 0, "fail": 0, "error": 0}
     reports = []
     for config in configs:
         report = run(config)

@@ -240,6 +240,7 @@ class DiracFrame:
         self.gauge_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.GAUGE]
         self.shell_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.MASS_SHELL]
         self._plan = None
+        self._flow = None
 
     def grad(self, f):
         # keyed by id with the function held alive, so the id cannot be reused
@@ -275,7 +276,10 @@ class DiracFrame:
 
     def flow_rhs(self):
         """dz/dtau = sum_i v_i X_{K_i} with the multipliers fixed by exact
-        preservation of the gauge constraints."""
+        preservation of the gauge constraints.  Computed at the first call;
+        every call returns the same pair of arrays, which callers only read."""
+        if self._flow is not None:
+            return self._flow
         space, A = self.cset.space, self.gauge_shell_block()
         gauges = [self.cset.constraints[a] for a in self.gauge_ix]
         tau_rates = _jvp(lambda ts: [g(self.z, ts[0]) for g in gauges], [self.tau], [1.0])
@@ -291,7 +295,8 @@ class DiracFrame:
                 c = vi * d
                 out[i] += c * grad[j]
                 out[j] -= c * grad[i]
-        return np.array(out), v
+        self._flow = np.array(out), v
+        return self._flow
 
 
 def dirac_bracket(cset: ConstraintSet, f, g, point, tau: float = 0.0):

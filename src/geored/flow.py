@@ -115,13 +115,13 @@ class Trajectory:
     ``states[k]``; ``h[k]`` is its step size as the integrator took it.
     RK45 steps carry the Shampine quartic in ``coeffs[k]`` (dim x 4); RK4
     steps carry the Hermite cubic through the end slopes, ``slopes[k]`` and
-    ``slopes[k + 1]``.
+    ``slopes[k + 1]``.  ``coord_names`` names the state's coordinates.
     """
 
     times: np.ndarray
     states: np.ndarray
     method: str
-    meta: dict = field(default_factory=dict)
+    coord_names: tuple[str, ...]
     h: np.ndarray | None = field(default=None, repr=False)
     coeffs: np.ndarray | None = field(default=None, repr=False)
     slopes: np.ndarray | None = field(default=None, repr=False)
@@ -133,7 +133,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     @classmethod
-    def from_rk45(cls, times, states, records, meta: dict) -> Trajectory:
+    def from_rk45(cls, times, states, records, coord_names: tuple[str, ...]) -> Trajectory:
         """Trajectory of accepted RK45 steps and their ``Dopri45Stepper.step``
         records.  Every step's quartic comes from one stacked product, which
         runs the same BLAS kernel per step as ``K.T @ _DP_P`` would."""
@@ -143,7 +143,7 @@ class Trajectory:
             times=np.asarray(times),
             states=states,
             method="rk45",
-            meta=meta,
+            coord_names=coord_names,
             h=np.asarray([h for h, _ in records]),
             coeffs=np.matmul(Ks.transpose(0, 2, 1), _DP_P),
         )
@@ -190,18 +190,6 @@ class Trajectory:
             + w[2] * self.states[idx + 1]
             + w[3] * h * self.slopes[idx + 1]
         )
-
-    def to_csv(self, path, time_label: str = "t"):
-        """Time plus one column per coordinate, 17 significant digits."""
-        names = self.meta.get("coord_names")
-        header = [time_label] + (
-            list(names) if names else [f"x{i}" for i in range(self.states.shape[1])]
-        )
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
 
 
 def _check_state(y: np.ndarray, t_last: float):
@@ -334,13 +322,12 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    meta = {"coord_names": sys.coord_names, "config": cfg}
     if cfg.method == "rk4":
 
         def rhs_t(t, y):
             return np.asarray(sys.eval_rhs(y, t), dtype=float)
 
-        return _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta, project)
+        return _integrate_rk4(rhs_t, y0, t0, t1, cfg, sys.coord_names, project)
     stepper = Dopri45Stepper(sys.rhs, t0, y0, cfg, autonomous=sys.autonomous)
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
     times = [t0]
@@ -355,7 +342,7 @@ def integrate(
         times.append(t)
         states.append(y)
         records.append(record)
-    return Trajectory.from_rk45(times, states, records, meta)
+    return Trajectory.from_rk45(times, states, records, sys.coord_names)
 
 
 def _projected(project, t: float, y: np.ndarray) -> np.ndarray:
@@ -367,7 +354,7 @@ def _projected(project, t: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta, project) -> Trajectory:
+def _integrate_rk4(rhs_t, y0, t0, t1, cfg, coord_names, project) -> Trajectory:
     n_steps = max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-12)))
     if n_steps > cfg.max_steps:
         raise StepLimitExceeded(t0, cfg.max_steps)
@@ -396,7 +383,7 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, meta, project) -> Trajectory:
         times=np.asarray(times),
         states=np.asarray(states),
         method="rk4",
-        meta=meta,
+        coord_names=coord_names,
         h=np.full(n_steps, h),
         slopes=np.asarray(slopes),
     )

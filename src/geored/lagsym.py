@@ -27,6 +27,7 @@ from geored.errors import (
     ConnectionInvalid,
     DegenerateLagrangian,
     DomainError,
+    nan_max,
 )
 
 KERNEL_RTOL = 1e-8
@@ -451,7 +452,7 @@ def bracket_table(frame, fields: Sequence[ScalarField]) -> dict:
                 continue
             val = float(frame.bracket(f, g))
             rev = float(frame.bracket(g, f))
-            worst_antisym = max(worst_antisym, abs(val + rev))
+            worst_antisym = nan_max(worst_antisym, abs(val + rev))
             pairs.append({"f": f.label, "g": g.label, "value": val})
     return {
         "point": [float(v) for v in frame.z],

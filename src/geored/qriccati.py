@@ -10,7 +10,7 @@ exceeds 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -92,6 +92,11 @@ class CosetPoint:
         if not np.all(np.isfinite(self.Z)):
             raise ValueError("coset point must be finite")
 
+    def coords(self) -> np.ndarray:
+        """Re and Im of each entry of Z, in the coordinate order of
+        ``riccati_matrix_system``."""
+        return _mat_to_state(self.Z)
+
 
 def polar_project(U: np.ndarray) -> np.ndarray:
     """Nearest unitary via Newton-Schulz; quadratic for small drift, so at
@@ -131,13 +136,12 @@ def evolve_unitary(
     U0: UnitaryState,
     t1: float,
     cfg: IntegratorConfig | None = None,
-    record: bool = False,
 ):
     """Integrate i dU/dt = H(t) U from U0.t to t1 with polar re-projection.
 
     Raises UnitarityLost if a single step drifts past 1e-6 before
-    re-projection (a sign of too-coarse stepping).  With ``record`` the
-    return value is (final_state, [(t, U), ...]) at accepted steps.  A
+    re-projection (a sign of too-coarse stepping).  Returns the final state
+    and the trail [(t, U), ...] of the start and every accepted step.  A
     generator without callable blocks is assembled (and checked Hermitian)
     once; callable blocks are assembled at every evaluation.
     """
@@ -161,10 +165,8 @@ def evolve_unitary(
     system = VectorFieldSystem(2 * n * n, rhs, names, autonomous=False)
     traj = integrate(system, _mat_to_state(U0.U), U0.t, t1, cfg, project=onto_group)
     final = UnitaryState(_state_to_mat(traj.states[-1], shape), t=traj.t1)
-    if record:
-        trail = [(t, _state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
-        return final, trail
-    return final
+    trail = [(t, _state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
+    return final, trail
 
 
 def extract_Z(U: UnitaryState | np.ndarray, n1: int, n2: int, t: float = 0.0) -> CosetPoint:
@@ -206,13 +208,11 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
 class CosetReport:
     max_dev: float
     ok: bool
-    t_exit: float | None = None
     samples: int = 0
     unitarity_drift: float = 0.0
-    events: list = field(default_factory=list)
     # the recorded unitary evolution, [(t, U), ...] as evolve_unitary returns it
     trail: list | None = field(default=None, repr=False, compare=False)
-    # the coset point of each trail entry the comparison reached
+    # the coset point of each trail entry
     points: list | None = field(default=None, repr=False, compare=False)
 
 
@@ -224,64 +224,34 @@ def verify_coset_reduction(
 ) -> CosetReport:
     """Max Frobenius gap between the coset coordinate of the unitary flow
     and the direct matrix Riccati flow started at Z(U0); ``ok`` when it is
-    within 1e-6 and the comparison ran to the end.
+    within 1e-6.
 
-    A singular D block mid-run ends the comparison early; the report then
-    carries the exit time and the deviation up to it.  The report also
-    carries the recorded unitary trail and the coset points extracted from
-    it, so callers need neither integrate nor extract again.
+    A singular D block anywhere on the unitary trail raises
+    ``SingularBlock``.  The report carries the recorded unitary trail and
+    the coset point of each of its entries, so callers need neither
+    integrate nor extract again.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = t_span
-    final, trail = evolve_unitary(H, U0, t1, cfg, record=True)
+    final, trail = evolve_unitary(H, U0, t1, cfg)
     z0 = extract_Z(U0, H.n1, H.n2)
     riccati = riccati_matrix_system(H)
     direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
 
     direct_states = direct.resample(np.clip([t for t, _ in trail], t0, t1))
     max_dev = 0.0
-    t_exit = None
-    events: list = []
     points: list = []
     for (t, U), y in zip(trail, direct_states):
-        try:
-            z_unitary = extract_Z(U, H.n1, H.n2, t=t)
-        except SingularBlock as err:
-            t_exit = t
-            events.append({"t": t, "event": "singular-block", "cond": err.cond})
-            break
+        z_unitary = extract_Z(U, H.n1, H.n2, t=t)
         z_direct = _state_to_mat(y, (H.n1, H.n2))
         max_dev = nan_max(max_dev, float(np.linalg.norm(z_unitary.Z - z_direct)))
         points.append(z_unitary)
     return CosetReport(
         max_dev=max_dev,
-        ok=max_dev <= 1e-6 and t_exit is None,
-        t_exit=t_exit,
+        ok=max_dev <= 1e-6,
         samples=len(points),
         unitarity_drift=unitarity_drift(final.U),
-        events=events,
         trail=trail,
         points=points,
     )
 
-
-def trail_points(H: BlockHamiltonian, trail: Sequence[tuple], points: Sequence = ()):
-    """Coset point of each trail entry, in order: the given ``points`` for
-    the leading entries (as ``CosetReport.points`` carries them), then fresh
-    extractions, which raise ``SingularBlock`` at a singular D block."""
-    for k, (t, U) in enumerate(trail):
-        yield points[k] if k < len(points) else extract_Z(U, H.n1, H.n2, t=t)
-
-
-def coset_trajectory_csv(
-    H: BlockHamiltonian, trail: Sequence[tuple], path, points: Sequence = ()
-) -> None:
-    """CSV of the coset coordinate along a recorded unitary evolution:
-    t, then Re/Im of each Z entry in row-major order.  ``points`` may give
-    the coset points of leading trail entries (see ``trail_points``)."""
-    header = ["t", *_complex_names("Z", H.n1, H.n2)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for point in trail_points(H, trail, points):
-            cells = [f"{v:.17g}" for v in (point.t, *_mat_to_state(point.Z))]
-            fh.write(",".join(cells) + "\n")

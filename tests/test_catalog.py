@@ -139,7 +139,9 @@ def test_eigen_tracking_trace_and_constants():
     # phidot (q2-q1)^2 stays at the angular constant; phidot is the tracked
     # angle differenced on a fine grid (second order, h = 2.5e-3)
     ts = np.linspace(0.0, 5.0, 2001)
-    q1, q2, phi = catalog.eigen_decompose_tracked(Trajectory(ts, traj.resample(ts), "grid"))
+    q1, q2, phi = catalog.eigen_decompose_tracked(
+        Trajectory(ts, traj.resample(ts), "grid", traj.coord_names)
+    )
     g_series = np.gradient(phi, ts, edge_order=2) * (q2 - q1) ** 2
     assert np.max(np.abs(g_series - catalog.angular_constant(x0))) < 1e-6
 

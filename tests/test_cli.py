@@ -1,7 +1,10 @@
+import ast
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pathlib
 import re
 from types import SimpleNamespace
 
@@ -257,7 +260,7 @@ def test_run_all_empty_config_dir_uses_defaults(tmp_path):
         )
     finally:
         cli_mod.REGISTRY = saved
-    assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0, "error": 0}
+    assert summary["counts"] == {"pass": 1, "fail": 0, "error": 0}
     assert (tmp_path / "out" / "summary.json").exists()
 
 
@@ -279,7 +282,7 @@ def test_gates_fail_closed_on_nan_or_missing_metric(tmp_path, monkeypatch, metri
         "stub whose gated metrics may be NaN or absent",
         ("test stub",),
         {"a": 1.0, "b": 1.0},
-        lambda config, rng, outdir: (dict(metrics), [], False),
+        lambda config, rng: (dict(metrics), {}),
     )
     monkeypatch.setitem(cli_mod.REGISTRY, spec.name, spec)
     report = run(_make_config(spec.name, output_dir=str(tmp_path)))
@@ -289,7 +292,7 @@ def test_gates_fail_closed_on_nan_or_missing_metric(tmp_path, monkeypatch, metri
 def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, capsys):
     from geored import cli as cli_mod
 
-    def crash(config, rng, outdir):
+    def crash(config, rng):
         raise RuntimeError("stub scenario crashed")
 
     stub = cli_mod.ScenarioSpec("aaa-crash", "stub that raises", ("test stub",), {"a": 1.0}, crash)
@@ -302,9 +305,9 @@ def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, cap
     assert len(lines) == 3
     assert re.fullmatch(r"aaa-crash: ERROR \(\d+\.\d\ds\)", lines[0])
     assert re.fullmatch(r"deformed-poincare-jacobi: PASS \(\d+\.\d\ds\)", lines[1])
-    assert lines[2] == "pass=1 fail=0 partial=0 error=1"
+    assert lines[2] == "pass=1 fail=0 error=1"
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["counts"] == {"pass": 1, "fail": 0, "partial": 0, "error": 1}
+    assert summary["counts"] == {"pass": 1, "fail": 0, "error": 1}
     crashed, passed = summary["reports"]
     assert crashed["status"] == "ERROR"
     assert crashed["error"] == {"type": "RuntimeError", "message": "stub scenario crashed"}
@@ -317,6 +320,55 @@ def test_run_all_records_crashed_scenario_and_goes_on(tmp_path, monkeypatch, cap
     for rel in ("report.json", "structure.json"):
         written = (out / real.name / rel).read_bytes()
         assert written == (single / real.name / rel).read_bytes()
+
+
+def test_error_run_writes_only_its_report_and_traceback(tmp_path, monkeypatch):
+    # the constraint matrix is computed before the flow raises, and still no
+    # artifact of the scenario is written
+    from geored import dirac
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stub flow crashed")
+
+    monkeypatch.setattr(dirac, "constrained_flow", crash)
+    report = run(_make_config("dirac-two-particle", output_dir=str(tmp_path)))
+    assert report.status == "ERROR" and report.artifacts == ["traceback.txt"]
+    written = sorted(path.name for path in (tmp_path / "dirac-two-particle").iterdir())
+    assert written == ["report.json", "traceback.txt"]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``write_text`` or
+    ``write_bytes``, or an ``open`` whose mode writes or is not a string
+    literal."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # the builtin takes the path first; Path.open takes the mode first
+    modes = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    modes = [*modes, *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    return any(
+        not isinstance(mode, ast.Constant)
+        or (isinstance(mode.value, str) and bool(set(mode.value) & set("wax+")))
+        for mode in modes
+    )
+
+
+def test_only_cli_writes_files():
+    from geored import cli
+
+    package = pathlib.Path(cli.__file__).parent
+    writers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(
+            isinstance(node, ast.Call) and _opens_for_writing(node)
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert writers == ["cli.py"]
 
 
 # -- scenario accumulators keep a NaN --------------------------------------------
@@ -343,14 +395,11 @@ def _nan_state(traj):
     return dataclasses.replace(traj, states=states)
 
 
-def _nan_points(points):
-    # the Pauli closed-form loop skips the first trail point
-    for k, point in enumerate(points):
-        yield SimpleNamespace(t=point.t, Z=np.full((1, 1), math.nan)) if k == 3 else point
-
-
 def _nan_coset_point(point):
-    return SimpleNamespace(t=point.t, Z=np.full(point.Z.shape, math.nan))
+    # a copy skips the finiteness check a new CosetPoint makes
+    nan_point = copy.copy(point)
+    nan_point.Z = np.full(point.Z.shape, math.nan)
+    return nan_point
 
 
 _NAN_CASES = [
@@ -406,7 +455,9 @@ _NAN_CASES = [
         lambda R: SimpleNamespace(R=np.full((4, 4), math.nan)),
         None,
     ),
-    ("qriccati-pauli", "closed_form_dev", "qriccati", "trail_points", 1, _nan_points, None),
+    # the first extraction is Z(U0) and the closed-form loop skips the first
+    # trail point, so the fourth lands in the loop
+    ("qriccati-pauli", "closed_form_dev", "qriccati", "extract_Z", 4, _nan_coset_point, None),
     ("qriccati-n3", "coset_dev", "qriccati", "extract_Z", 4, _nan_coset_point, None),
 ]
 
@@ -480,3 +531,12 @@ def test_float_point_frames_built_per_run(tmp_path, monkeypatch, scenario, owner
     assert report.status == "PASS"
     built = points.count(points[0]) if at_first else len(points)
     assert built == count
+
+
+def test_wlc_run_solves_for_the_multipliers_once(tmp_path, monkeypatch):
+    # eleven world-line residuals at one frame share its flow direction
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    report = run(_make_config("wlc-dynamical-gauge", seed=0, output_dir=str(tmp_path)))
+    assert report.status == "PASS"
+    assert len(calls) == 1

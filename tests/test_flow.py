@@ -143,9 +143,11 @@ def test_nonautonomous_rhs_receives_time():
 
 
 def test_csv_export_roundtrip(tmp_path):
+    from geored import cli
+
     traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    cli._write_csv(path, cli._trajectory_table(traj, "t"))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,v"
     cells = lines[-1].split(",")
@@ -426,7 +428,7 @@ def test_lean_step_bit_identical_to_reference_evolve_unitary(monkeypatch, tol):
     )
     U0 = qriccati.UnitaryState(np.eye(3))
     lean, ref = _with_both_steppers(
-        monkeypatch, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg, record=True)
+        monkeypatch, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg)
     )
     ((final, trail), (stepper,)), ((ref_final, ref_trail), (ref_stepper,)) = lean, ref
     assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
@@ -578,12 +580,10 @@ def _loop_constrained_flow(cset, point0, tau_span, cfg=None, drift_limit=1e-9, h
     for alpha in range(cset.space.particles):
         names += [f"x{mu}@{alpha}" for mu in range(4)]
         names += [f"p{mu}@{alpha}" for mu in range(4)]
-    return flow.Trajectory.from_rk45(
-        times, states, records, {"coord_names": tuple(names), "config": cfg}
-    )
+    return flow.Trajectory.from_rk45(times, states, records, tuple(names))
 
 
-def _loop_evolve_unitary(H, U0, t1, cfg=None, record=False):
+def _loop_evolve_unitary(H, U0, t1, cfg=None):
     """``qriccati.evolve_unitary`` as it was with its own stepping loop."""
     from geored import qriccati as q
 
@@ -608,13 +608,10 @@ def _loop_evolve_unitary(H, U0, t1, cfg=None, record=False):
             U = q.polar_project(U)
             stepper.y = q._mat_to_state(U)
             stepper.reset_derivative()
-        if record:
-            trail.append((t, U.copy()))
+        trail.append((t, U.copy()))
     final = q.UnitaryState(q._state_to_mat(stepper.y, shape), t=stepper.t)
-    if record:
-        trail[-1] = (stepper.t, final.U.copy())
-        return final, trail
-    return final
+    trail[-1] = (stepper.t, final.U.copy())
+    return final, trail
 
 
 def _assert_same_arrays(traj, want):
@@ -622,7 +619,7 @@ def _assert_same_arrays(traj, want):
         got, ref = getattr(traj, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
-    assert traj.meta == want.meta
+    assert traj.coord_names == want.coord_names
 
 
 def test_constrained_flow_bit_identical_to_its_stepping_loop():
@@ -638,31 +635,33 @@ def test_constrained_flow_bit_identical_to_its_stepping_loop():
             _assert_same_arrays(dirac.constrained_flow(*args), _loop_constrained_flow(*args))
 
 
-def _unitary_cases():
+def _unitary_cases(time_dependent):
     from geored import cli, qriccati as q
 
+    if time_dependent:
+        # a time-dependent generator from a unitary start that is not the identity
+        H = q.BlockHamiltonian(
+            1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
+        )
+        yield H, q.polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
+        return
     yield q.BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))), np.eye(2)
     for seed in (0, 7):
         H = cli._seeded_hamiltonian_n3(np.random.default_rng(seed))
         yield H, np.eye(3)
-    # a time-dependent generator from a unitary start that is not the identity
-    H = q.BlockHamiltonian(
-        1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
-    )
-    yield H, q.polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
 
 
-@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("time_dependent", [True, False])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
-def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, record):
+def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, time_dependent):
     from geored import qriccati
 
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-    for H, U in _unitary_cases():
+    for H, U in _unitary_cases(time_dependent):
+        assert H.time_dependent == time_dependent
         U0 = qriccati.UnitaryState(U, t=0.25)
-        got = qriccati.evolve_unitary(H, U0, 1.25, cfg, record=record)
-        want = _loop_evolve_unitary(H, U0, 1.25, cfg, record=record)
-        (final, trail), (ref_final, ref_trail) = (got, want) if record else ((got, []), (want, []))
+        final, trail = qriccati.evolve_unitary(H, U0, 1.25, cfg)
+        ref_final, ref_trail = _loop_evolve_unitary(H, U0, 1.25, cfg)
         assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
         assert len(trail) == len(ref_trail)
         for (t, U), (ref_t, ref_U) in zip(trail, ref_trail):

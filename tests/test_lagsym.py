@@ -514,6 +514,20 @@ def test_bracket_table_json_schema():
     assert payload["residuals"]["antisymmetry"] < 1e-10
 
 
+def test_bracket_table_keeps_a_nan_antisymmetry_residual():
+    # the second pair's reversed bracket is NaN; the built-in max would keep
+    # the first pair's finite residual instead
+    class StubFrame:
+        z = [0.0, 0.0, 0.0]
+
+        def bracket(self, f, g):
+            return math.nan if (f.label, g.label) == ("z2", "z0") else 0.0
+
+    table = bracket_table(StubFrame(), coordinate_fields(3))
+    assert [pair["value"] for pair in table["pairs"]] == [0.0, 0.0, 0.0]
+    assert math.isnan(table["residuals"]["antisymmetry"])
+
+
 def test_minkowski_product_and_lowering():
     from geored import frames
 

@@ -8,7 +8,6 @@ from geored.flow import IntegratorConfig, integrate
 from geored.qriccati import (
     BlockHamiltonian,
     UnitaryState,
-    coset_trajectory_csv,
     evolve_unitary,
     extract_Z,
     polar_project,
@@ -56,7 +55,7 @@ def test_block_hamiltonian_assembly_and_hermiticity():
 
 def test_zero_hamiltonian_freezes_state():
     H = BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    out = evolve_unitary(H, UnitaryState(np.eye(2)), 2.0)
+    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), 2.0)
     assert np.max(np.abs(out.U - np.eye(2))) < 1e-12
 
 
@@ -64,7 +63,7 @@ def test_constant_diagonal_hamiltonian_phases():
     lam = np.array([0.7, -1.3])
     H = BlockHamiltonian(1, 1, lam[0] * np.ones((1, 1)), lam[1] * np.ones((1, 1)), np.zeros((1, 1)))
     t1 = 1.5
-    out = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
+    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
     expected = np.diag(np.exp(-1j * lam * t1))
     assert np.max(np.abs(out.U - expected)) < 1e-9
 
@@ -72,7 +71,7 @@ def test_constant_diagonal_hamiltonian_phases():
 def test_pauli_generator_closed_form():
     H = pauli_x_hamiltonian()
     t1 = 1.0
-    out = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
+    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
     expected = math.cos(t1) * np.eye(2) - 1j * math.sin(t1) * SIGMA1
     assert np.max(np.abs(out.U - expected)) < 1e-9
 
@@ -80,7 +79,7 @@ def test_pauli_generator_closed_form():
 def test_unitarity_maintained_over_long_span():
     # bounded generator (spectral norm up to 5) over ten time units
     H = seeded_n3_hamiltonian(seed=7, norm_cap=5.0)
-    out = evolve_unitary(H, UnitaryState(np.eye(3)), 10.0)
+    out, _ = evolve_unitary(H, UnitaryState(np.eye(3)), 10.0)
     assert unitarity_drift(out.U) < 1e-9
 
 
@@ -165,7 +164,7 @@ def test_coset_reduction_zero_hamiltonian():
 def test_coset_reduction_pauli_tangent_closed_form():
     # B/D = -i tan(t) for the exchange generator
     H = pauli_x_hamiltonian()
-    final, trail = evolve_unitary(H, UnitaryState(np.eye(2)), 1.0, record=True)
+    final, trail = evolve_unitary(H, UnitaryState(np.eye(2)), 1.0)
     for t, U in trail[1:]:
         z = extract_Z(U, 1, 1).Z[0, 0]
         assert abs(z - (-1j * math.tan(t))) < 1e-9
@@ -199,10 +198,12 @@ def test_state_matrix_roundtrip():
 
 
 def test_coset_csv_export(tmp_path):
+    from geored import cli
+
     H = pauli_x_hamiltonian()
-    _, trail = evolve_unitary(H, UnitaryState(np.eye(2)), 0.5, record=True)
+    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), (0.0, 0.5))
     path = tmp_path / "z.csv"
-    coset_trajectory_csv(H, trail, path)
+    cli._write_csv(path, cli._coset_table(H, report))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,ReZ00,ImZ00"
     last = [float(c) for c in lines[-1].split(",")]
@@ -257,7 +258,7 @@ def test_coset_report_carries_trail_outside_equality(H):
 
     U0 = UnitaryState(np.eye(H.dim))
     report = verify_coset_reduction(H, U0, (0.0, 1.0))
-    _, trail = evolve_unitary(H, U0, 1.0, record=True)
+    _, trail = evolve_unitary(H, U0, 1.0)
     assert _same_trail(report.trail, trail)
     bare = dataclasses.replace(report, trail=None)
     assert report == bare
@@ -306,6 +307,18 @@ def test_non_hermitian_generator_still_raises_during_evolution():
         evolve_unitary(late, UnitaryState(np.eye(2)), 1.0)
 
 
+def _coset_csv_lines(H, trail):
+    """The coset CSV of a recorded unitary evolution, written out here from
+    one extraction per trail entry."""
+    entries = [(i, j) for i in range(H.n1) for j in range(H.n2)]
+    lines = [",".join(["t"] + [f"{part}Z{i}{j}" for i, j in entries for part in ("Re", "Im")])]
+    for t, U in trail:
+        Z = extract_Z(U, H.n1, H.n2, t=t).Z
+        cells = [t] + [v for z in Z.ravel() for v in (z.real, z.imag)]
+        lines.append(",".join(f"{v:.17g}" for v in cells))
+    return "".join(line + "\n" for line in lines)
+
+
 @pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
 def test_coset_csv_equals_a_fresh_recorded_evolution(tmp_path, name):
     from geored import cli
@@ -316,10 +329,8 @@ def test_coset_csv_equals_a_fresh_recorded_evolution(tmp_path, name):
         H = pauli_x_hamiltonian()
     else:
         H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
-    _, trail = evolve_unitary(H, UnitaryState(np.eye(H.dim)), 1.0, config.integrator, record=True)
-    fresh = tmp_path / "fresh.csv"
-    coset_trajectory_csv(H, trail, fresh)
-    assert (tmp_path / name / "coset.csv").read_bytes() == fresh.read_bytes()
+    _, trail = evolve_unitary(H, UnitaryState(np.eye(H.dim)), 1.0, config.integrator)
+    assert (tmp_path / name / "coset.csv").read_text() == _coset_csv_lines(H, trail)
 
 
 # -- each coset coordinate extracted once -------------------------------------
@@ -351,20 +362,17 @@ def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, na
     assert len(calls) == 1 + (len(rows) - 1)
 
 
-def test_coset_report_points_reused_outside_equality(tmp_path):
+def test_coset_report_points_reused_outside_equality():
     import dataclasses
 
     H = seeded_n3_hamiltonian(seed=7)
     report = verify_coset_reduction(H, UnitaryState(np.eye(3)), (0.0, 1.0))
-    assert report.t_exit is None and len(report.points) == report.samples == len(report.trail)
+    assert len(report.points) == report.samples == len(report.trail)
     for (t, U), point in zip(report.trail, report.points):
         assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, 2, t=t).Z.tobytes()
+        assert point.coords().tobytes() == _mat_to_state(point.Z).tobytes()
     bare = dataclasses.replace(report, points=None)
     assert report == bare and repr(report) == repr(bare)
-    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
-    coset_trajectory_csv(H, report.trail, reused, report.points)
-    coset_trajectory_csv(H, report.trail, fresh)
-    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def _trail_singular_at(k):
@@ -394,21 +402,12 @@ def test_singular_block_still_raises_where_it_did(tmp_path, monkeypatch, name):
         H = pauli_x_hamiltonian()
     else:
         H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
-    report = verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), (0.0, 1.0))
-    assert report.t_exit == report.trail[5][0] and len(report.points) == report.samples == 5
-    assert report.events[0]["event"] == "singular-block"
-    # the trail is extracted again past the exit, so the scenario raises at
-    # entry 5: the Pauli closed-form check before it writes its CSV, the n3
-    # CSV after five rows
-    config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
-    runner = cli._run_qriccati_pauli if name == "qriccati-pauli" else cli._run_qriccati_n3
     with pytest.raises(SingularBlock):
-        runner(config, cli._rng_for(name, 0), tmp_path)
-    csv = tmp_path / "coset.csv"
-    if name == "qriccati-pauli":
-        assert not csv.exists()
-    else:
-        assert len(csv.read_text().splitlines()) == 1 + 5
+        verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), (0.0, 1.0))
+    # the scenario is an ERROR that writes no coset CSV
+    report = cli.run(cli._make_config(name, seed=0, output_dir=str(tmp_path)))
+    assert report.status == "ERROR" and report.error["type"] == "SingularBlock"
+    assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["report.json", "traceback.txt"]
 
 
 # -- guards fail closed on NaN --------------------------------------------------
