@@ -13,7 +13,7 @@ import numpy as np
 
 from geored import dualnum as dn
 from geored.calc import ScalarField
-from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime, nan_max
+from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
 from geored.flow import Trajectory, VectorFieldSystem, second_order_lift
 from geored.reduce import InvariantSurface, QuotientMap, ReductionScenario
 
@@ -213,63 +213,9 @@ def so3_invariants() -> QuotientMap:
     return QuotientMap((xi1, xi2, xi3), ("xi1", "xi2", "xi3"))
 
 
-def _default_lift(xi):
-    """A representative (r, v) with the prescribed invariant values."""
-    xi1, xi2, xi3 = xi
-    if xi1 <= 0.0:
-        raise ValueError("xi1 must be positive for the representative lift")
-    r = dn.sqrt(xi1)
-    tangential_sq = xi2 - xi3 * xi3 / xi1
-    if dn.real_part(tangential_sq) < 0.0:
-        raise ValueError("invariant values violate the Cauchy-Schwarz bound")
-    return [r, 0.0, 0.0], [xi3 / r, dn.sqrt(tangential_sq), 0.0]
-
-
-def rotation_equivariance_residual(force: Callable) -> float:
-    """Statistical check that a force field commutes with rotations:
-    max |R f(r, v) - f(R r, R v)| over 8 seeded states and rotations."""
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(8):
-        r = rng.uniform(-1.5, 1.5, 3)
-        v = rng.uniform(-1.5, 1.5, 3)
-        R = _rotation_matrix(rng)
-        direct = R @ np.asarray(force(list(r), list(v)), dtype=float)
-        rotated = np.asarray(
-            force(list(R @ r), list(R @ v)), dtype=float
-        )
-        dev = float(np.max(np.abs(direct - rotated)))
-        worst = nan_max(worst, dev)
-    return worst
-
-
-def so3_reduced(force: Callable | None = None) -> VectorFieldSystem:
-    """Rotation-invariant dynamics projected to the invariant chart.
-
-    ``force(r_vec, v_vec)`` is the acceleration of the ambient second-order
-    field; it must be rotation-equivariant (the caller's responsibility,
-    spot-checked statistically on rotated samples) and is evaluated through
-    a representative lift.  None means free motion.
-    """
-    if force is not None:
-        residual = rotation_equivariance_residual(force)
-        if not residual <= 1e-8:
-            raise ValueError(
-                f"force is not rotation-equivariant (residual {residual:.3e})"
-            )
-
-    def rhs(xi):
-        if force is None:
-            return [2.0 * xi[2], 0.0, xi[1]]
-        r_vec, v_vec = _default_lift(xi)
-        f_vec = force(r_vec, v_vec)
-        return [
-            2.0 * xi[2],
-            2.0 * _dot3(v_vec, f_vec),
-            xi[1] + _dot3(r_vec, f_vec),
-        ]
-
-    return VectorFieldSystem(3, rhs, ("xi1", "xi2", "xi3"))
+def so3_reduced() -> VectorFieldSystem:
+    """Free motion projected to the invariant chart (|r|^2, |v|^2, r.v)."""
+    return VectorFieldSystem(3, lambda xi: [2.0 * xi[2], 0.0, xi[1]], ("xi1", "xi2", "xi3"))
 
 
 def so3_fixed_energy(k: float) -> VectorFieldSystem:
@@ -289,19 +235,9 @@ def so3_fixed_l(l: float) -> VectorFieldSystem:
     )
 
 
-def riccati_scalar(a, b, c) -> VectorFieldSystem:
-    """Scalar Riccati flow xi' = c + 2b xi - a xi^2; coefficients may be
-    callables of t for the non-autonomous variant."""
-    if any(callable(z) for z in (a, b, c)):
-        af = a if callable(a) else (lambda t, _v=a: _v)
-        bf = b if callable(b) else (lambda t, _v=b: _v)
-        cf = c if callable(c) else (lambda t, _v=c: _v)
-
-        def rhs_t(x, t):
-            xi = x[0]
-            return [cf(t) + 2.0 * bf(t) * xi - af(t) * xi * xi]
-
-        return VectorFieldSystem(1, rhs_t, ("xi",), autonomous=False)
+def riccati_scalar(a: float, b: float, c: float) -> VectorFieldSystem:
+    """Scalar Riccati flow xi' = c + 2b xi - a xi^2 with constant
+    coefficients."""
 
     def rhs(x):
         xi = x[0]
@@ -513,7 +449,7 @@ def entry_so3() -> CatalogEntry:
     scenario = ReductionScenario(
         name="so3-quotient",
         system=free_particle_3d(),
-        reduced=so3_reduced(None),
+        reduced=so3_reduced(),
         quotient=so3_invariants(),
         orbit_map=_rotate_state,
     )

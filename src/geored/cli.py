@@ -212,7 +212,7 @@ def _seeded_hamiltonian_n3(rng):
     H1, H2 = herm(1), herm(2)
     V = (rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))) / 2.0
     H = qriccati.BlockHamiltonian(1, 2, H1, H2, V)
-    scale = np.linalg.norm(H.assembled(0.0), ord=2)
+    scale = np.linalg.norm(H.assembled, ord=2)
     if scale > 2.0:
         f = 2.0 / scale
         H = qriccati.BlockHamiltonian(1, 2, H1 * f, H2 * f, V * f)

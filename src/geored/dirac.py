@@ -122,9 +122,6 @@ class PoincareGenerator:
     label: str
     fn: Callable
 
-    def __call__(self, z, tau=0.0):
-        return self.fn(z, tau)
-
 
 def poincare_generators(space: PhaseSpace) -> list[PoincareGenerator]:
     """The six rotation-boost generators J_{mu nu} (mu < nu) and the four
@@ -192,10 +189,6 @@ class ConstraintSet:
     def __post_init__(self):
         if self.phi is None:
             self.phi = lambda z, tau: [c.fn(z, tau) for c in self.constraints]
-
-    @property
-    def gauges(self) -> list[Constraint]:
-        return [c for c in self.constraints if c.role is ConstraintRole.GAUGE]
 
     @property
     def shells(self) -> list[Constraint]:
@@ -306,19 +299,16 @@ def dirac_bracket(cset: ConstraintSet, f, g, point, tau: float = 0.0):
 
 @dataclass(frozen=True)
 class InteractionPotential:
-    """Scalar interaction of the invariant separation; the derivative is
-    supplied or taken exactly by the dual scheme."""
+    """Scalar interaction of the invariant separation and its derivative."""
 
     V: Callable
-    Vprime: Callable | None = None
+    Vprime: Callable
 
     def __call__(self, xi):
         return self.V(xi)
 
     def derivative(self, xi):
-        if self.Vprime is not None:
-            return self.Vprime(xi)
-        return _jvp(lambda xs: (self.V(xs[0]),), [xi], [1.0])[0]
+        return self.Vprime(xi)
 
 
 def linear_potential(lam: float = 0.1) -> InteractionPotential:
@@ -763,10 +753,6 @@ class DeformedPoincare:
         if nu == sig:
             out += ETA[nu] * self._l_vec(mu, rho)
         return out
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """[u, v] for coefficient vectors on the basis: u^i v^j C_ij^k."""
-        return np.einsum("i,j,ijk->k", u, v, self.C)
 
     def position_block(self) -> np.ndarray:
         """Coefficients of {x_rho, x_sigma} on the Lorentz basis; scales as

@@ -1,5 +1,5 @@
-"""ODE integration: fixed-step RK4 and adaptive Dormand-Prince RK45 with
-dense output, trajectory resampling, conserved-quantity drift measurement,
+"""ODE integration: fixed-step RK4, and adaptive Dormand-Prince RK45 with
+dense output and trajectory resampling; conserved-quantity drift measurement,
 and second-order lifts.
 """
 
@@ -109,13 +109,14 @@ class VectorFieldSystem:
 
 @dataclass
 class Trajectory:
-    """Samples of a flow plus its dense output, held as per-step arrays.
+    """Samples of a flow, held as per-step arrays, with the dense output of
+    an RK45 flow.
 
     Step k runs from ``times[k]`` to ``times[k + 1]`` and starts at
     ``states[k]``; ``h[k]`` is its step size as the integrator took it.
     RK45 steps carry the Shampine quartic in ``coeffs[k]`` (dim x 4); RK4
-    steps carry the Hermite cubic through the end slopes, ``slopes[k]`` and
-    ``slopes[k + 1]``.  ``coord_names`` names the state's coordinates.
+    steps carry no dense output.  ``coord_names`` names the state's
+    coordinates.
     """
 
     times: np.ndarray
@@ -124,7 +125,6 @@ class Trajectory:
     coord_names: tuple[str, ...]
     h: np.ndarray | None = field(default=None, repr=False)
     coeffs: np.ndarray | None = field(default=None, repr=False)
-    slopes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -156,12 +156,11 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output value at time ``t`` within the integrated span."""
-        return self.resample([t])[0]
-
     def resample(self, ts: Sequence[float]) -> np.ndarray:
-        """Dense-output values at every time of ``ts`` (one row each)."""
+        """Dense-output values at every time of ``ts`` (one row each);
+        ValueError for an RK4 trajectory, which has no dense output."""
+        if self.coeffs is None:
+            raise ValueError(f"a {self.method} trajectory has no dense output")
         ts = np.asarray(ts, dtype=float)
         inside = (self.t0 - 1e-12 <= ts) & (ts <= self.t1 + 1e-12)
         if not np.all(inside):
@@ -174,22 +173,9 @@ class Trajectory:
         # powers by Python's float power (the C library's pow) entry by entry,
         # as a one-point evaluation takes them: numpy's float64 array power
         # may run a SIMD kernel that rounds the last bit differently
-        if self.coeffs is not None:
-            powers = np.array([theta, theta**2, theta**3, theta**4], dtype=float)
-            poly = np.matmul(self.coeffs[idx], powers.T[:, :, None])[:, :, 0]
-            return self.states[idx] + h[:, None] * poly
-        u2, t2 = (1 - theta) ** 2, theta**2
-        w = np.array(
-            [(1 + 2 * theta) * u2, theta * u2, t2 * (3 - 2 * theta), t2 * (theta - 1)],
-            dtype=float,
-        )[:, :, None]
-        h = h[:, None]
-        return (
-            w[0] * self.states[idx]
-            + w[1] * h * self.slopes[idx]
-            + w[2] * self.states[idx + 1]
-            + w[3] * h * self.slopes[idx + 1]
-        )
+        powers = np.array([theta, theta**2, theta**3, theta**4], dtype=float)
+        poly = np.matmul(self.coeffs[idx], powers.T[:, :, None])[:, :, 0]
+        return self.states[idx] + h[:, None] * poly
 
 
 def _check_state(y: np.ndarray, t_last: float):
@@ -364,7 +350,6 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, coord_names, project) -> Trajectory:
     t, y = t0, np.array(y0)
     f_here = rhs_t(t, y)
     _check_shape(f_here, y)
-    slopes = [f_here]
     for _ in range(n_steps):
         k1 = f_here
         k2 = rhs_t(t + h / 2, y + h / 2 * k1)
@@ -374,9 +359,7 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, coord_names, project) -> Trajectory:
         _check_state(y_new, t)
         if project is not None:
             y_new = _projected(project, t + h, y_new)
-        f_new = rhs_t(t + h, y_new)
-        slopes.append(f_new)
-        t, y, f_here = t + h, y_new, f_new
+        t, y, f_here = t + h, y_new, rhs_t(t + h, y_new)
         times.append(t)
         states.append(y.copy())
     return Trajectory(
@@ -385,7 +368,6 @@ def _integrate_rk4(rhs_t, y0, t0, t1, cfg, coord_names, project) -> Trajectory:
         method="rk4",
         coord_names=coord_names,
         h=np.full(n_steps, h),
-        slopes=np.asarray(slopes),
     )
 
 
@@ -401,15 +383,11 @@ def conserved_drift(sys: VectorFieldSystem, f, traj: Trajectory) -> float:
 def second_order_lift(
     n: int,
     force: Callable,
-    coord_names: tuple[str, ...] | None = None,
+    coord_names: tuple[str, ...],
     autonomous: bool = True,
 ) -> VectorFieldSystem:
     """Lift a force law (q, v, t) -> n-vector to the 2n first-order system
     (q, v) -> (v, force)."""
-    names = coord_names or tuple(
-        [f"q{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]
-    )
-
     if autonomous:
 
         def rhs(x):
@@ -425,5 +403,5 @@ def second_order_lift(
             return [x[n + i] for i in range(n)] + [acc[i] for i in range(n)]
 
     return VectorFieldSystem(
-        dim=2 * n, rhs=rhs, coord_names=names, autonomous=autonomous
+        dim=2 * n, rhs=rhs, coord_names=coord_names, autonomous=autonomous
     )

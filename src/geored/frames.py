@@ -66,18 +66,6 @@ def boost_matrix(rapidity: float, direction: Sequence[float] = (1.0, 0.0, 0.0)) 
     return np.eye(4) + math.sinh(rapidity) * K + (math.cosh(rapidity) - 1.0) * (K @ K)
 
 
-def rotation_matrix_4d(angle: float, axis: Sequence[float] = (0.0, 0.0, 1.0)) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    S = np.array(
-        [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-    )
-    R3 = np.eye(3) + math.sin(angle) * S + (1.0 - math.cos(angle)) * (S @ S)
-    out = np.eye(4)
-    out[1:, 1:] = R3
-    return out
-
-
 def is_lorentz(L: np.ndarray) -> bool:
     return bool(np.max(np.abs(L.T @ ETA @ L - ETA)) <= LORENTZ_TOL)
 
@@ -162,22 +150,14 @@ def frobenius_residual(theta: Callable, points: Sequence) -> float:
 
 def metric_from_frame_family(boost_params: Sequence) -> dict:
     """Check that lowering the boosted time axes with the diagonal metric
-    reproduces the boosted time covectors, across a family of exact
-    Lorentz maps; also verifies the covariant and contravariant forms are
-    mutually inverse.
-
-    ``boost_params`` holds (rapidity, direction) pairs; rotations may be
-    mixed in as ('rotation', angle, axis) triples.
-    """
+    reproduces the boosted time covectors, across a family of exact boosts
+    given as (rapidity, direction) pairs; also verifies the covariant and
+    contravariant forms are mutually inverse."""
     alpha = np.array([1.0, 0.0, 0.0, 0.0])  # the covector of the fiducial frame
     gamma = np.array([1.0, 0.0, 0.0, 0.0])
     worst = 0.0
-    for spec in boost_params:
-        if len(spec) == 3 and spec[0] == "rotation":
-            L = rotation_matrix_4d(spec[1], spec[2])
-        else:
-            rapidity, direction = spec
-            L = boost_matrix(rapidity, direction)
+    for rapidity, direction in boost_params:
+        L = boost_matrix(rapidity, direction)
         if not is_lorentz(L):
             raise ValueError("transformation is not a Lorentz map")
         moved_gamma = L @ gamma

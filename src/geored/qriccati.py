@@ -10,7 +10,6 @@ exceeds 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -21,48 +20,35 @@ PROJECT_TRIGGER = 1e-12
 UNITARITY_HARD_LIMIT = 1e-6
 
 
-def _as_matrix_fn(H, shape) -> Callable[[float], np.ndarray]:
-    if callable(H):
-        return lambda t: np.asarray(H(t), dtype=complex).reshape(shape)
-    fixed = np.asarray(H, dtype=complex).reshape(shape)
-    return lambda t: fixed
-
-
-@dataclass
+@dataclass(frozen=True)
 class BlockHamiltonian:
-    """Hermitian N x N generator split into (n1, n2) blocks:
-    [[H1, V], [V^dagger, H2]].  H1, H2, V may be callables of t."""
+    """Hermitian N x N generator split into constant (n1, n2) blocks:
+    [[H1, V], [V^dagger, H2]].  The blocks are copied to read-only complex
+    matrices and checked Hermitian once, at construction, which also
+    assembles the full generator."""
 
     n1: int
     n2: int
-    H1: object
-    H2: object
-    V: object
+    H1: np.ndarray
+    H2: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
-        self._h1 = _as_matrix_fn(self.H1, (self.n1, self.n1))
-        self._h2 = _as_matrix_fn(self.H2, (self.n2, self.n2))
-        self._v = _as_matrix_fn(self.V, (self.n1, self.n2))
+        n1, n2 = self.n1, self.n2
+        for name, shape in (("H1", (n1, n1)), ("H2", (n2, n2)), ("V", (n1, n2))):
+            block = np.array(getattr(self, name), dtype=complex).reshape(shape)
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
+        for name, block in (("H1", self.H1), ("H2", self.H2)):
+            if not np.max(np.abs(block - block.conj().T)) <= 1e-12:
+                raise ValueError(f"{name} is not Hermitian")
+        full = np.block([[self.H1, self.V], [self.V.conj().T, self.H2]])
+        full.setflags(write=False)
+        object.__setattr__(self, "assembled", full)
 
     @property
     def dim(self) -> int:
         return self.n1 + self.n2
-
-    @property
-    def time_dependent(self) -> bool:
-        return any(callable(block) for block in (self.H1, self.H2, self.V))
-
-    def assembled(self, t: float = 0.0) -> np.ndarray:
-        h1, h2, v = self._h1(t), self._h2(t), self._v(t)
-        for name, block in (("H1", h1), ("H2", h2)):
-            if not np.max(np.abs(block - block.conj().T)) <= 1e-12:
-                raise ValueError(f"{name} is not Hermitian at t={t}")
-        top = np.hstack([h1, v])
-        bottom = np.hstack([v.conj().T, h2])
-        return np.vstack([top, bottom])
-
-    def blocks(self, t: float = 0.0):
-        return self._h1(t), self._h2(t), self._v(t)
 
 
 def unitarity_drift(U: np.ndarray) -> float:
@@ -100,7 +86,8 @@ class CosetPoint:
 
 def polar_project(U: np.ndarray) -> np.ndarray:
     """Nearest unitary via Newton-Schulz; quadratic for small drift, so at
-    most 8 iterations, stopping once |U^dagger U - 1| <= 1e-15."""
+    most 8 iterations, stopping once |U^dagger U - 1| <= 1e-15.  Raises
+    ValueError if 8 iterations leave the drift above that bound (or NaN)."""
     Y = np.array(U, dtype=complex)
     n = Y.shape[0]
     for _ in range(8):
@@ -108,6 +95,9 @@ def polar_project(U: np.ndarray) -> np.ndarray:
         if np.linalg.norm(gram - np.eye(n)) <= 1e-15:
             return Y
         Y = Y @ (1.5 * np.eye(n) - 0.5 * gram)
+    drift = unitarity_drift(Y)
+    if not drift <= 1e-15:
+        raise ValueError(f"polar projection did not converge (drift {drift:.3e})")
     return Y
 
 
@@ -137,22 +127,18 @@ def evolve_unitary(
     t1: float,
     cfg: IntegratorConfig | None = None,
 ):
-    """Integrate i dU/dt = H(t) U from U0.t to t1 with polar re-projection.
+    """Integrate i dU/dt = H U from U0.t to t1 with polar re-projection.
 
     Raises UnitarityLost if a single step drifts past 1e-6 before
     re-projection (a sign of too-coarse stepping).  Returns the final state
-    and the trail [(t, U), ...] of the start and every accepted step.  A
-    generator without callable blocks is assembled (and checked Hermitian)
-    once; callable blocks are assembled at every evaluation.
+    and the trail [(t, U), ...] of the start and every accepted step.
     """
     n = H.dim
     shape = (n, n)
-    fixed = None if H.time_dependent else H.assembled(U0.t)
+    G = H.assembled
 
-    def rhs(y, t):
-        U = _state_to_mat(y, shape)
-        G = H.assembled(t) if fixed is None else fixed
-        return _mat_to_state(-1j * (G @ U))
+    def rhs(y):
+        return _mat_to_state(-1j * (G @ _state_to_mat(y, shape)))
 
     def onto_group(t, y):
         U = _state_to_mat(y, shape)
@@ -162,7 +148,7 @@ def evolve_unitary(
         return _mat_to_state(polar_project(U)) if drift > PROJECT_TRIGGER else y
 
     names = _complex_names("U", n, n)
-    system = VectorFieldSystem(2 * n * n, rhs, names, autonomous=False)
+    system = VectorFieldSystem(2 * n * n, rhs, names)
     traj = integrate(system, _mat_to_state(U0.U), U0.t, t1, cfg, project=onto_group)
     final = UnitaryState(_state_to_mat(traj.states[-1], shape), t=traj.t1)
     trail = [(t, _state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
@@ -189,31 +175,25 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
     (n1 x n2) coset chart."""
     n1, n2 = H.n1, H.n2
     shape = (n1, n2)
+    h1, h2, v = H.H1, H.H2, H.V
+    v_dagger = v.conj().T
 
-    def rhs(y, t):
+    def rhs(y):
         Z = _state_to_mat(np.asarray(y, dtype=float), shape)
-        h1, h2, v = H.blocks(t)
-        dZ = -1j * (v + h1 @ Z - Z @ h2 - Z @ v.conj().T @ Z)
+        dZ = -1j * (v + h1 @ Z - Z @ h2 - Z @ v_dagger @ Z)
         return _mat_to_state(dZ)
 
-    return VectorFieldSystem(
-        2 * n1 * n2,
-        rhs,
-        _complex_names("Z", n1, n2),
-        autonomous=False,
-    )
+    return VectorFieldSystem(2 * n1 * n2, rhs, _complex_names("Z", n1, n2))
 
 
 @dataclass
 class CosetReport:
     max_dev: float
-    ok: bool
-    samples: int = 0
-    unitarity_drift: float = 0.0
+    unitarity_drift: float
     # the recorded unitary evolution, [(t, U), ...] as evolve_unitary returns it
-    trail: list | None = field(default=None, repr=False, compare=False)
+    trail: list = field(repr=False, compare=False)
     # the coset point of each trail entry
-    points: list | None = field(default=None, repr=False, compare=False)
+    points: list = field(repr=False, compare=False)
 
 
 def verify_coset_reduction(
@@ -223,8 +203,7 @@ def verify_coset_reduction(
     cfg: IntegratorConfig | None = None,
 ) -> CosetReport:
     """Max Frobenius gap between the coset coordinate of the unitary flow
-    and the direct matrix Riccati flow started at Z(U0); ``ok`` when it is
-    within 1e-6.
+    and the direct matrix Riccati flow started at Z(U0).
 
     A singular D block anywhere on the unitary trail raises
     ``SingularBlock``.  The report carries the recorded unitary trail and
@@ -248,8 +227,6 @@ def verify_coset_reduction(
         points.append(z_unitary)
     return CosetReport(
         max_dev=max_dev,
-        ok=max_dev <= 1e-6,
-        samples=len(points),
         unitarity_drift=unitarity_drift(final.U),
         trail=trail,
         points=points,

@@ -96,10 +96,10 @@ def test_lorentz_algebra_structure_constants():
     gens = {g.label: g for g in poincare_generators(space)}
     z = np.random.default_rng(1).uniform(-1, 1, 8)
     lhs = float(canonical_pb(space, gens["J01"].fn, gens["J12"].fn, z))
-    assert lhs == pytest.approx(float(gens["J02"](z)), abs=1e-12)
+    assert lhs == pytest.approx(float(gens["J02"].fn(z, 0.0)), abs=1e-12)
     lhs2 = float(canonical_pb(space, gens["J12"].fn, gens["J13"].fn, z))
     # {l_12, l_13} = eta_11 l_23 = -l_23
-    assert lhs2 == pytest.approx(-float(gens["J23"](z)), abs=1e-12)
+    assert lhs2 == pytest.approx(-float(gens["J23"].fn(z, 0.0)), abs=1e-12)
 
 
 def test_single_particle_generator_form():
@@ -111,9 +111,9 @@ def test_single_particle_generator_form():
     for mu in range(4):
         for nu in range(mu + 1, 4):
             expected = eta[mu] * x[mu] * eta[nu] * p[nu] - eta[nu] * x[nu] * eta[mu] * p[mu]
-            assert float(gens[f"J{mu}{nu}"](z)) == pytest.approx(expected, abs=1e-14)
+            assert float(gens[f"J{mu}{nu}"].fn(z, 0.0)) == pytest.approx(expected, abs=1e-14)
     for mu in range(4):
-        assert float(gens[f"P{mu}"](z)) == pytest.approx(eta[mu] * p[mu], abs=1e-14)
+        assert float(gens[f"P{mu}"].fn(z, 0.0)) == pytest.approx(eta[mu] * p[mu], abs=1e-14)
 
 
 def test_mass_shell_is_poincare_invariant():
@@ -272,10 +272,8 @@ def test_constrained_flow_two_particle_free_is_affine():
             col = traj.states[:, space.ip(alpha, mu)]
             assert np.max(np.abs(col - col[0])) < 1e-10
     # positions affine in tau: check midpoint interpolation
-    mid = traj.sample(1.5)
-    assert np.allclose(
-        mid[:4], 0.5 * (traj.states[0][:4] + traj.sample(3.0)[:4]), atol=1e-8
-    )
+    mid, end = traj.resample([1.5, 3.0])
+    assert np.allclose(mid[:4], 0.5 * (traj.states[0][:4] + end[:4]), atol=1e-8)
 
 
 def test_constrained_flow_preserves_constraints_and_momentum():
@@ -305,7 +303,8 @@ def test_gauge_preservation_along_flow_rhs():
     # directional derivative of each gauge along the flow cancels its
     # explicit tau rate
     h = 1e-6
-    for g in cset.gauges:
+    for a in DiracFrame(cset, z, 0.4).gauge_ix:
+        g = cset.constraints[a]
         forward = float(g(list(np.asarray(z) + h * rhs), 0.4 + h))
         backward = float(g(list(np.asarray(z) - h * rhs), 0.4 - h))
         assert abs(forward - backward) / (2 * h) < 1e-6
@@ -469,9 +468,11 @@ def test_potential_derivative_check():
     assert linear_potential(0.1).derivative(0.3) == 0.1
     from geored.dirac import InteractionPotential
 
-    # no Vprime given: the derivative is taken by the dual scheme
-    curved = InteractionPotential(lambda xi: 0.2 * xi * xi)
-    assert float(curved.derivative(-0.7)) == pytest.approx(-0.28, abs=1e-12)
+    curved = InteractionPotential(lambda xi: 0.2 * xi * xi, lambda xi: 0.4 * xi)
+    assert curved(-0.7) == pytest.approx(0.098) and curved.derivative(-0.7) == pytest.approx(-0.28)
+    # a potential comes with its derivative
+    with pytest.raises(TypeError):
+        InteractionPotential(lambda xi: 0.2 * xi * xi)
 
 
 def test_deformed_poincare_jacobi_and_scaling():
@@ -522,14 +523,9 @@ def test_structure_tensor_exact_and_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         alg.K = 3.0
     assert np.array_equal(C, -C.transpose(1, 0, 2))
-    E = np.eye(10)
     for i in range(10):
         for j in range(10):
-            # bit for bit up to the sign of zero: bracket_basis negates a
-            # zero vector for {x, l} pairs, a sum starting from +0.0 does not
-            got, ref = alg.bracket(E[i], E[j]), alg.bracket_basis(i, j)
-            assert got.tobytes() == (ref + 0.0).tobytes()
-            assert np.array_equal(C[i, j], ref)
+            assert np.array_equal(C[i, j], alg.bracket_basis(i, j))
 
 
 def test_frame_brackets_equal_fresh_dirac_brackets_exactly():

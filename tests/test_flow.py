@@ -74,7 +74,7 @@ def test_time_reversal_property():
         (catalog.radial_fixed_l(1.0), np.array([1.0, 0.0]), 3.0),
         (catalog.calogero_two_body(0.8), np.array([-0.6, 0.9, 0.1, -0.2]), 3.0),
         (catalog.linear_2d(1.0, 1.0, 1.0), np.array([1.0, 1.0]), 2.0),
-        (catalog.so3_reduced(None), np.array([1.2, 0.8, 0.1]), 3.0),
+        (catalog.so3_reduced(), np.array([1.2, 0.8, 0.1]), 3.0),
     ]
     for sys, x0, horizon in cases:
         fwd = integrate(sys, x0, 0.0, horizon)
@@ -103,14 +103,14 @@ def test_blowup_reports_last_good_time():
 
 
 def test_second_order_lift_free_and_constant_force():
-    free = second_order_lift(3, lambda q, v, t: [0.0, 0.0, 0.0])
+    free = second_order_lift(3, lambda q, v, t: [0.0, 0.0, 0.0], FREE_NAMES)
     assert free.dim == 6
     out = free.eval_rhs([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     assert np.allclose(out, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     k = 0.8
-    const = second_order_lift(1, lambda q, v, t: [2.0 * k])
+    const = second_order_lift(1, lambda q, v, t: [2.0 * k], ("q", "v"))
     assert np.allclose(const.eval_rhs([3.0, 1.0]), [1.0, 1.6])
-    radial = second_order_lift(1, lambda q, v, t: [1.0 / q[0] ** 3])
+    radial = second_order_lift(1, lambda q, v, t: [1.0 / q[0] ** 3], ("r", "rdot"))
     assert np.allclose(radial.eval_rhs([2.0, 0.5]), [0.5, 0.125])
 
 
@@ -122,11 +122,14 @@ def test_dense_output_matches_closed_form():
 
 
 def test_rk4_dense_output():
+    # an RK4 trajectory keeps its step states but has no dense output
     cfg = IntegratorConfig(method="rk4", dt=1e-3)
     traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0, cfg)
-    ts = np.linspace(0.0, 1.0, 37)
-    samples = traj.resample(ts)
-    assert np.max(np.abs(samples[:, 0] - np.cos(ts))) < 1e-10
+    assert len(traj.states) == 1001
+    assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.times))) < 1e-10
+    for ts in ([0.5], [0.0], list(traj.times)):
+        with pytest.raises(ValueError, match="rk4 trajectory has no dense output"):
+            traj.resample(ts)
 
 
 def test_nonautonomous_rhs_receives_time():
@@ -198,21 +201,14 @@ def test_integrator_config_rejects_non_positive_or_non_finite(field, bad):
 
 def _point_sample(traj, t):
     """Reference: the per-point dense output, one step's data at a time,
-    with scalar arithmetic (how ``sample`` worked before ``resample`` was
-    batched)."""
+    with scalar arithmetic (how a single point was sampled before
+    ``resample`` was batched)."""
     k = int(np.searchsorted(traj.times, t, side="right")) - 1
     k = min(max(k, 0), len(traj.h) - 1)
     t_lo, h = traj.times[k], traj.h[k]
     theta = (t - t_lo) / h
-    if traj.method == "rk45":
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return traj.states[k] + h * (traj.coeffs[k] @ powers)
-    y0, y1, f0, f1 = traj.states[k], traj.states[k + 1], traj.slopes[k], traj.slopes[k + 1]
-    h00 = (1 + 2 * theta) * (1 - theta) ** 2
-    h10 = theta * (1 - theta) ** 2
-    h01 = theta**2 * (3 - 2 * theta)
-    h11 = theta**2 * (theta - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+    powers = np.array([theta, theta**2, theta**3, theta**4])
+    return traj.states[k] + h * (traj.coeffs[k] @ powers)
 
 
 def _assert_resample_matches_points(traj, ts):
@@ -220,7 +216,7 @@ def _assert_resample_matches_points(traj, ts):
     ref = np.asarray([_point_sample(traj, float(t)) for t in ts])
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
-    assert traj.sample(float(ts[len(ts) // 2])).tobytes() == ref[len(ts) // 2].tobytes()
+    assert traj.resample([ts[len(ts) // 2]])[0].tobytes() == ref[len(ts) // 2].tobytes()
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -236,13 +232,6 @@ def test_resample_bit_identical_to_point_samples_on_catalog(tol):
         _assert_resample_matches_points(integrate(sc.system, entry.default_x0, t0, t1, cfg), grid)
         x0 = sc.quotient(entry.default_x0)
         _assert_resample_matches_points(integrate(sc.reduced, x0, t0, t1, cfg), grid)
-
-
-def test_resample_bit_identical_to_point_samples_rk4_hermite():
-    cfg = IntegratorConfig(method="rk4", dt=0.013)
-    traj = integrate(harmonic(), [1.0, 0.3], 0.0, 2.0, cfg)
-    assert traj.slopes.shape == (len(traj.times), 2)
-    _assert_resample_matches_points(traj, np.linspace(0.0, 2.0, 301))
 
 
 def test_resample_bit_identical_to_point_samples_constrained_flow():
@@ -265,7 +254,7 @@ def test_resample_accepts_both_endpoints_and_rejects_outside_points():
             with pytest.raises(ValueError, match="outside"):
                 traj.resample(inside[:pos] + [bad] + inside[pos:])
         with pytest.raises(ValueError, match="outside"):
-            traj.sample(bad)
+            traj.resample([bad])
 
 
 # -- the lean Dormand-Prince step against the previous implementation ---------
@@ -388,18 +377,17 @@ def test_lean_step_bit_identical_to_reference_on_catalog(monkeypatch, tol):
 
 
 def test_lean_step_bit_identical_to_reference_non_autonomous(monkeypatch):
-    from geored import catalog, qriccati
+    from geored import catalog
 
-    scalar = catalog.riccati_scalar(lambda t: 1.0 + 0.3 * math.sin(t), 0.2, lambda t: math.cos(2.0 * t))
-    H = qriccati.BlockHamiltonian(
-        1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
-    )
-    matrix = qriccati.riccati_matrix_system(H)
-    for sys, x0 in ((scalar, [0.1]), (matrix, [0.1, 0.0, -0.05, 0.2])):
+    # the published time-dependent radial flow, from the generic data of the
+    # radial-time-dependent scenario (k = 2, r = 1 at rest at t = 1) and
+    # from a moving start
+    for k, x0 in ((2.0, [1.0, 0.0]), (0.5, [1.3, 0.4])):
+        sys = catalog.radial_time_dependent(k)
         assert not sys.autonomous
         for tol in (1e-10, 1e-12):
             cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-            lean, ref = _with_both_steppers(monkeypatch, lambda: integrate(sys, x0, 0.0, 1.5, cfg))
+            lean, ref = _with_both_steppers(monkeypatch, lambda: integrate(sys, x0, 1.0, 3.0, cfg))
             _assert_same_trajectory(lean, ref)
 
 
@@ -589,12 +577,10 @@ def _loop_evolve_unitary(H, U0, t1, cfg=None):
 
     cfg = cfg or IntegratorConfig()
     shape = (H.dim, H.dim)
-    fixed = None if H.time_dependent else H.assembled(U0.t)
 
     def rhs(y, t):
         U = q._state_to_mat(y, shape)
-        G = H.assembled(t) if fixed is None else fixed
-        return q._mat_to_state(-1j * (G @ U))
+        return q._mat_to_state(-1j * (H.assembled @ U))
 
     stepper = flow.Dopri45Stepper(rhs, U0.t, q._mat_to_state(U0.U), cfg)
     trail = [(U0.t, U0.U.copy())]
@@ -635,14 +621,12 @@ def test_constrained_flow_bit_identical_to_its_stepping_loop():
             _assert_same_arrays(dirac.constrained_flow(*args), _loop_constrained_flow(*args))
 
 
-def _unitary_cases(time_dependent):
+def _unitary_cases(from_identity):
     from geored import cli, qriccati as q
 
-    if time_dependent:
-        # a time-dependent generator from a unitary start that is not the identity
-        H = q.BlockHamiltonian(
-            1, 2, lambda t: np.array([[0.4 * t]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
-        )
+    if not from_identity:
+        # a unitary start that is not the identity
+        H = q.BlockHamiltonian(1, 2, np.array([[0.4]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]]))
         yield H, q.polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
         return
     yield q.BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))), np.eye(2)
@@ -651,14 +635,14 @@ def _unitary_cases(time_dependent):
         yield H, np.eye(3)
 
 
-@pytest.mark.parametrize("time_dependent", [True, False])
+@pytest.mark.parametrize("from_identity", [False, True])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
-def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, time_dependent):
+def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, from_identity):
     from geored import qriccati
 
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-    for H, U in _unitary_cases(time_dependent):
-        assert H.time_dependent == time_dependent
+    for H, U in _unitary_cases(from_identity):
+        assert np.array_equal(U, np.eye(H.dim)) == from_identity
         U0 = qriccati.UnitaryState(U, t=0.25)
         final, trail = qriccati.evolve_unitary(H, U0, 1.25, cfg)
         ref_final, ref_trail = _loop_evolve_unitary(H, U0, 1.25, cfg)
@@ -697,8 +681,10 @@ def test_projection_replacement_restarts_the_derivative(method):
     assert traj.states[1][0] == 2.0 * plain.states[1][0]
     # ... and the next step starts from its own derivative, not the FSAL
     # stage of the state it replaced: dy/dt = -y at the start of step 1
-    start_slope = traj.coeffs[1][:, 0] if method == "rk45" else traj.slopes[1]
-    assert start_slope.tobytes() == (-traj.states[1]).tobytes()
+    if method == "rk45":
+        assert traj.coeffs[1][:, 0].tobytes() == (-traj.states[1]).tobytes()
+    else:  # the fifth evaluation is the first stage of step 1
+        assert calls[4].tobytes() == traj.states[1].tobytes()
     assert abs(traj.states[-1][0] - 2.0 * math.exp(-1.0)) < 1e-6
     # keeping every step changes nothing and evaluates nothing more
     kept_calls = []

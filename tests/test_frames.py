@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geored.catalog import _rotation_matrix
 from geored.errors import NotNormalized
 from geored.frames import (
     FrameTensorAtPoint,
@@ -16,13 +17,20 @@ from geored.frames import (
     is_lorentz,
     lab_frame,
     metric_from_frame_family,
-    rotation_matrix_4d,
     split_tangent,
     time_orientation,
     transform_frame,
 )
 
 ORIGIN = [0.0, 0.0, 0.0, 0.0]
+
+
+def _rotation_4d(rng):
+    """A random spatial rotation (axis and angle drawn from ``rng``) as a
+    Lorentz map."""
+    L = np.eye(4)
+    L[1:, 1:] = _rotation_matrix(rng)
+    return L
 
 
 def test_lab_frame_tensor():
@@ -39,9 +47,9 @@ def test_boosted_frame_is_projector_with_unit_trace():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(-2.0, 2.0), st.floats(0.1, 2 * math.pi))
-def test_projector_property_for_random_frames(rapidity, angle):
-    L = boost_matrix(rapidity, (0.3, -0.8, 0.5)) @ rotation_matrix_4d(angle)
+@given(st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_projector_property_for_random_frames(rapidity, seed):
+    L = boost_matrix(rapidity, (0.3, -0.8, 0.5)) @ _rotation_4d(np.random.default_rng(seed))
     frame = transform_frame(lab_frame(), L)
     R = frame_tensor(frame, ORIGIN)
     assert np.max(np.abs(R.R @ R.R - R.R)) < 1e-10
@@ -172,7 +180,6 @@ def test_metric_family_identity_and_boosts():
             (0.7, (1.0, 0.0, 0.0)),
             (1.3, (0.0, 1.0, 0.0)),
             (-0.4, (0.2, -0.5, 0.8)),
-            ("rotation", 1.1, (0.0, 0.0, 1.0)),
         ]
     )
     assert report["ok"]
@@ -190,8 +197,7 @@ def test_boost_matrices_are_exact_lorentz():
     for _ in range(10):
         L = boost_matrix(rng.uniform(-2, 2), rng.uniform(-1, 1, 3))
         assert is_lorentz(L)
-        R = rotation_matrix_4d(rng.uniform(0, 2 * math.pi), rng.uniform(-1, 1, 3))
-        assert is_lorentz(R)
+        assert is_lorentz(_rotation_4d(rng))
 
 
 def test_frame_tensor_at_point_validation():

@@ -125,7 +125,6 @@ OPTIONS_KEPT = {
     "lagsym.newton_wigner_fields.m": "particle mass",
     "lagsym.newton_wigner_fields.c": "speed of light",
     # instances are called by value, c(z, tau), which a match by name cannot see
-    "dirac.PoincareGenerator.__call__.tau": "evolution parameter of a generator call",
     "dirac.Constraint.__call__.tau": "evolution parameter of a constraint call",
     # the run diagnostics of ROADMAP item 5 fill it
     "reduce.DiagramReport.events": "events met along a diagram check",

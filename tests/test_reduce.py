@@ -193,7 +193,7 @@ def test_restriction_and_reduction_commute():
     xi1 = _dot3(x0[:3], x0[:3])
     xi2 = _dot3(x0[3:], x0[3:])
     xi3 = _dot3(x0[:3], x0[3:])
-    full = integrate(catalog.so3_reduced(None), [xi1, xi2, xi3], 0.0, 4.0)
+    full = integrate(catalog.so3_reduced(), [xi1, xi2, xi3], 0.0, 4.0)
     restricted = integrate(catalog.so3_fixed_energy(xi2), [xi1, xi3], 0.0, 4.0)
     ts = np.linspace(0, 4.0, 101)
     a = full.resample(ts)[:, [0, 2]]
