@@ -303,15 +303,6 @@ def cross_ratio(w1, w2, w3, w4):
 # -- scenario registry -------------------------------------------------------
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    scenario: ReductionScenario
-    default_x0: np.ndarray
-    t_span: tuple[float, float]
-    notes: str = ""
-
-
 def _rotation_matrix(rng) -> np.ndarray:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -357,48 +348,40 @@ def _radial_quotient() -> QuotientMap:
     return QuotientMap((r, rdot), ("r", "rdot"))
 
 
-def entry_radial_l() -> CatalogEntry:
+def entry_radial_l() -> ReductionScenario:
     x0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     l2 = float(_cross_sq(x0))
-    scenario = ReductionScenario(
+    return ReductionScenario(
         name="radial-l",
         system=free_particle_3d(),
         reduced=radial_fixed_l(np.sqrt(l2)),
         quotient=_radial_quotient(),
+        orbit_map=_rotate_state,
+        x0=x0,
+        t_span=(0.0, 5.0),
         surface=InvariantSurface(
             (ScalarField(6, _cross_sq, "l2"),), (l2,), tol=1e-8
         ),
-        orbit_map=_rotate_state,
-    )
-    return CatalogEntry(
-        "radial-l",
-        scenario,
-        x0,
-        (0.0, 5.0),
         notes="free flow restricted to a fixed angular-momentum level",
     )
 
 
-def entry_radial_E() -> CatalogEntry:
+def entry_radial_E() -> ReductionScenario:
     x0 = np.array([1.0, 0.0, 0.0, 0.3, 1.1, 0.0])
     two_E = float(_dot3(x0[3:], x0[3:]))
-    scenario = ReductionScenario(
+    return ReductionScenario(
         name="radial-E",
         system=free_particle_3d(),
         reduced=radial_fixed_E(two_E / 2.0),
         quotient=_radial_quotient(),
+        orbit_map=_rotate_state,
+        x0=x0,
+        t_span=(0.0, 5.0),
         surface=InvariantSurface(
             (ScalarField(6, lambda x: _dot3(x[3:6], x[3:6]), "2E"),),
             (two_E,),
             tol=1e-8,
         ),
-        orbit_map=_rotate_state,
-    )
-    return CatalogEntry(
-        "radial-E",
-        scenario,
-        x0,
-        (0.0, 5.0),
         notes="free flow restricted to a fixed kinetic-energy level",
     )
 
@@ -421,80 +404,56 @@ def _eigen_quotient() -> QuotientMap:
     return QuotientMap((q1, q2, q1d, q2d), ("q1", "q2", "q1dot", "q2dot"))
 
 
-def entry_calogero() -> CatalogEntry:
+def entry_calogero() -> ReductionScenario:
     x0 = np.array([1.0, 0.3, -0.8, 0.2, 0.5, -0.1])
     g = float(angular_constant(x0))
-    quotient = _eigen_quotient()
-    scenario = ReductionScenario(
+    return ReductionScenario(
         name="calogero-from-matrix",
         system=matrix_free_symmetric(),
         reduced=calogero_two_body(g),
-        quotient=quotient,
+        quotient=_eigen_quotient(),
+        orbit_map=_conjugate_matrix_state,
+        x0=x0,
+        t_span=(0.0, 5.0),
         surface=InvariantSurface(
             (ScalarField(6, angular_constant, "g"),), (g,), tol=1e-8
         ),
-        orbit_map=_conjugate_matrix_state,
-    )
-    return CatalogEntry(
-        "calogero-from-matrix",
-        scenario,
-        x0,
-        (0.0, 5.0),
         notes="eigenvalues of free symmetric-matrix motion obey the pair dynamics",
     )
 
 
-def entry_so3() -> CatalogEntry:
-    x0 = np.array([0.7, -0.2, 0.4, 0.1, 0.5, -0.3])
-    scenario = ReductionScenario(
+def entry_so3() -> ReductionScenario:
+    return ReductionScenario(
         name="so3-quotient",
         system=free_particle_3d(),
         reduced=so3_reduced(),
         quotient=so3_invariants(),
         orbit_map=_rotate_state,
-    )
-    return CatalogEntry(
-        "so3-quotient",
-        scenario,
-        x0,
-        (0.0, 5.0),
+        x0=np.array([0.7, -0.2, 0.4, 0.1, 0.5, -0.3]),
+        t_span=(0.0, 5.0),
         notes="free flow projected to the rotation-invariant chart",
     )
 
 
-def entry_riccati() -> CatalogEntry:
+def entry_riccati() -> ReductionScenario:
     a = b = c = 1.0
     xi = ScalarField(2, lambda z: z[0] / z[1], "xi")
-    scenario = ReductionScenario(
+    return ReductionScenario(
         name="riccati-classical",
         system=linear_2d(a, b, c),
         reduced=riccati_scalar(a, b, c),
         quotient=QuotientMap((xi,), ("xi",)),
         orbit_map=_scale_state,
-    )
-    return CatalogEntry(
-        "riccati-classical",
-        scenario,
-        np.array([1.0, 1.0]),
-        (0.0, 3.0),
+        x0=np.array([1.0, 1.0]),
+        t_span=(0.0, 3.0),
         notes="linear planar flow projected to the x/y chart",
     )
 
 
-ENTRY_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+ENTRY_BUILDERS: dict[str, Callable[[], ReductionScenario]] = {
     "radial-l": entry_radial_l,
     "radial-E": entry_radial_E,
     "calogero-from-matrix": entry_calogero,
     "so3-quotient": entry_so3,
     "riccati-classical": entry_riccati,
 }
-
-
-def entries() -> list[CatalogEntry]:
-    return [build() for build in ENTRY_BUILDERS.values()]
-
-
-def entry(name: str) -> CatalogEntry:
-    if name not in ENTRY_BUILDERS:
-        raise KeyError(name)
-    return ENTRY_BUILDERS[name]()

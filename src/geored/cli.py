@@ -127,33 +127,30 @@ def _rng_for(name: str, seed: int) -> np.random.Generator:
 # -- scenario runners ---------------------------------------------------------
 
 
-def _run_catalog_entry(entry_name):
+def _catalog_spec(name: str, description: str, refs: tuple[str, ...]) -> ScenarioSpec:
+    """The spec of a catalog reduction: its commuting diagram, gated on the
+    diagram deviation."""
+
     def runner(config, rng):
-        entry = catalog.entry(entry_name)
-        report = verify_commuting_diagram(
-            entry.scenario,
-            entry.default_x0,
-            *entry.t_span,
-            config.integrator,
-            seed=config.seed,
-        )
-        scenario = {
-            "name": entry.name,
-            "x0": [float(v) for v in entry.default_x0],
-            "t_span": list(entry.t_span),
+        scenario = catalog.ENTRY_BUILDERS[name]()
+        report = verify_commuting_diagram(scenario, config.integrator, seed=config.seed)
+        record = {
+            "name": scenario.name,
+            "x0": [float(v) for v in scenario.x0],
+            "t_span": list(scenario.t_span),
             "tolerances": TOLERANCES,
-            "notes": entry.notes,
+            "notes": scenario.notes,
         }
         return (
             {"max_dev": report.max_dev},
             {
                 "ambient.csv": _trajectory_table(report.ambient, "t"),
                 "diagram.json": report.body(),
-                "scenario.json": scenario,
+                "scenario.json": record,
             },
         )
 
-    return runner
+    return ScenarioSpec(name, description, refs, {"max_dev": 1e-6}, runner)
 
 
 def _run_riccati_cross_ratio(config, rng):
@@ -192,7 +189,7 @@ def _run_qriccati_pauli(config, rng):
         1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
     )
     state0 = qriccati.UnitaryState(np.eye(2))
-    report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
+    report = qriccati.verify_coset_reduction(H, state0, 1.0, config.integrator)
     worst = 0.0
     for point in report.points[1:]:
         worst = nan_max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
@@ -222,7 +219,7 @@ def _seeded_hamiltonian_n3(rng):
 def _run_qriccati_n3(config, rng):
     H = _seeded_hamiltonian_n3(rng)
     state0 = qriccati.UnitaryState(np.eye(3))
-    report = qriccati.verify_coset_reduction(H, state0, (0.0, 1.0), config.integrator)
+    report = qriccati.verify_coset_reduction(H, state0, 1.0, config.integrator)
     return (
         {
             "coset_dev": report.max_dev,
@@ -490,45 +487,35 @@ def _run_frames_suite(config, rng):
 
 def _build_registry() -> dict:
     specs = [
-        ScenarioSpec(
+        _catalog_spec(
             "radial-l",
             "free flow restricted to a fixed angular-momentum level versus the "
             "inverse-cube radial system",
             ("radial reduction of free motion", "invariant level sets"),
-            {"max_dev": 1e-6},
-            _run_catalog_entry("radial-l"),
         ),
-        ScenarioSpec(
+        _catalog_spec(
             "radial-E",
             "free flow restricted to a fixed kinetic-energy level versus the "
             "energy-coupled radial system",
             ("radial reduction of free motion", "energy level sets"),
-            {"max_dev": 1e-6},
-            _run_catalog_entry("radial-E"),
         ),
-        ScenarioSpec(
+        _catalog_spec(
             "calogero-from-matrix",
             "eigenvalues of free symmetric-matrix motion versus the two-body "
             "inverse-cube pair dynamics",
             ("two-body integrable pair dynamics", "matrix-motion reduction"),
-            {"max_dev": 1e-6},
-            _run_catalog_entry("calogero-from-matrix"),
         ),
-        ScenarioSpec(
+        _catalog_spec(
             "so3-quotient",
             "free flow projected to the rotation-invariant chart versus the "
             "reduced three-dimensional system",
             ("rotation-group quotient", "invariant-function reduction"),
-            {"max_dev": 1e-6},
-            _run_catalog_entry("so3-quotient"),
         ),
-        ScenarioSpec(
+        _catalog_spec(
             "riccati-classical",
             "planar linear flow projected to the projective chart versus the "
             "scalar Riccati equation",
             ("projective reduction of linear flow", "scalar Riccati equation"),
-            {"max_dev": 1e-6},
-            _run_catalog_entry("riccati-classical"),
         ),
         ScenarioSpec(
             "riccati-cross-ratio",

@@ -199,11 +199,12 @@ class CosetReport:
 def verify_coset_reduction(
     H: BlockHamiltonian,
     U0: UnitaryState,
-    t_span: tuple[float, float],
+    t1: float,
     cfg: IntegratorConfig | None = None,
 ) -> CosetReport:
     """Max Frobenius gap between the coset coordinate of the unitary flow
-    and the direct matrix Riccati flow started at Z(U0).
+    and the direct matrix Riccati flow started at Z(U0), both from U0.t to
+    t1.
 
     A singular D block anywhere on the unitary trail raises
     ``SingularBlock``.  The report carries the recorded unitary trail and
@@ -211,7 +212,7 @@ def verify_coset_reduction(
     integrate nor extract again.
     """
     cfg = cfg or IntegratorConfig()
-    t0, t1 = t_span
+    t0 = U0.t
     final, trail = evolve_unitary(H, U0, t1, cfg)
     z0 = extract_Z(U0, H.n1, H.n2)
     riccati = riccati_matrix_system(H)

@@ -35,10 +35,7 @@ def _report(criterion: str, value, limit, ok: bool):
     "name", ["radial-l", "radial-E", "calogero-from-matrix", "so3-quotient", "riccati-classical"]
 )
 def test_criterion_1_reduction_diagrams(name):
-    entry = catalog.entry(name)
-    report = verify_commuting_diagram(
-        entry.scenario, entry.default_x0, *entry.t_span, ACC_CFG
-    )
+    report = verify_commuting_diagram(catalog.ENTRY_BUILDERS[name](), ACC_CFG)
     ok = report.max_dev < 1e-6
     _report(f"criterion 1 ({name}) diagram deviation", report.max_dev, 1e-6, ok)
     assert ok
@@ -85,7 +82,7 @@ def test_criterion_3_quantum_coset():
         f = 2.0 / scale
         H = qriccati.BlockHamiltonian(1, 2, H1 * f, H2 * f, V * f)
     report = qriccati.verify_coset_reduction(
-        H, qriccati.UnitaryState(np.eye(3)), (0.0, 1.0), ACC_CFG
+        H, qriccati.UnitaryState(np.eye(3)), 1.0, ACC_CFG
     )
     ok_dev = report.max_dev < 1e-6
     ok_unitary = report.unitarity_drift < 1e-9

@@ -519,10 +519,10 @@ def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
     from geored import catalog
     from geored.flow import integrate
 
-    for entry in catalog.entries():
-        sc = entry.scenario
-        t0, t1 = entry.t_span
-        states = integrate(sc.system, entry.default_x0, t0, t1).resample(
+    for build in catalog.ENTRY_BUILDERS.values():
+        sc = build()
+        t0, t1 = sc.t_span
+        states = integrate(sc.system, sc.x0, t0, t1).resample(
             np.linspace(t0, t1, GRID_POINTS)
         )
         idx = np.linspace(0, len(states) - 1, SAMPLE_COUNT).astype(int)

@@ -172,12 +172,9 @@ def test_calogero_center_of_mass_free():
 def test_calogero_matches_eigenvalue_flow():
     # acceptance-level equivalence: matrix eigenvalues against the pair
     # dynamics with the coupling measured from initial data
-    entry = catalog.entry("calogero-from-matrix")
     cfg = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10)
-    report = verify_commuting_diagram(
-        entry.scenario, entry.default_x0, *entry.t_span, cfg
-    )
-    assert report.ok and report.max_dev < 1e-6
+    report = verify_commuting_diagram(catalog.ENTRY_BUILDERS["calogero-from-matrix"](), cfg)
+    assert report.max_dev < 1e-6
 
 
 def test_calogero_polynomial_trace_oracle():
@@ -270,12 +267,10 @@ def test_cross_ratio_of_four_riccati_solutions():
 
 def test_all_catalog_entries_verify():
     cfg = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10)
-    for entry in catalog.entries():
-        report = verify_commuting_diagram(
-            entry.scenario, entry.default_x0, *entry.t_span, cfg
-        )
-        assert report.ok, f"{entry.name}: max_dev={report.max_dev:.3e}"
-        assert report.max_dev < 1e-6
+    for build in catalog.ENTRY_BUILDERS.values():
+        scenario = build()
+        report = verify_commuting_diagram(scenario, cfg)
+        assert report.max_dev < 1e-6, f"{scenario.name}: max_dev={report.max_dev:.3e}"
 
 
 def test_calogero_comparison_truncates_at_small_gap():

@@ -82,6 +82,37 @@ def test_tightened_tolerance_fails(tmp_path):
     assert report.status == "FAIL"
 
 
+def _json_keys(payload) -> set:
+    if isinstance(payload, dict):
+        return set(payload).union(*map(_json_keys, payload.values()))
+    if isinstance(payload, list):
+        return set().union(*map(_json_keys, payload))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "name, limit",
+    [
+        ("radial-l", 1e-12),
+        ("radial-E", 1e-12),
+        ("calogero-from-matrix", 1e-12),
+        # the free quotient flow is polynomial: its deviation is rounding, 5.3e-15
+        ("so3-quotient", 1e-15),
+        ("riccati-classical", 1e-12),
+    ],
+)
+def test_catalog_gate_is_the_only_diagram_verdict(tmp_path, name, limit):
+    # a max_dev gate below the measured deviation fails the run, and no
+    # artifact beside the report states a verdict or a diagram limit of its own
+    report = run(_make_config(name, output_dir=str(tmp_path), tolerances={"max_dev": limit}))
+    assert report.status == "FAIL" and report.metrics["max_dev"] > limit
+    artifacts = [p for p in sorted((tmp_path / name).glob("*.json")) if p.name != "report.json"]
+    assert artifacts
+    for path in artifacts:
+        keys = _json_keys(json.loads(path.read_text()))
+        assert "ok" not in keys and "diagram" not in keys, (path.name, keys)
+
+
 def test_main_list_and_run(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

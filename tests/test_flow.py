@@ -225,12 +225,12 @@ def test_resample_bit_identical_to_point_samples_on_catalog(tol):
     from geored.reduce import GRID_POINTS
 
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-    for entry in catalog.entries():
-        sc = entry.scenario
-        t0, t1 = entry.t_span
+    for build in catalog.ENTRY_BUILDERS.values():
+        sc = build()
+        t0, t1 = sc.t_span
         grid = np.linspace(t0, t1, GRID_POINTS)
-        _assert_resample_matches_points(integrate(sc.system, entry.default_x0, t0, t1, cfg), grid)
-        x0 = sc.quotient(entry.default_x0)
+        _assert_resample_matches_points(integrate(sc.system, sc.x0, t0, t1, cfg), grid)
+        x0 = sc.quotient(sc.x0)
         _assert_resample_matches_points(integrate(sc.reduced, x0, t0, t1, cfg), grid)
 
 
@@ -360,10 +360,10 @@ def _assert_same_trajectory(lean, ref):
 def _catalog_systems():
     from geored import catalog
 
-    for entry in catalog.entries():
-        sc = entry.scenario
-        yield sc.name + ":ambient", sc.system, entry.default_x0, entry.t_span
-        yield sc.name + ":reduced", sc.reduced, sc.quotient(entry.default_x0), entry.t_span
+    for build in catalog.ENTRY_BUILDERS.values():
+        sc = build()
+        yield sc.name + ":ambient", sc.system, sc.x0, sc.t_span
+        yield sc.name + ":reduced", sc.reduced, sc.quotient(sc.x0), sc.t_span
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])

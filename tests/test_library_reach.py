@@ -45,7 +45,6 @@ KEPT = {
     "mechanical_lagrangian": "ambient model of the Poisson reduction check",
     # inlining these into the tests that use them would only move code
     "conserved_drift": "drift of a first integral along a trajectory",
-    "entries": "the catalog's ready-to-verify scenarios",
     # a paper claim that waits for a gated metric (ROADMAP item 8); the
     # benchmark traces it by name
     "eigen_decompose_tracked": "continuous Calogero eigen-branches of the matrix flow",

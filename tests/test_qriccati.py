@@ -175,7 +175,7 @@ def test_scalar_riccati_cross_check():
 
 def test_coset_reduction_zero_hamiltonian():
     H = BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), (0.0, 1.0))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 1.0)
     assert report.max_dev < 1e-14
 
 
@@ -186,13 +186,24 @@ def test_coset_reduction_pauli_tangent_closed_form():
     for t, U in trail[1:]:
         z = extract_Z(U, 1, 1).Z[0, 0]
         assert abs(z - (-1j * math.tan(t))) < 1e-9
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), (0.0, 1.0))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 1.0)
     assert report.max_dev < 1e-8
+
+
+def test_coset_reduction_starts_at_the_unitary_state_time():
+    # the same exchange flow started at t = 0.5 from the identity: the
+    # Riccati flow starts there too, and Z = -i tan(t - 0.5)
+    H = pauli_x_hamiltonian()
+    report = verify_coset_reduction(H, UnitaryState(np.eye(2), t=0.5), 1.5)
+    assert report.max_dev < 1e-8
+    assert report.points[0].t == 0.5 and report.points[-1].t == 1.5
+    for point in report.points:
+        assert abs(point.Z[0, 0] - (-1j * math.tan(point.t - 0.5))) < 1e-8
 
 
 def test_coset_reduction_n3_seeded():
     H = seeded_n3_hamiltonian(seed=42)
-    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), (0.0, 1.0))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0)
     assert report.max_dev < 1e-6
     assert report.unitarity_drift < 1e-9
 
@@ -203,7 +214,7 @@ def test_coset_reduction_tightening_tolerance_shrinks_deviation():
     for tol in (1e-6, 1e-8):
         cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
         devs.append(
-            verify_coset_reduction(H, UnitaryState(np.eye(3)), (0.0, 1.0), cfg).max_dev
+            verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0, cfg).max_dev
         )
     assert devs[1] < devs[0] / 10.0
 
@@ -218,7 +229,7 @@ def test_coset_csv_export(tmp_path):
     from geored import cli
 
     H = pauli_x_hamiltonian()
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), (0.0, 0.5))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 0.5)
     path = tmp_path / "z.csv"
     cli._write_csv(path, cli._coset_table(H, report))
     lines = path.read_text().splitlines()
@@ -258,7 +269,7 @@ def _same_trail(a, b):
 )
 def test_coset_report_carries_trail_outside_equality(H):
     U0 = UnitaryState(np.eye(H.dim))
-    report = verify_coset_reduction(H, U0, (0.0, 1.0))
+    report = verify_coset_reduction(H, U0, 1.0)
     _, trail = evolve_unitary(H, U0, 1.0)
     assert _same_trail(report.trail, trail)
     bare = dataclasses.replace(report, trail=None)
@@ -334,7 +345,7 @@ def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, na
 
 def test_coset_report_points_reused_outside_equality():
     H = seeded_n3_hamiltonian(seed=7)
-    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), (0.0, 1.0))
+    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0)
     assert len(report.points) == len(report.trail)
     for (t, U), point in zip(report.trail, report.points):
         assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, 2, t=t).Z.tobytes()
@@ -371,7 +382,7 @@ def test_singular_block_still_raises_where_it_did(tmp_path, monkeypatch, name):
     else:
         H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
     with pytest.raises(SingularBlock):
-        verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), (0.0, 1.0))
+        verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), 1.0)
     # the scenario is an ERROR that writes no coset CSV
     report = cli.run(cli._make_config(name, seed=0, output_dir=str(tmp_path)))
     assert report.status == "ERROR" and report.error["type"] == "SingularBlock"
