@@ -1,7 +1,7 @@
 """Canonical brackets on multi-particle relativistic phase space, constraint
 sets, Dirac brackets, constrained evolution, the two-particle interacting
-model with its dynamical gauge, the world-line-condition residual, and the
-deformed position-Lorentz bracket algebra.
+model in the gauge of a time covector, the world-line-condition residual,
+and the deformed position-Lorentz bracket algebra.
 
 Phase functions are callables ``f(z, tau)`` on the 8N-dimensional chart
 (x_1^0..3, p_1^0..3, x_2^0..3, ...); the evolution parameter rides along as
@@ -24,9 +24,9 @@ from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import (
     ConstraintDrift,
     GeoredError,
-    OffSurface,
     SingularConstraintMatrix,
     nan_max,
+    require_on_surface,
 )
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, lower, minkowski_dot
@@ -183,7 +183,8 @@ class ConstraintSet:
 
     space: PhaseSpace
     constraints: list[Constraint]
-    potential: "InteractionPotential | None" = None
+    potential: Callable | None = None  # V(xi) of a two-particle model
+    gauge: Callable | None = None  # its time covector n = gauge(P)
     phi: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,10 +199,7 @@ class ConstraintSet:
         return np.asarray([float(v) for v in self.phi(list(z), tau)])
 
     def require_on_surface(self, z, tau):
-        vals = self.values(z, tau)
-        j = int(np.argmax(np.abs(vals)))  # the first NaN, if any
-        if not abs(vals[j]) <= SURFACE_TOL:
-            raise OffSurface(z, j, float(vals[j]))
+        require_on_surface(z, self.values(z, tau), SURFACE_TOL)
 
 
 class DiracFrame:
@@ -297,22 +295,21 @@ def dirac_bracket(cset: ConstraintSet, f, g, point, tau: float = 0.0):
     return DiracFrame(cset, point, tau).bracket(f, g)
 
 
-@dataclass(frozen=True)
-class InteractionPotential:
-    """Scalar interaction of the invariant separation and its derivative."""
-
-    V: Callable
-    Vprime: Callable
-
-    def __call__(self, xi):
-        return self.V(xi)
-
-    def derivative(self, xi):
-        return self.Vprime(xi)
+def linear_potential(lam: float) -> Callable:
+    """The interaction V(xi) = lam xi of the invariant separation."""
+    return lambda xi: lam * xi
 
 
-def linear_potential(lam: float = 0.1) -> InteractionPotential:
-    return InteractionPotential(lambda xi: lam * xi, lambda xi: lam)
+def dynamical_gauge(P):
+    """The system's own time: n = P lowered, so the gauges read P.r = 0 and
+    P.X = tau."""
+    return lower(P)
+
+
+def laboratory_gauge(P):
+    """The laboratory's time: n = e^0, so the gauges read
+    (x1^0 - x2^0)/2 = 0 and (x1^0 + x2^0)/2 = tau."""
+    return (1.0, 0.0, 0.0, 0.0)
 
 
 def _relative(space: PhaseSpace, z):
@@ -344,7 +341,7 @@ def _shell(space: PhaseSpace, z, alpha: int, mass: float, v):
     return minkowski_dot(p, p) - mass * mass + v
 
 
-def _mass_shells(space: PhaseSpace, masses, V: InteractionPotential):
+def _mass_shells(space: PhaseSpace, masses, V: Callable):
     """The two mass shells sharing one invariant interaction, as standalone
     constraints, and the map (z, xi) -> [K1, K2] that evaluates V(xi) once
     for both."""
@@ -363,57 +360,35 @@ def _mass_shells(space: PhaseSpace, masses, V: InteractionPotential):
     return [make_shell(alpha, mass) for alpha, mass in enumerate(masses)], values
 
 
-def _gauges(chi1, chi2) -> list[Constraint]:
-    return [Constraint("chi1", chi1, ConstraintRole.GAUGE), Constraint("chi2", chi2, ConstraintRole.GAUGE)]
-
-
 def two_particle_model(
-    m1: float, m2: float, V: InteractionPotential
+    m1: float, m2: float, V: Callable, gauge: Callable = dynamical_gauge
 ) -> tuple[ConstraintSet, PhaseSpace]:
-    """Two mass-shell constraints sharing one invariant interaction, the
-    relative-time gauge P.r = 0, and the dynamical evolution gauge
-    P.(x1+x2)/2 = tau.  Its ``phi`` computes r, P and xi once."""
+    """Two mass-shell constraints sharing one invariant interaction V(xi),
+    and the two gauges of the time covector n = gauge(P): the relative time
+    chi1 = n.r = 0 and the evolution parameter chi2 = n.X - tau = 0, with
+    X = (x1 + x2)/2.  ``dynamical_gauge`` takes the time from the system's
+    own momentum, ``laboratory_gauge`` from the laboratory's; only the
+    first keeps the world lines (see ``wlc_residual``).  Its ``phi``
+    computes r, P, n and xi once."""
     space = PhaseSpace(2)
     shells, shell_values = _mass_shells(space, (m1, m2), V)
 
-    def chi1(z, tau):
-        r, P = _relative(space, z)
-        return minkowski_dot(P, r)
+    def gauges(z, tau, r, P):
+        n = gauge(P)
+        return [_dot(n, r), _dot(n, _mean_position(space, z)) - tau]
 
-    def chi2(z, tau):
-        _, P = _relative(space, z)
-        return minkowski_dot(P, _mean_position(space, z)) - tau
+    def make_gauge(i):
+        def fn(z, tau):
+            return gauges(z, tau, *_relative(space, z))[i]
 
-    def phi(z, tau):
-        r, P = _relative(space, z)
-        return [
-            minkowski_dot(P, r),
-            minkowski_dot(P, _mean_position(space, z)) - tau,
-            *shell_values(z, _separation(r, P)),
-        ]
-
-    return ConstraintSet(space, _gauges(chi1, chi2) + shells, potential=V, phi=phi), space
-
-
-def kinematical_gauge_model(
-    m1: float, m2: float, V: InteractionPotential
-) -> tuple[ConstraintSet, PhaseSpace]:
-    """Same shells, but the evolution gauge pins the laboratory time
-    difference-and-mean instead of the state of motion: chi2 = x1^0 - tau
-    with chi1 = x1^0 - x2^0.  Used to document the world-line failure."""
-    space = PhaseSpace(2)
-    shells, shell_values = _mass_shells(space, (m1, m2), V)
-
-    def chi1(z, tau):
-        return z[space.ix(0, 0)] - z[space.ix(1, 0)]
-
-    def chi2(z, tau):
-        return 0.5 * (z[space.ix(0, 0)] + z[space.ix(1, 0)]) - tau
+        return Constraint(f"chi{i + 1}", fn, ConstraintRole.GAUGE)
 
     def phi(z, tau):
-        return [chi1(z, tau), chi2(z, tau), *shell_values(z, _separation(*_relative(space, z)))]
+        r, P = _relative(space, z)
+        return [*gauges(z, tau, r, P), *shell_values(z, _separation(r, P))]
 
-    return ConstraintSet(space, _gauges(chi1, chi2) + shells, potential=V, phi=phi), space
+    constraints = [make_gauge(0), make_gauge(1), *shells]
+    return ConstraintSet(space, constraints, potential=V, gauge=gauge, phi=phi), space
 
 
 def sample_on_shell(
@@ -422,11 +397,14 @@ def sample_on_shell(
     masses: tuple[float, float],
     tau: float = 0.0,
 ):
-    """Random point on the full constraint surface.
+    """Random point on the full constraint surface of a two-particle model,
+    in the gauge of its covector n.
 
-    Spatial momenta and positions are sampled, the energy components are
-    fixed by Newton iteration on the two mass-shell conditions, and the
-    positions are shifted exactly along P to satisfy both gauges.
+    Spatial momenta and positions are sampled, and the energy components
+    are fixed by Newton iteration on the two mass-shell conditions.  A shift
+    along P changes neither xi nor either shell, so x1 moves by 2sP with
+    s = -n.r / n.P, which zeroes n.r, and both positions by uP with
+    u = (tau - n.X) / n.P, which sets n.X = tau.
     """
     space = cset.space
     z = np.zeros(space.dim)
@@ -438,19 +416,15 @@ def sample_on_shell(
         )
     _newton_energies(cset, z, tau)
     P = np.asarray(space.p(z, 0)) + np.asarray(space.p(z, 1))
-    diag = np.asarray(ETA)
-    PP = float(P @ (diag * P))
+    n = np.asarray(cset.gauge(P))
+    nP = float(n @ P)
     x1 = np.asarray(space.x(z, 0))
     x2 = np.asarray(space.x(z, 1))
-    r = (x1 - x2) / 2.0
-    s = -float(P @ (diag * r)) / PP
-    x1 = x1 + 2.0 * s * P  # moves r along P; xi and the shells are untouched
-    X = (x1 + x2) / 2.0
-    u = (tau - float(P @ (diag * X))) / PP
-    x1 = x1 + u * P
-    x2 = x2 + u * P
-    z[space.ix(0, 0) : space.ix(0, 0) + 4] = x1
-    z[space.ix(1, 0) : space.ix(1, 0) + 4] = x2
+    s = -float(n @ ((x1 - x2) / 2.0)) / nP
+    x1 = x1 + 2.0 * s * P
+    u = (tau - float(n @ ((x1 + x2) / 2.0))) / nP
+    z[space.ix(0, 0) : space.ix(0, 0) + 4] = x1 + u * P
+    z[space.ix(1, 0) : space.ix(1, 0) + 4] = x2 + u * P
     cset.require_on_surface(z, tau)
     return z
 
@@ -617,7 +591,7 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
 
     The published entries and determinant (with the stray factors they
     carry) are reproduced verbatim for comparison; the first-principles
-    block is the ground truth.  On the surface it is
+    block is the ground truth.  In the dynamical gauge, on the surface it is
     [[P.p1, -P.p2], [P.p1, P.p2]]: {chi1, xi} vanishes and {chi2, xi} is
     proportional to P.r = 0, so V' drops out, and the determinant is
     2 (P.p1)(P.p2).
@@ -630,20 +604,15 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
     block once the terms that vanish on the surface (Pr^2/P^4) or drop out
     of the brackets (V') are removed and the sign of {chi1, K2} is flipped.
     """
-    cset, z = frame.cset, frame.z
-    cset.require_on_surface(z, frame.tau)
-    space = cset.space
-    p1 = [float(v) for v in space.p(z, 0)]
-    p2 = [float(v) for v in space.p(z, 1)]
-    x1 = [float(v) for v in space.x(z, 0)]
-    x2 = [float(v) for v in space.x(z, 1)]
-    P = [a + b for a, b in zip(p1, p2)]
-    r = [(a - b) / 2.0 for a, b in zip(x1, x2)]
+    cset = frame.cset
+    cset.require_on_surface(frame.z, frame.tau)
+    space, z = cset.space, [float(v) for v in frame.z]
+    p1, p2 = space.p(z, 0), space.p(z, 1)
+    r, P = _relative(space, z)
+    vprime = float(tangent_part(cset.potential(Dual(_separation(r, P), 1.0))))
     dot = minkowski_dot
     p1p1, p2p2, p1p2 = dot(p1, p1), dot(p2, p2), dot(p1, p2)
     PP, Pr = dot(P, P), dot(P, r)
-    xi = dot(r, r) - Pr * Pr / PP
-    vprime = float(cset.potential.derivative(xi)) if cset.potential else 0.0
     printed = np.array(
         [
             [p1p1 + p1p2 + vprime, p1p2 + p2p2 + 2.0 * vprime / PP**2],
@@ -658,31 +627,6 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
         "published": printed.tolist(),
         "published_det": float(printed_det),
     }
-
-
-def sample_on_shell_kinematical(
-    cset: ConstraintSet,
-    rng: np.random.Generator,
-    masses: tuple[float, float],
-    tau: float = 0.0,
-):
-    """On-shell sampler for the equal-laboratory-time gauge: pin both time
-    components to tau, fix the energies by Newton, polish with a full
-    Newton projection."""
-    space = cset.space
-    z = np.zeros(space.dim)
-    for alpha in range(2):
-        z[space.ix(alpha, 0)] = tau
-        z[space.ix(alpha, 0) + 1 : space.ix(alpha, 0) + 4] = rng.uniform(-1, 1, 3)
-        z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] = rng.uniform(-0.6, 0.6, 3)
-        z[space.ip(alpha, 0)] = math.sqrt(
-            masses[alpha] ** 2
-            + float(np.sum(z[space.ip(alpha, 1) : space.ip(alpha, 1) + 3] ** 2))
-        )
-    _newton_energies(cset, z, tau)
-    z = _project_to_surface(cset, z, tau)
-    cset.require_on_surface(z, tau)
-    return z
 
 
 # -- deformed position-Lorentz algebra ----------------------------------------

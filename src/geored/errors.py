@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the fail-closed maximum
-that checks accumulate their worst value with."""
+"""Exception types shared across the package, the fail-closed maximum that
+checks accumulate their worst value with, and the on-surface check of a
+vector of residuals."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def nan_max(worst: float, x: float) -> float:
@@ -11,6 +14,14 @@ def nan_max(worst: float, x: float) -> float:
     built-in ``max(worst, nan)`` returns ``worst``, so a NaN check value
     would vanish before its gate."""
     return x if math.isnan(x) or x > worst else worst
+
+
+def require_on_surface(point, residuals: np.ndarray, tol: float) -> None:
+    """Raise ``OffSurface`` naming the largest |residual| at ``point``, or
+    the first NaN, unless it is within ``tol``."""
+    j = int(np.argmax(np.abs(residuals)))  # the first NaN, if any
+    if not abs(residuals[j]) <= tol:
+        raise OffSurface(point, j, float(residuals[j]))
 
 
 class GeoredError(Exception):

@@ -20,7 +20,7 @@ import numpy as np
 # ``gradient`` is not called here; perfbench's tracer test checks that this
 # module-level binding of it is wrapped and restored
 from geored.calc import ScalarField, _jvp, gradient  # noqa: F401
-from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed, nan_max
+from geored.errors import PairNotEquivalent, PreflightFailed, nan_max, require_on_surface
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 
 # A diagram is compared on GRID_POINTS uniform times, of which preflight
@@ -50,10 +50,7 @@ class InvariantSurface:
         )
 
     def require_on_surface(self, x):
-        res = self.residuals(x)
-        j = int(np.argmax(np.abs(res)))  # the first NaN, if any
-        if not abs(res[j]) <= self.tol:
-            raise OffSurface(x, j, float(res[j]))
+        require_on_surface(x, self.residuals(x), self.tol)
 
 
 @dataclass(frozen=True)

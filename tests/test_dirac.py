@@ -24,13 +24,12 @@ from geored.dirac import (
     hamiltonian_flow_rhs,
     invariant_separation,
     jacobi_residual,
-    kinematical_gauge_model,
+    laboratory_gauge,
     linear_potential,
     poincare_generators,
     position_noncommutativity,
     published_constraint_matrix,
     sample_on_shell,
-    sample_on_shell_kinematical,
     two_particle_model,
     wlc_residual,
 )
@@ -140,6 +139,20 @@ def test_sample_on_shell_lands_exactly():
     for tau in (0.0, 0.7):
         z = sample_on_shell(cset, rng, (1.0, 2.0), tau=tau)
         assert np.max(np.abs(cset.values(z, tau))) < 1e-9
+
+
+def test_sample_on_shell_lands_exactly_in_the_laboratory_gauge():
+    # the shift along P that fixes the gauges leaves xi and both shells
+    # untouched, so the gauges land at roundoff and the shells stay put
+    cset, space = two_particle_model(1.0, 2.0, linear_potential(0.1), laboratory_gauge)
+    rng = np.random.default_rng(44)
+    for tau in (0.0, 0.3, -1.2):
+        z = sample_on_shell(cset, rng, (1.0, 2.0), tau=tau)
+        vals = cset.values(z, tau)
+        assert np.max(np.abs(vals[:2])) <= 1e-12
+        assert np.max(np.abs(vals[2:])) <= dirac.SURFACE_TOL
+        assert vals[0] == pytest.approx((z[space.ix(0, 0)] - z[space.ix(1, 0)]) / 2.0, abs=1e-15)
+        assert (z[space.ix(0, 0)] + z[space.ix(1, 0)]) / 2.0 == pytest.approx(tau, abs=1e-12)
 
 
 def test_constraint_matrix_single_particle():
@@ -387,9 +400,9 @@ def test_wlc_kinematical_gauge_fails_materially():
     # orders above the tolerance the dynamical gauge meets, scaling linearly
     # with the transformation: the no-go behaviour reappears; the magnitude
     # itself is an empirical output, not asserted
-    cset, _ = kinematical_gauge_model(1.0, 2.0, linear_potential(0.1))
+    cset, _ = two_particle_model(1.0, 2.0, linear_potential(0.1), laboratory_gauge)
     rng = np.random.default_rng(19)
-    frame = DiracFrame(cset, sample_on_shell_kinematical(cset, rng, (1.0, 2.0)))
+    frame = DiracFrame(cset, sample_on_shell(cset, rng, (1.0, 2.0)))
     omega = np.zeros((4, 4))
     omega[0, 1], omega[1, 0] = 1e-4, -1e-4
     report = wlc_residual(frame, omega, np.zeros(4))
@@ -464,15 +477,18 @@ def test_singular_constraint_matrix_detected():
         dirac_bracket(cset, f, g, z, tau=1.0)
 
 
-def test_potential_derivative_check():
-    assert linear_potential(0.1).derivative(0.3) == 0.1
-    from geored.dirac import InteractionPotential
-
-    curved = InteractionPotential(lambda xi: 0.2 * xi * xi, lambda xi: 0.4 * xi)
-    assert curved(-0.7) == pytest.approx(0.098) and curved.derivative(-0.7) == pytest.approx(-0.28)
-    # a potential comes with its derivative
-    with pytest.raises(TypeError):
-        InteractionPotential(lambda xi: 0.2 * xi * xi)
+def test_published_det_takes_the_potential_derivative_from_the_dual_kernel():
+    # on the surface the printed determinant reduces to -2 V'(xi)(m1^2 - m2^2)/P^4;
+    # with V = 0.2 xi^2 the derivative V' = 0.4 xi varies from point to point
+    cset, space = two_particle_model(1.0, 2.0, lambda xi: 0.2 * xi * xi)
+    xi = invariant_separation(space)
+    for seed in range(5):
+        z = sample_on_shell(cset, np.random.default_rng(seed), (1.0, 2.0))
+        P = np.asarray(space.p(z, 0)) + np.asarray(space.p(z, 1))
+        PP = minkowski_dot(P, P)
+        want = -2.0 * 0.4 * float(xi(z, 0.0)) * (1.0 - 4.0) / PP**2
+        got = published_constraint_matrix(DiracFrame(cset, z))["published_det"]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_deformed_poincare_jacobi_and_scaling():

@@ -230,21 +230,13 @@ def test_nested_dual_jacobi_bracket_bit_identical():
 # -- the joint constraint map ----------------------------------------------------
 
 
-def kinematical():
-    return dirac.kinematical_gauge_model(1.0, 2.0, linear_potential(0.1))
-
-
-# each gauge model with its on-shell sampler
-GAUGE_MODELS = {
-    "dynamical": (model, sample_on_shell),
-    "kinematical": (kinematical, dirac.sample_on_shell_kinematical),
-}
+# the two time covectors of the two-particle model
+GAUGE_MODELS = {"dynamical": dirac.dynamical_gauge, "laboratory": dirac.laboratory_gauge}
 
 
 def model_point(name, seed):
-    make, sample = GAUGE_MODELS[name]
-    cset, _ = make()
-    return cset, sample(cset, np.random.default_rng(seed), (1.0, 2.0))
+    cset, _ = two_particle_model(1.0, 2.0, linear_potential(0.1), GAUGE_MODELS[name])
+    return cset, sample_on_shell(cset, np.random.default_rng(seed), (1.0, 2.0))
 
 
 @pytest.mark.parametrize("name", GAUGE_MODELS)

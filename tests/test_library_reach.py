@@ -28,8 +28,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KEPT = {
     # paper claims that wait for a gated metric (ROADMAP item 8)
-    "kinematical_gauge_model": "second gauge of the two-particle model",
-    "sample_on_shell_kinematical": "on-shell points of the second gauge",
+    "laboratory_gauge": "laboratory time covector of the two-particle model",
     "poisson_compatibility": "compatibility of the regular and presymplectic brackets",
     "so3_fixed_energy": "SO(3) quotient restricted to a fixed energy",
     "so3_fixed_l": "SO(3) quotient restricted to a fixed angular momentum",
@@ -120,7 +119,6 @@ OPTIONS_KEPT = {
     "catalog.radial_time_dependent_consistency.t0": "start of the compared time span",
     "catalog.radial_time_dependent_consistency.t1": "end of the compared time span",
     "dirac.position_noncommutativity.tau": "evolution parameter",
-    "dirac.sample_on_shell_kinematical.tau": "evolution parameter",
     "lagsym.newton_wigner_fields.m": "particle mass",
     "lagsym.newton_wigner_fields.c": "speed of light",
     # instances are called by value, c(z, tau), which a match by name cannot see
