@@ -4,9 +4,10 @@ A dual number ``a + eps*b`` carries a value and a directional derivative
 through arbitrary closed-form arithmetic (eps**2 == 0).  Components may
 themselves be duals, so derivatives of any order come from nesting; each
 differentiation layer wraps the leaves once more and peels exactly its own
-tangent slot on the way out, which keeps forward-on-forward sound.  In the
-innermost layer ``b`` may be a float ndarray, one entry per seed direction
-(vector mode); every operation below then acts on all directions at once.
+tangent slot on the way out, which keeps forward-on-forward sound.  In any
+layer ``b`` may hold float ndarrays, one entry per seed direction along the
+axis of its seeding (vector mode); every operation below then acts on all
+directions at once.
 ``a`` and ``b`` are untyped, so no operation needs to know which it holds.
 
 This is the reference implementation.  ``geored._dual_cy`` is a compiled

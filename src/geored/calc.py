@@ -9,18 +9,19 @@ Point components may themselves be duals, so gradients of gradients (and
 brackets of brackets) nest without special cases.
 
 ``gradient`` and ``jacobian`` share one forward-mode kernel, ``_dual_rows``.
-At a point whose coordinates are all plain numbers it seeds
-``Dual(x[j], e_j)`` with ``e_j`` a row of a float identity array and
-evaluates each field once: the tangent of every output is its whole
+It seeds ``Dual(x[j], u_j)`` with ``u_j`` row j of a float identity array
+and evaluates each field once: the tangent of every output holds its whole
 gradient row (the vector mode of Griewank and Walther, *Evaluating
-Derivatives*, 2nd ed., 2008, ch. 3).  At a point that holds duals it seeds
-one scalar direction per evaluation, as every nested layer does.  Tangent
-arrays are therefore always the innermost layer: an ndarray tangent never
-meets a ``Dual`` operand, and tangent arrays from two different seedings
-never meet, so they cannot broadcast against each other.  ``hessian`` at a
-float point keeps that order: the unit rows fill the innermost layer and
-one scalar direction per evaluation the outer one, so each evaluation gives
-a whole Hessian row.
+Derivatives*, 2nd ed., 2008, ch. 3).  Each seeding owns one array axis: at a
+point that already holds duals, whose tangent arrays have d axes, ``u_j``
+sits on a fresh leading axis in front of d broadcast axes, so arrays of two
+seedings meet only as outer products, and every nested layer also takes one
+evaluation.  Its tangents are then split back along that axis into the
+entries that one scalar seeding per direction gives.  ``hessian`` at a float
+point puts its two directions on two such axes, so it takes one evaluation
+too.  A field must reach duals only through its point: the seed rows are
+placed against the arrays the point carries, not against those of a dual
+the field closes over.
 """
 
 from __future__ import annotations
@@ -96,78 +97,170 @@ def _seed(x, i: int):
 
 
 @functools.cache
-def _unit_rows(n: int) -> tuple:
-    """Rows of the n x n identity: the vector seed tangents.
+def _axis_rows(n: int, d: int) -> tuple:
+    """Rows of the n x n identity, each on its own leading axis ahead of d
+    broadcast axes: row j has shape ``(n,) + (1,) * d``.  These are the seed
+    tangents of a vector seeding at a point whose tangent arrays have d axes,
+    so arrays of two seedings meet only as outer products.
 
-    Every float-point derivative of arity n shares them, so they are
+    Every derivative of arity n over such a point shares them, so they are
     read-only: a field that writes into a tangent raises instead of
-    corrupting later gradients."""
-    eye = np.eye(n)
+    corrupting later derivatives."""
+    eye = np.eye(n).reshape((n, n) + (1,) * d)
     eye.setflags(write=False)
     return tuple(eye)
 
 
-def _tangent_row(y, n: int):
-    """Tangent of one output of a vector-seeded evaluation, as an n-row."""
-    b = tangent_part(y)
-    return b if isinstance(b, np.ndarray) else np.full(n, b)
+class _Zero:
+    """Exact zero tangent of the layers that wrap a seed row up to the
+    nesting depth of the duals it meets (see ``_vector_rows``).
+
+    It adds as the identity and multiplies to itself, so ``Dual(u, zero)``
+    takes exactly the IEEE operations of the bare row ``u``; a float 0.0
+    would add ``0.0 * x`` terms that can flip the sign of a zero.  Numpy
+    defers to it (``__array_ufunc__ = None``), so an array operand never
+    makes an object array of it.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
 
 
-def _vector_rows(outputs, coords: list, n: int):
-    """One evaluation at the point seeded with the unit rows; the m x n
-    float array of output tangents, or None if the evaluation hit a
-    floating-point trap or an entry is non-finite.
+# numpy floating-point errors that a vector evaluation raises (and retries
+# as scalar seedings) instead of warning
+_TRAPS = dict(divide="raise", over="raise", invalid="raise")
+
+
+def _layout(x):
+    """Nesting depth of the deepest dual among the coordinates of ``x`` and
+    the ndim of the deepest tangent array they carry; None if an array has a
+    leading axis of length 1, whose entries ``_split`` could not tell from a
+    seed row's broadcast axes."""
+    depth = ndim = 0
+    stack = [(c, 1) for c in x if isinstance(c, Dual)]
+    while stack:
+        v, k = stack.pop()
+        depth = max(depth, k)
+        for slot in (v.a, v.b):
+            if isinstance(slot, Dual):
+                stack.append((slot, k + 1))
+            elif isinstance(slot, np.ndarray):
+                if slot.shape[:1] == (1,):
+                    return None
+                ndim = max(ndim, slot.ndim)
+    return depth, ndim
+
+
+def _finite(t) -> bool:
+    """Whether every slot of the tangent ``t`` is finite."""
+    if isinstance(t, Dual):
+        return _finite(t.a) and _finite(t.b)
+    if isinstance(t, np.ndarray):
+        return bool(np.isfinite(t).all())
+    return isinstance(t, _Zero) or math.isfinite(t)
+
+
+def _split(t, n: int, d: int, zero: _Zero) -> list:
+    """The n per-direction tangents ``_seed(x, i)`` gives, i < n, from the
+    tangent ``t`` of a vector seeding at a point holding duals.
+
+    An array that carries the seed axis (ndim > d) splits along it, less the
+    broadcast axes in front of the loop's array; with no point array
+    involved nothing is left, and the loop holds floats.  A layer whose
+    tangent is this seeding's ``zero`` wraps the seed row and is dropped.
+    """
+    if isinstance(t, Dual):
+        a, b = _split(t.a, n, d, zero), _split(t.b, n, d, zero)
+        return a if b[0] is zero else list(map(Dual, a, b))
+    if isinstance(t, np.ndarray) and t.ndim > d:
+        k = 1
+        while k < t.ndim and t.shape[k] == 1:
+            k += 1
+        rest = t.shape[k:]
+        return list(t.reshape((n,) + rest)) if rest else t.reshape(n).tolist()
+    return [t] * n
+
+
+def _vector_rows(outputs, x: Sequence, n: int):
+    """Tangent rows of ``outputs`` at ``x`` from one evaluation, every
+    coordinate seeded on its own axis; None if the evaluation hit a
+    floating-point trap, an entry is non-finite, or ``_layout`` refuses the
+    point.
+
+    Coordinate j becomes ``Dual(x_j, u_j)`` with ``u_j = _axis_rows(n, d)[j]``,
+    d the ndim of the tangent arrays ``x`` carries.  At a point holding
+    duals of depth D, ``u_j`` is wrapped in D layers ``Dual(., zero)``, so
+    that it meets floats and arrays at the leaves of those duals and never
+    a ``Dual`` from the numpy side.  A float point gives an m x n float
+    array, a point holding duals nested lists split per direction.
 
     Numpy signals a zero division inside a tangent array with a warning,
     where a scalar tangent raises; the traps turn that (and overflow or an
     invalid operation) into an exception, so no warning escapes.
     """
-    xs = list(map(Dual, coords, _unit_rows(n)))
+    if Dual not in map(type, x):
+        depth = d = 0
+        xs = list(map(Dual, map(float, x), _axis_rows(n, 0)))
+    else:
+        layout = _layout(x)
+        if layout is None:
+            return None
+        depth, d = layout
+        # one zero per seeding: a seeding nested inside this evaluation
+        # drops its own wrapper layers, not these
+        zero = _Zero()
+        xs = []
+        for c, w in zip(x, _axis_rows(n, d)):
+            for _ in range(depth):
+                w = Dual(w, zero)
+            xs.append(Dual(_plain(c), w))
     try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            rows = np.array([_tangent_row(y, n) for y in outputs(xs)])
-            # a sum is finite iff every entry is (inf - inf traps as invalid)
-            if math.isfinite(rows.sum()):
-                return rows
+        with np.errstate(**_TRAPS):
+            ts = [tangent_part(y) for y in outputs(xs)]
+            if depth == 0:
+                rows = np.array([t if isinstance(t, np.ndarray) else np.full(n, t) for t in ts])
+                # a sum is finite iff every entry is (inf - inf traps as invalid)
+                return rows if math.isfinite(rows.sum()) else None
+            if all(map(_finite, ts)):
+                return [_split(t, n, d, zero) for t in ts]
     except ArithmeticError:
         pass
     return None
-
-
-def _hessian_rows(f, coords: list, n: int):
-    """n x n float array R with R[j, i] = d_i d_j f, or None (see
-    ``_vector_rows``).
-
-    Output j wraps the unit-row seeds ``Dual(x_k, e_k)`` under one outer
-    scalar direction, ``Dual(Dual(x_k, e_k), Dual(delta_kj, 0.0))``: the
-    outer tangent of f there is a dual whose tangent is row j.
-    """
-    return _vector_rows(
-        lambda xs: [
-            tangent_part(f([Dual(x, Dual(1.0 if k == j else 0.0, 0.0)) for k, x in enumerate(xs)]))
-            for j in range(n)
-        ],
-        coords,
-        n,
-    )
 
 
 def _dual_rows(outputs, x: Sequence, n: int):
     """Tangent rows of ``outputs`` (point -> sequence of m values) at ``x``:
     row r holds the partials of value r, one column per coordinate.
 
-    A float point takes one vector-seeded evaluation.  A point holding
-    duals takes one scalar-seeded evaluation per direction; so does a float
-    point whose vector evaluation failed, which makes every failure raise
-    exactly as the scalar loop raises it (the first bad seed index).  The
-    entries are bit-identical either way: each tangent slot sees the same
-    IEEE operations in the same order.  Float array at a float point,
+    One vector-seeded evaluation (``_vector_rows``), or, where that fails,
+    one scalar-seeded evaluation per direction, which makes every failure
+    raise exactly as the scalar loop raises it (the first bad seed index).
+    The entries are bit-identical either way: each tangent slot sees the
+    same IEEE operations in the same order.  Float array at a float point,
     nested lists when duals are involved.
     """
-    if Dual not in map(type, x):
-        rows = _vector_rows(outputs, [float(c) for c in x], n)
-        if rows is not None:
-            return rows
+    rows = _vector_rows(outputs, x, n)
+    if rows is not None:
+        return rows
     cols = []
     for i in range(n):
         ys = _eval(outputs, _seed(x, i), i)
@@ -243,23 +336,33 @@ def jacobian(fields: Sequence[ScalarField] | Callable, x: Sequence, scheme: Diff
 def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     """Symmetric matrix of second partials.
 
-    DUAL mode nests two derivative layers.  At a float point one evaluation
-    per row j seeds the unit rows innermost under one outer scalar
-    direction j (``_hessian_rows``), so a Hessian takes n evaluations; entry
-    (i, j), i <= j, is read from row j and mirrored.  A point holding duals
-    seeds one scalar pair per (i, j), i <= j, and so does a float point
-    whose row evaluation failed, which makes every failure raise as that
-    loop raises it (the first bad index i).  Each entry sees the same IEEE
-    operations either way, so both give bit-identical results.  CENTRAL
-    uses the four-point stencil and is symmetrized on return.
+    DUAL mode nests two derivative layers.  The pair loop seeds
+    ``Dual(Dual(x_k, delta_ki), Dual(delta_kj, 0.0))`` once per (i, j),
+    i <= j, and mirrors.  At a float point one evaluation puts both
+    directions on their own axes: the inner one on the unit rows ``e_k``
+    (axis 1), the outer one on ``_axis_rows(n, 1)`` (axis 0), so the second
+    tangent is the n x n array R with R[j, i] = d_i d_j f, and entry (i, j),
+    i <= j, is read from R's lower triangle.  A point holding duals runs the
+    pair loop, and so does a float point whose evaluation hit a trap or a
+    non-finite entry, which makes every failure raise as that loop raises it
+    (the first bad index i).  Each entry sees the same IEEE operations
+    either way, so both give bit-identical results.  CENTRAL uses the
+    four-point stencil and is symmetrized on return.
     """
     n = f.arity
     if scheme is DUAL:
         if Dual not in map(type, x):
-            R = _hessian_rows(f, [float(c) for c in x], n)
-            if R is not None:
-                # entry (i, j), i <= j, is slot i of row j: R's lower triangle
-                return np.where(np.tri(n, dtype=bool), R, R.T)
+            xs = [
+                Dual(Dual(float(c), e), Dual(u, 0.0))
+                for c, e, u in zip(x, _axis_rows(n, 0), _axis_rows(n, 1))
+            ]
+            try:
+                with np.errstate(**_TRAPS):
+                    R = np.broadcast_to(tangent_part(tangent_part(f(xs))), (n, n))
+                    if math.isfinite(R.sum()):
+                        return np.where(np.tri(n, dtype=bool), R, R.T)
+            except ArithmeticError:
+                pass
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

@@ -4,12 +4,14 @@ Prefers the compiled kernel (``geored._dual_cy``) and falls back to the pure
 Python twin.  Everything downstream imports ``Dual`` and the math helpers from
 here, so the choice is invisible to the rest of the package.
 
-A tangent slot holds a float, a ``Dual`` (one more nesting layer) or, in
-the innermost layer only, a float ndarray with one entry per seed direction:
-``calc`` seeds such vector tangents at points whose coordinates are all
-plain numbers, and scalar tangents at points that hold duals.  So an ndarray
-tangent never meets a ``Dual`` operand, and tangent arrays of two different
-seedings never meet, which would broadcast them against each other.  The
+A tangent slot holds a float, a ``Dual`` (one more nesting layer) or a
+float ndarray with one entry per seed direction along its own axis: ``calc``
+seeds vector tangents, and each seeding owns one axis.  At a point that
+already carries tangent arrays, the new seed rows sit on a fresh leading
+axis in front of broadcast axes, so arrays of two seedings meet only as
+outer products; and they are wrapped in layers whose tangent is an exact
+zero (``calc._Zero``) up to the nesting depth of the point's duals, so an
+ndarray never meets a ``Dual`` from the numpy side.  The
 helpers below act on tangents only through ``+ - * /`` with real parts,
 which numpy applies entry by entry with the same IEEE operations as on
 floats.

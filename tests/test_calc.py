@@ -340,13 +340,37 @@ def test_gradient_of_gradient_at_float_point_matches_hessian():
     grads = [ScalarField(n, (lambda i: lambda z: gradient(f, z)[i])(i)) for i in range(n)]
     x = [0.7, -0.4, 1.3]
     nested = jacobian(grads, x)
-    # outer vector layer, inner scalar layers: bit-identical to scalar outer seeding
+    # outer and inner vector layers: bit-identical to scalar outer seeding
     assert _same_bits(nested, _scalar_rows(lambda z: [g(z) for g in grads], x))
     assert np.allclose(nested, hessian(f, x), rtol=0.0, atol=1e-12)
 
 
+def test_three_nested_vector_layers_bit_identical_to_scalar_loops():
+    def fn(x):
+        return dn.exp(0.3 * x[0] * x[2]) * dn.sin(x[1]) + dn.sqrt(1.0 + x[0] * x[0] * x[1] * x[1])
+
+    n, x = 3, [0.7, -0.4, 1.3]
+
+    def third(rows):
+        """d_k d_j d_i f at x, every layer differentiated by ``rows``."""
+
+        def grad(g, z):
+            return rows(lambda w: [g(w)], z)[0]
+
+        return rows(
+            lambda z: [grad(lambda w: grad(fn, w)[i], z)[j] for i in range(n) for j in range(n)], x
+        )
+
+    # three seedings on three axes: (3,), (3, 1) and (3, 1, 1)
+    vector = third(jacobian)
+    loop = third(_scalar_tangents)
+    assert _same_bits(vector, np.array(loop, dtype=float))
+
+
 def test_unit_rows_are_shared_and_read_only():
-    assert calc._unit_rows(4) is calc._unit_rows(4)
+    assert calc._axis_rows(4, 0) is calc._axis_rows(4, 0)
+    assert calc._axis_rows(4, 2) is calc._axis_rows(4, 2)
+    assert [u.shape for u in calc._axis_rows(3, 2)] == [(3, 1, 1)] * 3
 
     def writes_into_tangent(z):
         z[0].b[1] = 5.0
@@ -354,11 +378,113 @@ def test_unit_rows_are_shared_and_read_only():
 
     with pytest.raises(ValueError):
         gradient(ScalarField(2, writes_into_tangent), [1.0, 2.0])
+
+    def writes_into_nested_tangent(z):
+        # the nested seed row, wrapped to the depth of the point's duals
+        z[0].b.a[1] = 5.0
+        return z[0]
+
+    with pytest.raises(ValueError):
+        gradient(ScalarField(2, writes_into_nested_tangent), [dn.Dual(1.0, 0.5), dn.Dual(2.0, 0.5)])
+    for u in calc._axis_rows(2, 1):
+        assert not u.flags.writeable
     # the returned row is a fresh writable array, not the cached seed
     identity = ScalarField(2, lambda z: z[0])
     g = gradient(identity, [1.0, 2.0])
     g[0] = 7.0
     assert list(gradient(identity, [1.0, 2.0])) == [1.0, 0.0]
+
+
+# -- vector tangents at points holding duals against per-direction seeding --
+
+
+def _tree(v):
+    """Every slot of a (possibly nested) dual down to its bits, with the
+    type of each leaf: a float and a one-entry array differ."""
+    if isinstance(v, list):
+        return [_tree(e) for e in v]
+    if isinstance(v, dn.Dual):
+        return (_tree(v.a), _tree(v.b))
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    return (type(v), np.float64(v).tobytes())
+
+
+def _scalar_tangents(outputs, x):
+    """Reference at any point: the ``calc._seed`` loop, as rows of tangents."""
+    cols = [[dn.tangent_part(y) for y in outputs(calc._seed(x, i))] for i in range(len(x))]
+    return [list(row) for row in zip(*cols)]
+
+
+@st.composite
+def _dual_point(draw, n, coords=_point):
+    """A point of n coordinates, the first a dual of one of three kinds:
+    scalar tangents ``Dual(x, t)``, unit-row seeds ``Dual(x, e_j)`` of an
+    outer vector seeding of arity m, or nested ``Dual(Dual(x, t),
+    Dual(s, 0.0))``; with the number of evaluations ``_dual_rows`` takes
+    there."""
+    x, t, s = draw(coords(n)), draw(_point(n)), draw(_point(n))
+    # coordinates after the first may stay plain numbers
+    plain = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    kind = draw(st.sampled_from(["scalar", "unit", "nested"]))
+    evaluations = 1
+    if kind == "scalar":
+        z = [dn.Dual(a, b) for a, b in zip(x, t)]
+    elif kind == "nested":
+        z = [dn.Dual(dn.Dual(a, b), dn.Dual(c, 0.0)) for a, b, c in zip(x, t, s)]
+    else:
+        m = draw(st.integers(1, 5))
+        z = [dn.Dual(a, np.eye(m)[draw(st.integers(0, m - 1))]) for a in x]
+        # one-entry tangent arrays would broadcast like a seed row's own
+        # axes, so that point takes the scalar loop
+        evaluations = 1 if m > 1 else n
+    return [x[j] if j in plain else v for j, v in enumerate(z)], evaluations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_point_rows_bit_identical_to_scalar_seeding_in_one_evaluation(data):
+    n = data.draw(st.integers(1, 8))
+    x, evaluations = data.draw(_dual_point(n))
+    fns = data.draw(st.lists(_closed_form(n), min_size=1, max_size=3)) + [lambda z: 2.5]
+    counted = [_counted(fn) for fn in fns]
+    ref = _scalar_tangents(lambda z: [fn(z) for fn in fns], x)
+    assert _tree(gradient(ScalarField(n, counted[0]), x)) == _tree(ref[0])
+    assert counted[0].calls == evaluations
+    assert _tree(jacobian([ScalarField(n, c) for c in counted], x)) == _tree(ref)
+    assert _tree(jacobian(lambda z: [c(z) for c in counted], x)) == _tree(ref)
+    assert all(c.calls == evaluations * (3 if i == 0 else 2) for i, c in enumerate(counted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_point_injected_nan_or_inf_raises_the_scalar_loop_index(data):
+    n = data.draw(st.integers(1, 8))
+    x, _ = data.draw(_dual_point(n, lambda n: st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    base = data.draw(_closed_form(n))
+    k = data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(["inf", "nan"]))
+
+    def poisoned(z):
+        # direction k of (s z_k)^2 overflows; subtracting it again gives NaN
+        t = 1e200 * z[k]
+        return base(z) + (t * t if kind == "inf" else t * t - t * t)
+
+    with warnings.catch_warnings():
+        # the loop's tangent arrays overflow with a warning, as they always have
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = _scalar_tangents(lambda z: [poisoned(z)], x)[0]
+        bad = [i for i, v in enumerate(ref) if not np.isfinite(dn.real_part(v))]
+        assert bad
+        for call in (
+            lambda: gradient(ScalarField(n, poisoned), x),
+            lambda: jacobian([ScalarField(n, base), ScalarField(n, poisoned)], x),
+            lambda: jacobian(lambda z: [poisoned(z)] * 2, x),
+        ):
+            with pytest.raises(EvaluationError) as err:
+                call()
+            assert err.value.index == bad[0]
+            assert "non-finite" in str(err.value)
 
 
 # -- Hessian rows at float points against per-pair nested seeding ------------
@@ -399,7 +525,7 @@ def test_hessian_rows_bit_identical_to_pair_seeding(data):
     for fn in (a, lambda z: a(z) * b(z), lambda z: 2.5, lambda z: 3.0 * z[k] - 1.0):
         counted = _counted(fn)
         H = hessian(ScalarField(n, counted), x)
-        assert counted.calls == n
+        assert counted.calls == 1
         assert _same_bits(H, np.array(_pair_hessian(fn, [float(c) for c in x]), dtype=float))
 
 

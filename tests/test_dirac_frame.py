@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from geored import dirac
+from geored import calc, dirac
 from geored.calc import ScalarField, _jvp, gradient
 from geored.dirac import (
     Constraint,
@@ -30,7 +30,7 @@ from geored.dirac import (
     two_particle_model,
     wlc_residual,
 )
-from geored.dualnum import Dual, is_dual, real_part
+from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import ConstraintDrift, DegenerateLagrangian, OffSurface
 from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, _solve_generic
 from geored.qriccati import UnitaryState
@@ -267,8 +267,12 @@ def test_constraint_rows_evaluate_xi_once_per_seeding(monkeypatch, name):
     del calls[:]
     zd = [Dual(float(v), 0.5) for v in z]
     rows = dirac._constraint_rows(cset, zd, 0.0)
-    assert len(calls) == 16  # one scalar seeding per direction at a dual point
-    want = [ref_grad(c.fn, zd, 0.0) for c in cset.constraints]
+    assert len(calls) == 1  # one vector seeding at a dual point too
+    # the reference seeds one scalar direction per evaluation
+    want = [
+        [tangent_part(c.fn(calc._seed(zd, i), 0.0)) for i in range(len(zd))]
+        for c in cset.constraints
+    ]
     assert [[dual_bits(v) for v in row] for row in rows] == [
         [dual_bits(v) for v in row] for row in want
     ]
