@@ -1,5 +1,6 @@
 """Differentiation kernel: exact forward-mode derivatives plus a central
-finite-difference oracle.
+finite-difference oracle, which ``gradient`` and ``hessian`` offer as
+``CENTRAL``.
 
 Every bracket, Lie derivative and two-form in the package routes through the
 operations here.  Fields are plain closures over coordinate sequences; they
@@ -17,11 +18,12 @@ point that already holds duals, whose tangent arrays have d axes, ``u_j``
 sits on a fresh leading axis in front of d broadcast axes, so arrays of two
 seedings meet only as outer products, and every nested layer also takes one
 evaluation.  Its tangents are then split back along that axis into the
-entries that one scalar seeding per direction gives.  ``hessian`` at a float
-point puts its two directions on two such axes, so it takes one evaluation
-too.  A field must reach duals only through its point: the seed rows are
-placed against the arrays the point carries, not against those of a dual
-the field closes over.
+entries that one scalar seeding per direction gives.  ``hessian`` is the
+kernel applied twice: ``_dual_rows`` of the gradient that ``_dual_rows``
+takes at the seeded point, so it too takes one evaluation at a float point.
+A field must reach duals only through its point: the seed rows are placed
+against the arrays the point carries, not against those of a dual the field
+closes over.
 """
 
 from __future__ import annotations
@@ -312,72 +314,41 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     return _pack(out, x)
 
 
-def jacobian(fields: Sequence[ScalarField] | Callable, x: Sequence, scheme: DiffScheme = DUAL):
+def jacobian(fields: Sequence[ScalarField] | Callable, x: Sequence):
     """Stacked gradients; row i is the gradient of ``fields[i]``.  ``fields``
     may instead be one map from the point to the sequence of its outputs,
     whose subexpressions the outputs then share; row i is the gradient of
-    output i, and the map's arity is ``len(x)`` (DUAL mode only).
+    output i, and the map's arity is ``len(x)``.
 
-    In DUAL mode each seeded evaluation covers every field at once.
+    Each seeded evaluation covers every field at once.
     """
     if callable(fields):
-        if scheme is not DUAL:
-            raise ValueError("a map of outputs is differentiated in DUAL mode only")
         return _dual_rows(fields, x, len(x))
     arities = {f.arity for f in fields}
     if len(arities) != 1:
         raise ValueError("all fields must share one arity")
-    n = arities.pop()
-    if scheme is DUAL:
-        return _dual_rows(lambda xs: [f(xs) for f in fields], x, n)
-    return _pack_rows([list(gradient(f, x, scheme)) for f in fields], x)
+    return _dual_rows(lambda xs: [f(xs) for f in fields], x, arities.pop())
 
 
 def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     """Symmetric matrix of second partials.
 
-    DUAL mode nests two derivative layers.  The pair loop seeds
-    ``Dual(Dual(x_k, delta_ki), Dual(delta_kj, 0.0))`` once per (i, j),
-    i <= j, and mirrors.  At a float point one evaluation puts both
-    directions on their own axes: the inner one on the unit rows ``e_k``
-    (axis 1), the outer one on ``_axis_rows(n, 1)`` (axis 0), so the second
-    tangent is the n x n array R with R[j, i] = d_i d_j f, and entry (i, j),
-    i <= j, is read from R's lower triangle.  A point holding duals runs the
-    pair loop, and so does a float point whose evaluation hit a trap or a
-    non-finite entry, which makes every failure raise as that loop raises it
-    (the first bad index i).  Each entry sees the same IEEE operations
-    either way, so both give bit-identical results.  CENTRAL uses the
-    four-point stencil and is symmetrized on return.
+    DUAL mode applies the kernel twice: ``_dual_rows`` of the gradient that
+    ``_dual_rows`` takes at the seeded point.  Row j of the result R holds
+    the partials of gradient entry j, so the outer seeding sits on the inner
+    dual layer and R[j, i] = d_i d_j f; entry (i, j), i <= j, is read from
+    R's lower triangle and mirrored.  Failures raise through the kernel's
+    scalar fallback: a zero division under the first seed index, a
+    non-finite gradient entry under its own index, and a non-finite second
+    partial under the first i that meets one.  CENTRAL uses the four-point
+    stencil and is symmetrized on return.
     """
     n = f.arity
     if scheme is DUAL:
-        if Dual not in map(type, x):
-            xs = [
-                Dual(Dual(float(c), e), Dual(u, 0.0))
-                for c, e, u in zip(x, _axis_rows(n, 0), _axis_rows(n, 1))
-            ]
-            try:
-                with np.errstate(**_TRAPS):
-                    R = np.broadcast_to(tangent_part(tangent_part(f(xs))), (n, n))
-                    if math.isfinite(R.sum()):
-                        return np.where(np.tri(n, dtype=bool), R, R.T)
-            except ArithmeticError:
-                pass
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                xs = [
-                    Dual(
-                        Dual(_plain(x[k]), 1.0 if k == i else 0.0),
-                        Dual(1.0 if k == j else 0.0, 0.0),
-                    )
-                    for k in range(n)
-                ]
-                v = _eval(f, xs, i)
-                entry = _check_finite(tangent_part(tangent_part(v)), i)
-                rows[i][j] = entry
-                rows[j][i] = entry
-        return _pack_rows(rows, x)
+        R = _dual_rows(lambda xs: gradient(f, xs), x, n)
+        if isinstance(R, np.ndarray):
+            return np.where(np.tri(n, dtype=bool), R, R.T)
+        return [[R[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
     # second differences lose eps/h^2 to roundoff; sqrt(step) balances that
     # against the O(h^2) truncation term
     h = math.sqrt(_CENTRAL_STEP)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from geored import catalog, dirac, frames, lagsym, qriccati
+from geored import catalog, dirac, dualnum, frames, lagsym, qriccati
 from geored.errors import ConfigError, UnknownScenario, nan_max
 from geored.flow import IntegratorConfig, integrate
 from geored.reduce import TOLERANCES, verify_commuting_diagram
@@ -462,9 +462,9 @@ def _run_frames_suite(config, rng):
         proj_gap = nan_max(proj_gap, abs(float(np.trace(R.R)) - 1.0))
     pts = [rng.uniform(-1, 1, 4) for _ in range(6)]
     frobenius_conformal = frames.frobenius_residual(
-        lambda pt: np.array([np.exp(-pt[1]), 0.0, 0.0, 0.0]), pts
+        lambda pt: [dualnum.exp(-pt[1]), 0.0, 0.0, 0.0], pts
     )
-    contact = frames.frobenius_residual(lambda pt: np.array([pt[1], 0.0, 1.0, 0.0]), pts)
+    contact = frames.frobenius_residual(lambda pt: [pt[1], 0.0, 1.0, 0.0], pts)
     metric_report = frames.metric_from_frame_family(
         [(0.7, (1, 0, 0)), (1.3, (0, 1, 0)), (-0.4, (0.2, -0.5, 0.8))]
     )

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from geored.calc import ScalarField, _jvp, gradient, jacobian
-from geored.dualnum import Dual, is_dual, real_part, tangent_part
+from geored.dualnum import is_dual, real_part
 from geored.errors import (
     ConstraintDrift,
     GeoredError,
@@ -439,9 +439,7 @@ def _newton_energies(cset: ConstraintSet, z, tau):
         for alpha, shell in enumerate(shells):
             i0 = space.ip(alpha, 0)
             val = float(shell(z, tau))
-            seeded = list(z)
-            seeded[i0] = Dual(z[i0], 1.0)
-            slope = tangent_part(shell(seeded, tau))
+            (slope,) = _jvp(lambda e: [shell([*z[:i0], e[0], *z[i0 + 1 :]], tau)], [z[i0]], [1.0])
             if slope == 0.0:
                 raise GeoredError(f"mass shell {shell.label} has zero energy slope")
             z[i0] -= val / slope
@@ -609,7 +607,7 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
     space, z = cset.space, [float(v) for v in frame.z]
     p1, p2 = space.p(z, 0), space.p(z, 1)
     r, P = _relative(space, z)
-    vprime = float(tangent_part(cset.potential(Dual(_separation(r, P), 1.0))))
+    (vprime,) = _jvp(lambda s: [cset.potential(s[0])], [_separation(r, P)], [1.0])
     dot = minkowski_dot
     p1p1, p2p2, p1p2 = dot(p1, p1), dot(p2, p2), dot(p1, p2)
     PP, Pr = dot(P, P), dot(P, r)

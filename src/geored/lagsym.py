@@ -419,7 +419,7 @@ def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point):
     the block-form matrix from ``lagrangian_two_form``.
     """
     n = model.n
-    tol = 1e-8  # the rank cut-off of both SVDs and the pass bound
+    tol = 1e-8  # the rank cut-off of both SVDs
     z = [float(u) for u in point]
     rows = np.asarray([[float(v) for v in row] for row in A.at(z)])
     weight = float(model.L(z))
@@ -434,11 +434,7 @@ def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point):
     img_w = u[:, sw > tol * max(sw[0], 1e-300)]
     stacked = np.hstack([null_lam.T, img_w])
     min_sv = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    return {
-        "lambda_omega_lambda": residual,
-        "kernel_image_min_singular_value": min_sv,
-        "ok": residual <= tol and min_sv > tol,
-    }
+    return {"lambda_omega_lambda": residual, "kernel_image_min_singular_value": min_sv}
 
 
 def bracket_table(frame, fields: Sequence[ScalarField]) -> dict:

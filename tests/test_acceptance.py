@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from geored import catalog, dirac, frames, lagsym, qriccati
+from geored import catalog, dirac, dualnum, frames, lagsym, qriccati
 from geored.calc import CENTRAL, DUAL, ScalarField, gradient
 from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
 from geored.reduce import verify_commuting_diagram
@@ -373,7 +373,7 @@ def test_criterion_10_frames():
     _report("criterion 10 projector identities", proj, 1e-10, ok_proj)
 
     pts = [rng.uniform(-1, 1, 4) for _ in range(6)]
-    frob = frames.frobenius_residual(lambda pt: np.array([np.exp(-pt[1]), 0, 0, 0]), pts)
+    frob = frames.frobenius_residual(lambda pt: [dualnum.exp(-pt[1]), 0, 0, 0], pts)
     ok_frob = frob < 1e-7
     _report("criterion 10 integrability residual", frob, 1e-7, ok_frob)
 

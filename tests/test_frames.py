@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geored import dualnum as dn
 from geored.catalog import _rotation_matrix
 from geored.errors import NotNormalized
 from geored.frames import (
+    LORENTZ_TOL,
     FrameTensorAtPoint,
     ReferenceFrame,
     boost_matrix,
@@ -149,32 +151,32 @@ def test_frobenius_exact_time_function():
 
 
 def test_frobenius_conformal_factor_preserves_integrability():
-    theta = lambda pt: np.array([math.exp(-pt[1]), 0.0, 0.0, 0.0])
+    theta = lambda pt: [dn.exp(-pt[1]), 0.0, 0.0, 0.0]
     assert frobenius_residual(theta, _sample_points(seed=3)) < 1e-7
 
 
 def test_frobenius_residual_keeps_a_nan_after_a_finite_point():
-    # theta is NaN only at the second sample itself, so the central
-    # differences around it stay finite and the wedge product carries the NaN
+    # theta is NaN only at the plain second sample, so its derivative at the
+    # seeded point stays finite and the wedge product carries the NaN
     points = _sample_points(seed=3, count=2)
-    bad = tuple(points[1])
+    bad = [float(c) for c in points[1]]
 
     def theta(pt):
-        if tuple(pt) == bad:
-            return np.array([math.nan, 0.0, 0.0, 0.0])
-        return np.array([math.exp(-pt[1]), 0.0, 0.0, 0.0])
+        if pt == bad:
+            return [math.nan, 0.0, 0.0, 0.0]
+        return [dn.exp(-pt[1]), 0.0, 0.0, 0.0]
 
     assert math.isnan(frobenius_residual(theta, points))
 
 
 def test_frobenius_contact_form_fails():
-    theta = lambda pt: np.array([pt[1], 0.0, 1.0, 0.0])  # x^1 dx^0 + dx^2
+    theta = lambda pt: [pt[1], 0.0, 1.0, 0.0]  # x^1 dx^0 + dx^2
     assert frobenius_residual(theta, _sample_points(seed=4)) > 0.1
 
 
 def test_metric_family_identity_and_boosts():
     report = metric_from_frame_family([(0.0, (1, 0, 0))])
-    assert report["ok"] and report["residual"] < 1e-15
+    assert report["residual"] < 1e-15 and report["inverse_residual"] <= LORENTZ_TOL
     report = metric_from_frame_family(
         [
             (0.7, (1.0, 0.0, 0.0)),
@@ -182,7 +184,6 @@ def test_metric_family_identity_and_boosts():
             (-0.4, (0.2, -0.5, 0.8)),
         ]
     )
-    assert report["ok"]
     assert report["residual"] < 1e-12
     assert report["inverse_residual"] < 1e-15
 

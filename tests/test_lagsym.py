@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geored import lagsym
-from geored.calc import CENTRAL, DUAL, ScalarField, gradient, jacobian
+from geored.calc import CENTRAL, DUAL, ScalarField, gradient
 from geored.errors import (
     ConnectionInvalid,
     DegenerateLagrangian,
@@ -117,7 +117,8 @@ def test_two_form_equals_exterior_derivative_of_cartan_form():
             )
             for i in range(n)
         ]
-        J = jacobian(theta_fields, z, CENTRAL)  # J[i, A] = d theta_{q_i} / d z^A
+        # J[i, A] = d theta_{q_i} / d z^A
+        J = np.array([gradient(f, z, CENTRAL) for f in theta_fields])
         full = np.zeros((2 * n, 2 * n))  # full[A, B] = d_A theta_B
         for a in range(2 * n):
             for b in range(n):
@@ -501,7 +502,8 @@ def test_jacobi_residual_leaves_no_reference_cycle():
 def test_poisson_compatibility_conditions():
     for z in timelike_points(3, seed=22):
         report = poisson_compatibility(REL, CONN, z)
-        assert report["ok"], report
+        assert report["lambda_omega_lambda"] <= 1e-8, report
+        assert report["kernel_image_min_singular_value"] > 1e-8, report
 
 
 def test_bracket_table_json_schema():
