@@ -585,14 +585,15 @@ def wlc_residual(frame: DiracFrame, omega: np.ndarray, a: np.ndarray) -> dict:
 
 def published_constraint_matrix(frame: DiracFrame) -> dict:
     """The gauge-shell bracket block as published, next to the one computed
-    from first principles at ``frame.z``, which must be on the surface.
+    from first principles at ``frame.z``, which must be on the surface of a
+    dynamical-gauge set.
 
     The published entries and determinant (with the stray factors they
     carry) are reproduced verbatim for comparison; the first-principles
     block is the ground truth.  In the dynamical gauge, on the surface it is
     [[P.p1, -P.p2], [P.p1, P.p2]]: {chi1, xi} vanishes and {chi2, xi} is
     proportional to P.r = 0, so V' drops out, and the determinant is
-    2 (P.p1)(P.p2).
+    ``derived_det`` = 2 (P.p1)(P.p2), formed from the momenta alone.
 
     ``published_det`` is not ground truth.  On the surface P.r = 0 and
     p1^2 - p2^2 = m1^2 - m2^2, so it reduces to -2 V'(m1^2 - m2^2)/P^4,
@@ -603,6 +604,8 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
     of the brackets (V') are removed and the sign of {chi1, K2} is flipped.
     """
     cset = frame.cset
+    if cset.gauge is not dynamical_gauge:
+        raise ValueError("the published block is that of the dynamical gauge")
     cset.require_on_surface(frame.z, frame.tau)
     space, z = cset.space, [float(v) for v in frame.z]
     p1, p2 = space.p(z, 0), space.p(z, 1)
@@ -624,6 +627,7 @@ def published_constraint_matrix(frame: DiracFrame) -> dict:
         "measured_det": float(np.linalg.det(measured)),
         "published": printed.tolist(),
         "published_det": float(printed_det),
+        "derived_det": 2.0 * (p1p1 + p1p2) * (p1p2 + p2p2),
     }
 
 

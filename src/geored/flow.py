@@ -1,6 +1,9 @@
-"""ODE integration: fixed-step RK4, and adaptive Dormand-Prince RK45 with
+"""ODE integration: the adaptive Dormand-Prince 5(4) pair (RK45), with
 dense output and trajectory resampling; conserved-quantity drift measurement,
 and second-order lifts.
+
+RK45 is the one integrator: every flow in geored steps with
+``Dopri45Stepper``, and every trajectory carries its dense output.
 """
 
 from __future__ import annotations
@@ -72,18 +75,14 @@ _DP_P = np.array(
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk45"  # "rk45" adaptive or "rk4" fixed step
-    dt: float = 1e-3
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for value in (self.dt, self.abs_tol, self.rel_tol):
+        for value in (self.abs_tol, self.rel_tol):
             if not (value > 0 and math.isfinite(value)):  # NaN fails too
-                raise ValueError("dt and tolerances must be positive and finite")
+                raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -109,22 +108,20 @@ class VectorFieldSystem:
 
 @dataclass
 class Trajectory:
-    """Samples of a flow, held as per-step arrays, with the dense output of
-    an RK45 flow.
+    """Samples of an RK45 flow, held as per-step arrays, with its dense
+    output.
 
     Step k runs from ``times[k]`` to ``times[k + 1]`` and starts at
-    ``states[k]``; ``h[k]`` is its step size as the integrator took it.
-    RK45 steps carry the Shampine quartic in ``coeffs[k]`` (dim x 4); RK4
-    steps carry no dense output.  ``coord_names`` names the state's
-    coordinates.
+    ``states[k]``; ``h[k]`` is its step size as the integrator took it, and
+    ``coeffs[k]`` (dim x 4) its Shampine quartic.  ``coord_names`` names the
+    state's coordinates.
     """
 
     times: np.ndarray
     states: np.ndarray
-    method: str
     coord_names: tuple[str, ...]
-    h: np.ndarray | None = field(default=None, repr=False)
-    coeffs: np.ndarray | None = field(default=None, repr=False)
+    h: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -142,7 +139,6 @@ class Trajectory:
         return cls(
             times=np.asarray(times),
             states=states,
-            method="rk45",
             coord_names=coord_names,
             h=np.asarray([h for h, _ in records]),
             coeffs=np.matmul(Ks.transpose(0, 2, 1), _DP_P),
@@ -157,10 +153,7 @@ class Trajectory:
         return float(self.times[-1])
 
     def resample(self, ts: Sequence[float]) -> np.ndarray:
-        """Dense-output values at every time of ``ts`` (one row each);
-        ValueError for an RK4 trajectory, which has no dense output."""
-        if self.coeffs is None:
-            raise ValueError(f"a {self.method} trajectory has no dense output")
+        """Dense-output values at every time of ``ts`` (one row each)."""
         ts = np.asarray(ts, dtype=float)
         inside = (self.t0 - 1e-12 <= ts) & (ts <= self.t1 + 1e-12)
         if not np.all(inside):
@@ -178,21 +171,11 @@ class Trajectory:
         return self.states[idx] + h[:, None] * poly
 
 
-def _check_state(y: np.ndarray, t_last: float):
-    # one comparison: NaN fails it as well as inf or a component past the limit
-    if not np.abs(y).max() <= BLOWUP_LIMIT:
-        raise BlowUp(t_last, y)
-
-
-def _check_shape(f0: np.ndarray, y: np.ndarray):
-    if f0.shape != y.shape:
-        raise ValueError(
-            f"right-hand side returned shape {f0.shape}, expected {y.shape}"
-        )
-
-
 class Dopri45Stepper:
-    """Single-step driver for the adaptive pair, driven by ``integrate``.
+    """Single-step driver for the adaptive pair.  ``integrate`` drives it
+    for every flow; kernel-crosscheck takes single steps of a set size with
+    it (``h`` set before ``step``, tolerances that accept every step) to
+    gate the pair's local order.
 
     ``rhs`` is called as ``rhs(y, t)``, or as ``rhs(y)`` when ``autonomous``,
     and may return any sequence of ``len(y)`` numbers; its first output (and
@@ -232,7 +215,10 @@ class Dopri45Stepper:
         y = self.y
         k1 = self.rhs(y) if self.autonomous else self.rhs(y, self.t)
         self.k1 = np.asarray(k1, dtype=float)
-        _check_shape(self.k1, y)
+        if self.k1.shape != y.shape:
+            raise ValueError(
+                f"right-hand side returned shape {self.k1.shape}, expected {y.shape}"
+            )
 
     def step(self, t_limit: float):
         """Advance one accepted step, clipped to ``t_limit``.
@@ -289,13 +275,11 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     project: Callable | None = None,
 ) -> Trajectory:
-    """Flow map sampler from ``t0`` to ``t1 > t0``.
-
-    RK45 controls local error by the configured tolerances; RK4 marches the
-    fixed step ``cfg.dt``.  Any non-finite or > 1e12 state component raises
-    ``BlowUp`` carrying the last good time (never clamped).  A right-hand
-    side whose first output does not have the state's shape raises
-    ``ValueError``.
+    """Flow map sampler from ``t0`` to ``t1 > t0`` by RK45, with the local
+    error controlled by the configured tolerances.  Any non-finite or > 1e12
+    state component raises ``BlowUp`` carrying the last good time (never
+    clamped).  A right-hand side whose first output does not have the
+    state's shape raises ``ValueError``.
 
     ``project(t, y)``, if given, runs after every step (a projection method)
     and returns ``y`` to keep it, or a state of its shape that replaces it
@@ -308,12 +292,6 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    if cfg.method == "rk4":
-
-        def rhs_t(t, y):
-            return np.asarray(sys.eval_rhs(y, t), dtype=float)
-
-        return _integrate_rk4(rhs_t, y0, t0, t1, cfg, sys.coord_names, project)
     stepper = Dopri45Stepper(sys.rhs, t0, y0, cfg, autonomous=sys.autonomous)
     t_end = t1 - 1e-14 * max(1.0, abs(t1))
     times = [t0]
@@ -322,53 +300,19 @@ def integrate(
     records = []
     while stepper.t < t_end:
         t, y, record = stepper.step(t1)
-        if project is not None and (y_proj := _projected(project, t, y)) is not y:
-            stepper.y = y = y_proj
-            stepper.reset_derivative()
+        if project is not None:
+            y_proj = np.asarray(project(t, y), dtype=float)  # y itself if kept
+            if y_proj.shape != y.shape:
+                raise ValueError(
+                    f"projection returned shape {y_proj.shape}, expected {y.shape}"
+                )
+            if y_proj is not y:
+                stepper.y = y = y_proj
+                stepper.reset_derivative()
         times.append(t)
         states.append(y)
         records.append(record)
     return Trajectory.from_rk45(times, states, records, sys.coord_names)
-
-
-def _projected(project, t: float, y: np.ndarray) -> np.ndarray:
-    """``project(t, y)`` as a float array (``y`` itself when it was kept),
-    checked to have ``y``'s shape."""
-    out = np.asarray(project(t, y), dtype=float)
-    if out.shape != y.shape:
-        raise ValueError(f"projection returned shape {out.shape}, expected {y.shape}")
-    return out
-
-
-def _integrate_rk4(rhs_t, y0, t0, t1, cfg, coord_names, project) -> Trajectory:
-    n_steps = max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-12)))
-    if n_steps > cfg.max_steps:
-        raise StepLimitExceeded(t0, cfg.max_steps)
-    h = (t1 - t0) / n_steps
-    times = [t0]
-    states = [np.array(y0)]
-    t, y = t0, np.array(y0)
-    f_here = rhs_t(t, y)
-    _check_shape(f_here, y)
-    for _ in range(n_steps):
-        k1 = f_here
-        k2 = rhs_t(t + h / 2, y + h / 2 * k1)
-        k3 = rhs_t(t + h / 2, y + h / 2 * k2)
-        k4 = rhs_t(t + h, y + h * k3)
-        y_new = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_state(y_new, t)
-        if project is not None:
-            y_new = _projected(project, t + h, y_new)
-        t, y, f_here = t + h, y_new, rhs_t(t + h, y_new)
-        times.append(t)
-        states.append(y.copy())
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        method="rk4",
-        coord_names=coord_names,
-        h=np.full(n_steps, h),
-    )
 
 
 def conserved_drift(sys: VectorFieldSystem, f, traj: Trajectory) -> float:

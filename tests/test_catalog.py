@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from geored import catalog
 from geored.calc import ScalarField
 from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
-from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, conserved_drift, integrate
+from geored.flow import IntegratorConfig, conserved_drift, integrate
 from geored.reduce import verify_commuting_diagram
 
 
@@ -139,9 +140,7 @@ def test_eigen_tracking_trace_and_constants():
     # phidot (q2-q1)^2 stays at the angular constant; phidot is the tracked
     # angle differenced on a fine grid (second order, h = 2.5e-3)
     ts = np.linspace(0.0, 5.0, 2001)
-    q1, q2, phi = catalog.eigen_decompose_tracked(
-        Trajectory(ts, traj.resample(ts), "grid", traj.coord_names)
-    )
+    q1, q2, phi = catalog.eigen_decompose_tracked(SimpleNamespace(times=ts, states=traj.resample(ts)))
     g_series = np.gradient(phi, ts, edge_order=2) * (q2 - q1) ** 2
     assert np.max(np.abs(g_series - catalog.angular_constant(x0))) < 1e-6
 
@@ -278,23 +277,19 @@ def test_calogero_comparison_truncates_at_small_gap():
     # the pair-dynamics comparison must hold right up to that moment
     x0 = np.array([0.5, 0.03 / np.sqrt(2.0), -0.5, -0.5, 0.0, 0.5])
     g = float(catalog.angular_constant(x0))
-    # fixed small steps so the sampled grid resolves the gap minimum
-    dense = IntegratorConfig(method="rk4", dt=1e-3)
     cfg = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10)
-    traj = integrate(catalog.matrix_free_symmetric(), x0, 0.0, 2.0, dense)
-    q1, q2, _ = catalog.eigen_decompose_tracked(traj)
+    traj = integrate(catalog.matrix_free_symmetric(), x0, 0.0, 2.0, cfg)
+    # a 1e-3 grid of the dense output resolves the gap minimum
+    ts = np.linspace(0.0, 2.0, 2001)
+    q1, q2, _ = catalog.eigen_decompose_tracked(SimpleNamespace(times=ts, states=traj.resample(ts)))
     gaps = q2 - q1
     assert np.min(gaps) < 0.05  # the threshold is actually reached
     pair = integrate(
         catalog.calogero_two_body(g), catalog._eigen_quotient()(x0), 0.0, 2.0, cfg
     )
-    worst = 0.0
-    for idx, t in enumerate(traj.times):
-        if abs(gaps[idx]) < 0.05:
-            break
-        ref = pair.resample([t])[0]
-        worst = max(worst, abs(ref[0] - q1[idx]), abs(ref[1] - q2[idx]))
-    assert worst < 1e-6
+    cut = int(np.argmax(gaps < 0.05))  # the first grid time under the threshold
+    ref = pair.resample(ts[:cut])[:, :2]  # the pair positions
+    assert cut > 0 and np.max(np.abs(ref - np.stack([q1[:cut], q2[:cut]], axis=1))) < 1e-6
 
 
 # -- guards fail closed on NaN --------------------------------------------------

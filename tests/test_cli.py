@@ -470,6 +470,15 @@ _NAN_CASES = [
     ("deformed-poincare-jacobi", "jacobi_max", "dirac", "jacobi_residual", 2, None, None),
     (
         "kernel-crosscheck",
+        "dp5_order_gap",
+        "Dopri45Stepper",
+        "step",
+        2,
+        lambda out: (out[0], np.full_like(out[1], math.nan), out[2]),
+        None,
+    ),
+    (
+        "kernel-crosscheck",
         "corpus_rel_dev",
         "calc",
         "gradient",
@@ -501,7 +510,7 @@ _NAN_CASES = [
 def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric, owner, name, nth, value, when):
     # a NaN met after the first finite value must reach the gate, not vanish
     # under the built-in max
-    from geored import calc, dirac, frames, lagsym, qriccati
+    from geored import calc, dirac, flow, frames, lagsym, qriccati
 
     owners = {
         "lagsym": lagsym,
@@ -511,6 +520,7 @@ def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric,
         "qriccati": qriccati,
         "DiracFrame": dirac.DiracFrame,
         "ConnectionFrame": lagsym.ConnectionFrame,
+        "Dopri45Stepper": flow.Dopri45Stepper,
     }
     _poison(monkeypatch, owners[owner], name, nth, value, when)
     report = run(_make_config(scenario, output_dir=str(tmp_path)))
@@ -530,6 +540,48 @@ def test_relativistic_free_particle_rejects_an_invalid_connection(tmp_path, monk
     report = run(_make_config("relativistic-free-particle", output_dir=str(tmp_path)))
     assert report.status == "ERROR"
     assert report.error["type"] == "ConnectionInvalid"
+
+
+# -- a planted defect fails its own gate and no other ---------------------------
+
+
+def _perturb_fifth_order_weight(monkeypatch):
+    # 1e-9 on the first weight of the fifth-order solution drops the local
+    # order measured at h = 0.1 and 0.05 from 6 to about 2.5
+    from geored import flow
+
+    weights = flow._DP_B.copy()
+    weights[0] += 1e-9
+    monkeypatch.setattr(flow, "_DP_B", weights)
+
+
+def _published_det_as_measured(monkeypatch):
+    # the printed closed form in place of the first-principles determinant
+    from geored import dirac
+
+    original = dirac.published_constraint_matrix
+
+    def published(frame):
+        report = original(frame)
+        return {**report, "measured_det": report["published_det"]}
+
+    monkeypatch.setattr(dirac, "published_constraint_matrix", published)
+
+
+@pytest.mark.parametrize(
+    "scenario, gate, plant",
+    [
+        ("kernel-crosscheck", "dp5_order_gap", _perturb_fifth_order_weight),
+        ("dirac-two-particle", "det_gap", _published_det_as_measured),
+    ],
+    ids=["kernel-crosscheck:dp5_order_gap", "dirac-two-particle:det_gap"],
+)
+def test_planted_defect_fails_its_gate(tmp_path, monkeypatch, scenario, gate, plant):
+    limits = REGISTRY[scenario].tolerances
+    plant(monkeypatch)
+    report = run(_make_config(scenario, output_dir=str(tmp_path)))
+    assert report.status == "FAIL"
+    assert [key for key, limit in limits.items() if not report.metrics[key] <= limit] == [gate]
 
 
 # -- each point's bracket frame is built once ----------------------------------

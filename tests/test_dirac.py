@@ -204,6 +204,7 @@ def test_constraint_matrix_two_particle_first_principles():
         report = published_constraint_matrix(frame)
         assert report["measured"] == A.tolist()
         assert report["measured_det"] == pytest.approx(2.0 * Pp1 * Pp2, rel=1e-9)
+        assert report["derived_det"] == pytest.approx(2.0 * Pp1 * Pp2, rel=1e-14)
         if lam == 0.0:
             # with V' = 0 the printed closed form vanishes on the surface,
             # yet the full constraint matrix is well conditioned there: the
@@ -211,6 +212,15 @@ def test_constraint_matrix_two_particle_first_principles():
             M = frame.matrix
             assert np.linalg.cond(np.asarray(M, dtype=float)) < 1e2
             assert abs(report["published_det"]) < 1e-12 * abs(report["measured_det"])
+
+
+def test_published_block_is_of_the_dynamical_gauge():
+    # in the laboratory gauge the block keeps V' terms, and its determinant
+    # (4.83 at this point) is not the derived 2 (P.p1)(P.p2) = 46.97
+    cset, _ = two_particle_model(1.0, 2.0, linear_potential(0.2), gauge=laboratory_gauge)
+    z = sample_on_shell(cset, np.random.default_rng(3), (1.0, 2.0))
+    with pytest.raises(ValueError, match="dynamical gauge"):
+        published_constraint_matrix(DiracFrame(cset, z))
 
 
 def test_dirac_bracket_kills_constraints():

@@ -51,19 +51,6 @@ def test_harmonic_period_return():
     assert np.max(np.abs(traj.states[-1] - [1.0, 0.0])) < 1e-8
 
 
-def test_rk4_order_four_convergence():
-    sys = harmonic()
-    t1 = 1.0
-    exact = np.array([math.cos(t1), -math.sin(t1)])
-    errs = []
-    for dt in (0.05, 0.025):
-        cfg = IntegratorConfig(method="rk4", dt=dt)
-        traj = integrate(sys, [1.0, 0.0], 0.0, t1, cfg)
-        errs.append(np.max(np.abs(traj.states[-1] - exact)))
-    order = math.log2(errs[0] / errs[1])
-    assert 3.7 < order < 4.3
-
-
 def test_time_reversal_property():
     # forward-then-backward integration returns to the start within 10x the
     # integrator tolerance on the catalog systems
@@ -121,17 +108,6 @@ def test_dense_output_matches_closed_form():
     assert np.max(np.abs(samples[:, 0] - np.cos(ts))) < 1e-8
 
 
-def test_rk4_dense_output():
-    # an RK4 trajectory keeps its step states but has no dense output
-    cfg = IntegratorConfig(method="rk4", dt=1e-3)
-    traj = integrate(harmonic(), [1.0, 0.0], 0.0, 1.0, cfg)
-    assert len(traj.states) == 1001
-    assert np.max(np.abs(traj.states[:, 0] - np.cos(traj.times))) < 1e-10
-    for ts in ([0.5], [0.0], list(traj.times)):
-        with pytest.raises(ValueError, match="rk4 trajectory has no dense output"):
-            traj.resample(ts)
-
-
 def test_nonautonomous_rhs_receives_time():
     seen = []
 
@@ -182,15 +158,13 @@ def test_step_limit_exceeded():
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         integrate(harmonic(), [1.0, 0.0], 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf])
-@pytest.mark.parametrize("field", ["dt", "abs_tol", "rel_tol"])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
 def test_integrator_config_rejects_non_positive_or_non_finite(field, bad):
     with pytest.raises(ValueError, match="positive and finite"):
         IntegratorConfig(**{field: bad})
@@ -461,8 +435,7 @@ def test_blowup_on_large_inf_and_nan_at_reference_time(monkeypatch):
     # NaN: every stage past t = 0.5 is NaN.  RK45 rejects each NaN attempt
     # and shortens the step, as before; where the step can shrink no further
     # it raises BlowUp at the time the previous step gave up with
-    # StepLimitExceeded.  RK4 has no error norm and raises BlowUp from its
-    # state check
+    # StepLimitExceeded
     nan_after = VectorFieldSystem(
         1, lambda x, t: [math.nan if t > 0.5 else 1.0], ("y",), autonomous=False
     )
@@ -477,22 +450,6 @@ def test_blowup_on_large_inf_and_nan_at_reference_time(monkeypatch):
     assert err.t_last == ref_err.t and 0.4 < err.t_last <= 0.5
     assert np.isnan(err.state).all()
     assert stepper.steps == ref_stepper.steps
-
-    def reference_check(y, t_last):
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > flow.BLOWUP_LIMIT:
-            raise BlowUp(t_last, y)
-
-    rk4 = IntegratorConfig(method="rk4", dt=0.03)
-    fast = VectorFieldSystem(1, lambda x: [x[0] * x[0]], ("y",))
-    infinite = VectorFieldSystem(1, lambda x, t: [math.inf if t > 0.5 else 1.0], ("y",), autonomous=False)
-    for sys in (fast, infinite, nan_after):
-        err = _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0, rk4))
-        with monkeypatch.context() as m:
-            m.setattr(flow, "_check_state", reference_check)
-            ref_err = _blowup_of(lambda: integrate(sys, [1.0], 0.0, 2.0, rk4))
-        assert err.t_last == ref_err.t_last
-        assert err.state.tobytes() == ref_err.state.tobytes()
-    assert np.isnan(err.state).all()
 
 
 def test_nan_first_derivative_raises_blowup_at_start():
@@ -511,18 +468,16 @@ def test_nan_first_derivative_raises_blowup_at_start():
     assert len(calls) == 7  # the first derivative and one attempt's six stages
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_rhs_of_wrong_shape_raises(method):
+def test_rhs_of_wrong_shape_raises():
     # negative control: -x[0] is a scalar, which broadcast over both rows
     # and integrated silently to [0.368, 4.368]
     scalar = VectorFieldSystem(2, lambda x: -x[0], ("x", "y"))
     short = VectorFieldSystem(2, lambda x: [-x[0]], ("x", "y"))
-    cfg = IntegratorConfig(method=method, dt=0.01)
     for sys in (scalar, short):
         with pytest.raises(ValueError, match="shape"):
-            integrate(sys, [1.0, 5.0], 0.0, 1.0, cfg)
+            integrate(sys, [1.0, 5.0], 0.0, 1.0)
     good = VectorFieldSystem(2, lambda x: [-x[0], -x[0]], ("x", "y"))
-    assert np.allclose(integrate(good, [1.0, 5.0], 0.0, 1.0, cfg).states[-1], [math.exp(-1), 4 + math.exp(-1)])
+    assert np.allclose(integrate(good, [1.0, 5.0], 0.0, 1.0).states[-1], [math.exp(-1), 4 + math.exp(-1)])
 
 
 def test_reset_derivative_checks_shape():
@@ -664,40 +619,31 @@ def _decay(calls=None):
     return VectorFieldSystem(1, rhs, ("y",))
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_projection_replacement_restarts_the_derivative(method):
-    cfg = IntegratorConfig(method=method, dt=0.05)
+def test_projection_replacement_restarts_the_derivative():
     seen = []
 
     def double_once(t, y):
         seen.append(t)
         return 2.0 * y if len(seen) == 1 else y
 
-    calls, plain_calls = [], []
-    traj = integrate(_decay(calls), [1.0], 0.0, 1.0, cfg, project=double_once)
-    plain = integrate(_decay(plain_calls), [1.0], 0.0, 1.0, cfg)
+    plain_calls = []
+    traj = integrate(_decay(), [1.0], 0.0, 1.0, project=double_once)
+    plain = integrate(_decay(plain_calls), [1.0], 0.0, 1.0)
     assert seen == list(traj.times[1:])
     # the replaced state is the one recorded ...
     assert traj.states[1][0] == 2.0 * plain.states[1][0]
     # ... and the next step starts from its own derivative, not the FSAL
     # stage of the state it replaced: dy/dt = -y at the start of step 1
-    if method == "rk45":
-        assert traj.coeffs[1][:, 0].tobytes() == (-traj.states[1]).tobytes()
-    else:  # the fifth evaluation is the first stage of step 1
-        assert calls[4].tobytes() == traj.states[1].tobytes()
+    assert traj.coeffs[1][:, 0].tobytes() == (-traj.states[1]).tobytes()
     assert abs(traj.states[-1][0] - 2.0 * math.exp(-1.0)) < 1e-6
     # keeping every step changes nothing and evaluates nothing more
     kept_calls = []
-    kept = integrate(_decay(kept_calls), [1.0], 0.0, 1.0, cfg, project=lambda t, y: y)
+    kept = integrate(_decay(kept_calls), [1.0], 0.0, 1.0, project=lambda t, y: y)
     assert kept.states.tobytes() == plain.states.tobytes()
     assert len(kept_calls) == len(plain_calls)
-    if method == "rk4":  # its end slope comes after the projection anyway
-        assert len(calls) == len(plain_calls)
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_projection_of_wrong_shape_raises(method):
-    cfg = IntegratorConfig(method=method, dt=0.05)
+def test_projection_of_wrong_shape_raises():
     for bad in (lambda t, y: 1.0, lambda t, y: np.append(y, 0.0)):
         with pytest.raises(ValueError, match="projection returned shape"):
-            integrate(_decay(), [1.0], 0.0, 1.0, cfg, project=bad)
+            integrate(_decay(), [1.0], 0.0, 1.0, project=bad)
