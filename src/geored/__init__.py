@@ -1,7 +1,7 @@
 """geored: numerical verification of geometric reduction procedures and
 constrained relativistic particle dynamics."""
 
-from geored.dualnum import DUAL_BACKEND, Dual
+from geored.dualnum import Dual
 
 __version__ = "0.1.0"
-__all__ = ["Dual", "DUAL_BACKEND", "__version__"]
+__all__ = ["Dual", "__version__"]

@@ -10,8 +10,10 @@ axis of its seeding (vector mode); every operation below then acts on all
 directions at once.
 ``a`` and ``b`` are untyped, so no operation needs to know which it holds.
 
-This is the reference implementation.  ``geored._dual_cy`` is a compiled
-twin with identical semantics; ``geored.dualnum`` picks one at import time.
+This is the one dual scalar of the package; ``geored.dualnum`` exports it.
+With builtin float leaves, division by an exact zero raises
+``ZeroDivisionError`` as float division does; ``calc`` seeds builtin floats
+and maps that error to ``EvaluationError``.
 """
 
 from __future__ import annotations

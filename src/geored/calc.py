@@ -78,8 +78,10 @@ def _check_finite(value, index):
 
 
 def _eval(f, xs, index):
-    """Evaluate a field, mapping arithmetic blowups to EvaluationError so
-    both dual backends (C arithmetic yields inf, Python raises) agree."""
+    """Evaluate a field, mapping a zero division to EvaluationError.
+
+    Builtin float division by zero raises ``ZeroDivisionError``, and so does
+    the dual scalar, whose leaves ``_plain`` keeps builtin floats."""
     try:
         return f(xs)
     except ZeroDivisionError as err:
@@ -89,8 +91,11 @@ def _eval(f, xs, index):
 
 
 def _plain(value):
-    """Coerce numpy scalars to builtin floats so leaf duals stay on the
-    compiled fast path; duals pass through untouched."""
+    """Coerce numpy scalars to builtin floats; duals pass through untouched.
+
+    A numpy scalar divided by zero warns and returns inf, where a builtin
+    float raises ``ZeroDivisionError``, which ``_eval`` turns into
+    ``EvaluationError``."""
     return value if isinstance(value, Dual) else float(value)
 
 

@@ -1,8 +1,7 @@
-"""Dual-number backend selection and scalar math that works on floats or duals.
+"""The dual scalar and scalar math that works on floats or duals.
 
-Prefers the compiled kernel (``geored._dual_cy``) and falls back to the pure
-Python twin.  Everything downstream imports ``Dual`` and the math helpers from
-here, so the choice is invisible to the rest of the package.
+``Dual`` is ``geored._dual_py.Dual``, the one dual scalar of the package.
+Everything downstream imports ``Dual`` and the math helpers from here.
 
 A tangent slot holds a float, a ``Dual`` (one more nesting layer) or a
 float ndarray with one entry per seed direction along its own axis: ``calc``
@@ -21,18 +20,15 @@ from __future__ import annotations
 
 import math
 
-try:  # pragma: no cover - exercised indirectly via the backend parity tests
-    from geored._dual_cy import Dual, _real
+from geored._dual_py import Dual, _real
 
-    DUAL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from geored._dual_py import Dual, _real
-
-    DUAL_BACKEND = "python"
+# perfbench/worker.py records this name and counts dualnum.ops only under it;
+# it goes with _dual_cy.c and _dual_cy.pyx, which the benchmark compiles on
+# its own for the dualnum.*.compiled microbenchmarks.
+DUAL_BACKEND = "python"
 
 __all__ = [
     "Dual",
-    "DUAL_BACKEND",
     "real_part",
     "is_dual",
     "tangent_part",

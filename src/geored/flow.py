@@ -332,19 +332,10 @@ def second_order_lift(
 ) -> VectorFieldSystem:
     """Lift a force law (q, v, t) -> n-vector to the 2n first-order system
     (q, v) -> (v, force)."""
-    if autonomous:
 
-        def rhs(x):
-            q, v = x[:n], x[n:]
-            acc = force(q, v, 0.0)
-            return [x[n + i] for i in range(n)] + [acc[i] for i in range(n)]
-
-    else:
-
-        def rhs(x, t):
-            q, v = x[:n], x[n:]
-            acc = force(q, v, t)
-            return [x[n + i] for i in range(n)] + [acc[i] for i in range(n)]
+    def rhs(x, t=0.0):
+        acc = force(x[:n], x[n:], t)
+        return [x[n + i] for i in range(n)] + [acc[i] for i in range(n)]
 
     return VectorFieldSystem(
         dim=2 * n, rhs=rhs, coord_names=coord_names, autonomous=autonomous

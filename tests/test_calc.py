@@ -708,6 +708,16 @@ def test_jvp_zero_division_and_non_finite_tangents_raise():
         calc._jvp(lambda z: [z[0] / z[1]], [1.0, 0.0], [1.0, 1.0])
     with pytest.raises(EvaluationError):
         calc._jvp(lambda z: [dn.sqrt(z[0])], [0.0], [1.0])
+    # numpy scalars too: divided by zero they would warn and give inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError) as err:
+            calc._jvp(
+                lambda z: [z[0] / z[1]],
+                [np.float64(1.0), np.float64(0.0)],
+                [np.float64(1.0)] * 2,
+            )
+    assert err.value.index is None
     # a finite value whose tangent overflows to inf, and one whose tangent is NaN
     with pytest.raises(EvaluationError) as err:
         calc._jvp(lambda z: [z[0], z[0] * 1e308], [1.0], [10.0])
