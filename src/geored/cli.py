@@ -8,9 +8,10 @@ artifacts, and ``run`` alone writes the output tree.
 Reports are deterministic for a fixed (config, seed): the JSON body carries
 no timestamps, randomness derives from the global seed split per scenario
 by name hashing, and wall time lives only on the in-memory report object.
-A scenario that raises is reported with status ERROR (exception type and
-message in the body, traceback in ``traceback.txt``, and no other file)
-instead of stopping a ``run-all``.
+A scenario that raises, or whose artifacts or metrics cannot be written, is
+reported with status ERROR (exception type and message in the body,
+traceback in ``traceback.txt``, and no other file) instead of stopping a
+``run-all``.
 """
 
 from __future__ import annotations
@@ -357,20 +358,21 @@ def _run_dirac_two_particle(config, rng):
 
 
 def _run_noncommuting_positions(config, rng):
-    (cset, space), masses = _two_particle(config)
-    z = dirac.sample_on_shell(cset, rng, masses)
-    constrained = dirac.position_noncommutativity(cset, space, z)
-    free = dirac.position_noncommutativity(None, space, z)
+    (cset, _), masses = _two_particle(config)
+    report = dirac.position_noncommutativity(
+        dirac.DiracFrame(cset, dirac.sample_on_shell(cset, rng, masses))
+    )
     tables = {
-        "constrained": [T.tolist() for T in constrained["tables"]],
-        "canonical": [T.tolist() for T in free["tables"]],
+        "constrained": [T.tolist() for T in report["dirac_tables"]],
+        "canonical": [T.tolist() for T in report["canonical_tables"]],
     }
     # gate: canonical must vanish; the Dirac table must NOT (inverse metric)
-    witness = 1.0 / constrained["max_abs"] if constrained["max_abs"] > 0 else np.inf
+    dirac_max = report["dirac_max_abs"]
+    witness = 1.0 / dirac_max if dirac_max > 0 else np.inf
     return (
         {
-            "canonical_max_abs": free["max_abs"],
-            "dirac_max_abs": constrained["max_abs"],
+            "canonical_max_abs": report["canonical_max_abs"],
+            "dirac_max_abs": dirac_max,
             "dirac_witness_inverse": float(witness),
         },
         {"position_tables.json": tables},
@@ -692,17 +694,23 @@ def run(config: ScenarioConfig) -> RunReport:
     rng = _rng_for(config.name, config.seed)
     started = time.perf_counter()
     error = None
+    written = []
     try:
         metrics, artifacts = spec.runner(config, rng)
+        for name, payload in artifacts.items():
+            path = outdir / name
+            written.append(path)
+            if isinstance(payload, CsvTable):
+                _write_csv(path, payload)
+            else:
+                _write_json(path, payload)
+        metrics = {k: float(v) for k, v in metrics.items()}
     except Exception as err:  # a crashed scenario is reported, never lost
+        for path in written:  # a partly written run leaves no artifact
+            path.unlink(missing_ok=True)
         (outdir / "traceback.txt").write_text(traceback.format_exc())
         error = {"type": type(err).__name__, "message": str(err)}
         metrics, artifacts = {}, {}
-    for name, payload in artifacts.items():
-        if isinstance(payload, CsvTable):
-            _write_csv(outdir / name, payload)
-        else:
-            _write_json(outdir / name, payload)
     wall = time.perf_counter() - started
     # fail closed: a gated metric that is missing or not finite fails
     failed = any(
@@ -713,7 +721,7 @@ def run(config: ScenarioConfig) -> RunReport:
     report = RunReport(
         name=config.name,
         status=status,
-        metrics={k: float(v) for k, v in metrics.items()},
+        metrics=metrics,
         artifacts=["traceback.txt"] if error else sorted(artifacts),
         config_echo={
             "seed": config.seed,

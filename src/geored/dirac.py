@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -101,13 +101,11 @@ def _constraint_rows(cset: "ConstraintSet", z, tau) -> list:
     return _as_lists(jacobian(lambda xs: cset.phi(xs, tau), z))
 
 
-def canonical_pb(space: PhaseSpace, f, g, point, tau: float = 0.0):
-    """Sum over particles of g^{mu nu} (df/dx dg/dp - df/dp dg/dx)."""
+def canonical_pb(space: PhaseSpace, f, g, point):
+    """Sum over particles of g^{mu nu} (df/dx dg/dp - df/dp dg/dx) at tau = 0."""
     f, g = as_phase_fn(f), as_phase_fn(g)
     z = list(point)
-    df = _grad_z(f, z, tau)
-    dg = _grad_z(g, z, tau)
-    return _pb_from_grads(space, df, dg)
+    return _pb_from_grads(space, _grad_z(f, z, 0.0), _grad_z(g, z, 0.0))
 
 
 def _pb_from_grads(space: PhaseSpace, df, dg):
@@ -176,24 +174,31 @@ class Constraint:
 
 @dataclass
 class ConstraintSet:
-    """Constraints with their labels and roles, and ``phi(z, tau)``, the map
-    to all their values in order.  A model supplies a ``phi`` that shares
-    the subexpressions of its constraints; by default ``phi`` lists each
-    constraint's own value."""
+    """A model's constraints as one map ``phi(z, tau)`` to all their values,
+    with a ``(label, role)`` pair for each value in ``spec``.  Constraint k
+    is a view of ``phi``: its ``fn(z, tau)`` is ``phi(z, tau)[k]``, so its
+    value, gradient and brackets are those of the set."""
 
     space: PhaseSpace
-    constraints: list[Constraint]
+    phi: Callable
+    spec: tuple
     potential: Callable | None = None  # V(xi) of a two-particle model
     gauge: Callable | None = None  # its time covector n = gauge(P)
-    phi: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.phi is None:
-            self.phi = lambda z, tau: [c.fn(z, tau) for c in self.constraints]
+        def view(k):
+            return lambda z, tau: self.phi(z, tau)[k]
+
+        self.constraints = [
+            Constraint(label, view(k), role) for k, (label, role) in enumerate(self.spec)
+        ]
+        roles = [c.role for c in self.constraints]
+        self.gauge_ix = [k for k, r in enumerate(roles) if r is ConstraintRole.GAUGE]
+        self.shell_ix = [k for k, r in enumerate(roles) if r is ConstraintRole.MASS_SHELL]
 
     @property
     def shells(self) -> list[Constraint]:
-        return [c for c in self.constraints if c.role is ConstraintRole.MASS_SHELL]
+        return [self.constraints[k] for k in self.shell_ix]
 
     def values(self, z, tau) -> np.ndarray:
         return np.asarray([float(v) for v in self.phi(list(z), tau)])
@@ -227,9 +232,6 @@ class DiracFrame:
                 val = _pb_from_grads(cset.space, self.grads[a], self.grads[b])
                 self.matrix[a][b] = val
                 self.matrix[b][a] = -val
-        roles = [c.role for c in cset.constraints]
-        self.gauge_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.GAUGE]
-        self.shell_ix = [a for a, r in enumerate(roles) if r is ConstraintRole.MASS_SHELL]
         self._plan = None
         self._flow = None
 
@@ -239,6 +241,10 @@ class DiracFrame:
         if hit is None:
             hit = self._grads[id(f)] = (f, _grad_z(as_phase_fn(f), self.z, self.tau))
         return hit[1]
+
+    def canonical(self, f, g):
+        """The plain canonical bracket {f,g} from the cached gradients."""
+        return _pb_from_grads(self.cset.space, self.grad(f), self.grad(g))
 
     def bracket(self, f, g):
         """{f,g} minus the correction through the inverse of the pairwise
@@ -252,7 +258,7 @@ class DiracFrame:
             self._plan = _eliminate(self.matrix)
         space = self.cset.space
         df, dg = self.grad(f), self.grad(g)
-        plain = _pb_from_grads(space, df, dg)
+        plain = self.canonical(f, g)
         fv = [_pb_from_grads(space, df, gr) for gr in self.grads]  # {f, v_a}
         vg = [_pb_from_grads(space, gr, dg) for gr in self.grads]  # {v_b, g}
         y = _apply_plan(self._plan, vg)
@@ -260,10 +266,11 @@ class DiracFrame:
 
     def gauge_shell_block(self) -> np.ndarray:
         """{chi_i, K_j} as floats: one row per gauge, one column per shell."""
+        gauge_ix, shell_ix = self.cset.gauge_ix, self.cset.shell_ix
         return np.array(
-            [[float(self.matrix[a][b]) for b in self.shell_ix] for a in self.gauge_ix],
+            [[float(self.matrix[a][b]) for b in shell_ix] for a in gauge_ix],
             dtype=float,
-        ).reshape(len(self.gauge_ix), len(self.shell_ix))
+        ).reshape(len(gauge_ix), len(shell_ix))
 
     def flow_rhs(self):
         """dz/dtau = sum_i v_i X_{K_i} with the multipliers fixed by exact
@@ -272,15 +279,14 @@ class DiracFrame:
         if self._flow is not None:
             return self._flow
         space, A = self.cset.space, self.gauge_shell_block()
-        gauges = [self.cset.constraints[a] for a in self.gauge_ix]
-        tau_rates = _jvp(lambda ts: [g(self.z, ts[0]) for g in gauges], [self.tau], [1.0])
-        rhs_tau = np.asarray([-rate for rate in tau_rates])
+        tau_rates = _jvp(lambda ts: self.cset.phi(self.z, ts[0]), [self.tau], [1.0])
+        rhs_tau = np.asarray([-tau_rates[a] for a in self.cset.gauge_ix])
         cond = float(np.linalg.cond(A))
         if not np.isfinite(cond) or cond >= 1e10:
             raise SingularConstraintMatrix(cond)
         v = np.linalg.solve(A, rhs_tau)
         out = [0.0] * space.dim
-        for vi, s in zip(v.tolist(), self.shell_ix):
+        for vi, s in zip(v.tolist(), self.cset.shell_ix):
             grad = self.grads[s]
             for i, j, d in space.canonical_pairs:
                 c = vi * d
@@ -330,34 +336,10 @@ def _mean_position(space: PhaseSpace, z):
     return [(a + b) / 2.0 for a, b in zip(space.x(z, 0), space.x(z, 1))]
 
 
-def invariant_separation(space: PhaseSpace):
-    """xi = r^2 - (P.r)^2 / P^2 with r = (x1 - x2)/2 and P = p1 + p2."""
-    return lambda z, tau: _separation(*_relative(space, z))
-
-
 def _shell(space: PhaseSpace, z, alpha: int, mass: float, v):
     """K_alpha = p_alpha^2 - m_alpha^2 + v, with v the interaction V(xi)."""
     p = space.p(z, alpha)
     return minkowski_dot(p, p) - mass * mass + v
-
-
-def _mass_shells(space: PhaseSpace, masses, V: Callable):
-    """The two mass shells sharing one invariant interaction, as standalone
-    constraints, and the map (z, xi) -> [K1, K2] that evaluates V(xi) once
-    for both."""
-    xi = invariant_separation(space)
-
-    def make_shell(alpha, mass):
-        def fn(z, tau):
-            return _shell(space, z, alpha, mass, V(xi(z, tau)))
-
-        return Constraint(f"K{alpha + 1}", fn, ConstraintRole.MASS_SHELL)
-
-    def values(z, xi_value):
-        v = V(xi_value)
-        return [_shell(space, z, alpha, mass, v) for alpha, mass in enumerate(masses)]
-
-    return [make_shell(alpha, mass) for alpha, mass in enumerate(masses)], values
 
 
 def two_particle_model(
@@ -371,24 +353,24 @@ def two_particle_model(
     first keeps the world lines (see ``wlc_residual``).  Its ``phi``
     computes r, P, n and xi once."""
     space = PhaseSpace(2)
-    shells, shell_values = _mass_shells(space, (m1, m2), V)
-
-    def gauges(z, tau, r, P):
-        n = gauge(P)
-        return [_dot(n, r), _dot(n, _mean_position(space, z)) - tau]
-
-    def make_gauge(i):
-        def fn(z, tau):
-            return gauges(z, tau, *_relative(space, z))[i]
-
-        return Constraint(f"chi{i + 1}", fn, ConstraintRole.GAUGE)
 
     def phi(z, tau):
         r, P = _relative(space, z)
-        return [*gauges(z, tau, r, P), *shell_values(z, _separation(r, P))]
+        n, v = gauge(P), V(_separation(r, P))
+        return [
+            _dot(n, r),
+            _dot(n, _mean_position(space, z)) - tau,
+            _shell(space, z, 0, m1, v),
+            _shell(space, z, 1, m2, v),
+        ]
 
-    constraints = [make_gauge(0), make_gauge(1), *shells]
-    return ConstraintSet(space, constraints, potential=V, gauge=gauge, phi=phi), space
+    spec = (
+        ("chi1", ConstraintRole.GAUGE),
+        ("chi2", ConstraintRole.GAUGE),
+        ("K1", ConstraintRole.MASS_SHELL),
+        ("K2", ConstraintRole.MASS_SHELL),
+    )
+    return ConstraintSet(space, phi, spec, potential=V, gauge=gauge), space
 
 
 def sample_on_shell(
@@ -431,19 +413,27 @@ def sample_on_shell(
 
 def _newton_energies(cset: ConstraintSet, z, tau):
     """Fix each particle's energy component in place by Newton iteration on
-    its mass shell, the other coordinates frozen."""
-    space, shells = cset.space, cset.shells
+    its mass shell, the other coordinates frozen.  One evaluation of
+    ``phi`` gives every shell value at a stage of the sweep."""
+    space, shell_ix = cset.space, cset.shell_ix
+
+    def shell_values():
+        values = cset.phi(z, tau)
+        return [float(values[k]) for k in shell_ix]
+
     for _ in range(60):
-        if max(abs(float(s(z, tau))) for s in shells) < NEWTON_TOL:
+        vals = shell_values()
+        if max(abs(v) for v in vals) < NEWTON_TOL:
             return
-        for alpha, shell in enumerate(shells):
+        for alpha, k in enumerate(shell_ix):
+            if alpha > 0:  # the energies before this one have moved
+                vals = shell_values()
             i0 = space.ip(alpha, 0)
-            val = float(shell(z, tau))
-            (slope,) = _jvp(lambda e: [shell([*z[:i0], e[0], *z[i0 + 1 :]], tau)], [z[i0]], [1.0])
+            (slope,) = _jvp(lambda e: [cset.phi([*z[:i0], e[0], *z[i0 + 1 :]], tau)[k]], [z[i0]], [1.0])
             if slope == 0.0:
-                raise GeoredError(f"mass shell {shell.label} has zero energy slope")
-            z[i0] -= val / slope
-    raise ConstraintDrift(tau, max(abs(float(s(z, tau))) for s in shells))
+                raise GeoredError(f"mass shell {cset.constraints[k].label} has zero energy slope")
+            z[i0] -= vals[alpha] / slope
+    raise ConstraintDrift(tau, max(abs(v) for v in shell_values()))
 
 
 def hamiltonian_flow_rhs(cset: ConstraintSet, z, tau):
@@ -499,27 +489,27 @@ def constrained_flow(
     return integrate(system, z0, t0, t1, cfg, project=onto_surface)
 
 
-def position_noncommutativity(cset: ConstraintSet | None, space: PhaseSpace, point, tau: float = 0.0):
-    """Per-particle tables of {x^mu, x^nu} under the Dirac bracket (or the
-    plain canonical bracket when no constraints are supplied)."""
-    tables = []
-    worst = 0.0
-    frame = None if cset is None else DiracFrame(cset, point, tau)
-    for alpha in range(space.particles):
-        T = np.zeros((4, 4))
-        xs = [coordinate_fn(space, "x", alpha, mu) for mu in range(4)]
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                f, g = xs[mu], xs[nu]
-                if frame is None:
-                    val = float(canonical_pb(space, f, g, point, tau))
-                else:
-                    val = float(frame.bracket(f, g))
-                T[mu, nu] = val
-                T[nu, mu] = -val
-                worst = nan_max(worst, abs(val))
-        tables.append(T)
-    return {"tables": tables, "max_abs": worst}
+def position_noncommutativity(frame: DiracFrame) -> dict:
+    """Per-particle tables of {x^mu, x^nu} at ``frame.z`` under the Dirac
+    bracket and under the plain canonical bracket, and the largest |entry|
+    of each."""
+    space = frame.cset.space
+    out = {}
+    for kind, bracket in (("canonical", frame.canonical), ("dirac", frame.bracket)):
+        tables = []
+        worst = 0.0
+        for alpha in range(space.particles):
+            T = np.zeros((4, 4))
+            xs = [coordinate_fn(space, "x", alpha, mu) for mu in range(4)]
+            for mu in range(4):
+                for nu in range(mu + 1, 4):
+                    val = float(bracket(xs[mu], xs[nu]))
+                    T[mu, nu] = val
+                    T[nu, mu] = -val
+                    worst = nan_max(worst, abs(val))
+            tables.append(T)
+        out[f"{kind}_tables"], out[f"{kind}_max_abs"] = tables, worst
+    return out
 
 
 def poincare_transformation_fn(space: PhaseSpace, omega: np.ndarray, a: np.ndarray) -> Callable:
@@ -644,61 +634,42 @@ class DeformedPoincare:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError("the deformation scale must be positive")
-        labels = [f"x{m}" for m in range(4)] + [
-            f"l{m}{n}" for m in range(4) for n in range(m + 1, 4)
-        ]
         pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
+        labels = [f"x{m}" for m in range(4)] + [f"l{m}{n}" for m, n in pairs]
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_pair_index", {p: 4 + idx for idx, p in enumerate(pairs)})
+        # l_{mu nu} = sign e_k, so l_{nu mu} = -l_{mu nu}; l_{mu mu} = 0
+        lorentz = {}
+        for k, (m, n) in enumerate(pairs, 4):
+            lorentz[m, n], lorentz[n, m] = (1.0, k), (-1.0, k)
         # structure constants, C[i, j, :] = [e_i, e_j]; the instance is
         # frozen, so K cannot drift from the tensor
-        C = np.array([[self.bracket_basis(i, j) for j in range(10)] for i in range(10)])
+        C = np.zeros((10, 10, 10))
+
+        def put(i, j, coef, mu, nu):  # [e_i, e_j] = coef l_{mu nu}
+            if (mu, nu) in lorentz:
+                sign, k = lorentz[mu, nu]
+                C[i, j, k] = coef * sign
+
+        for mu, nu in lorentz:  # [x_mu, x_nu] = l_{mu nu} / K
+            put(mu, nu, 1.0 / self.K, mu, nu)
+        for a, (mu, nu) in enumerate(pairs, 4):
+            # [l_{mu nu}, x_rho] = eta_{mu rho} x_nu - eta_{nu rho} x_mu
+            C[a, mu, nu], C[a, nu, mu] = ETA[mu], -ETA[nu]
+            # [l_{mu nu}, l_{rho sig}] = eta_{mu rho} l_{nu sig} - eta_{mu sig} l_{nu rho}
+            #                            - eta_{nu rho} l_{mu sig} + eta_{nu sig} l_{mu rho}
+            for b, (rho, sig) in enumerate(pairs, 4):
+                if mu == rho:
+                    put(a, b, ETA[mu], nu, sig)
+                if mu == sig:
+                    put(a, b, -ETA[mu], nu, rho)
+                if nu == rho:
+                    put(a, b, -ETA[nu], mu, sig)
+                if nu == sig:
+                    put(a, b, ETA[nu], mu, rho)
+        # [x_rho, l_{mu nu}] = -[l_{mu nu}, x_rho]
+        C[:4, 4:] = -C[4:, :4].transpose(1, 0, 2)
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
-
-    def _l_vec(self, mu: int, nu: int) -> np.ndarray:
-        out = np.zeros(10)
-        if mu == nu:
-            return out
-        if mu < nu:
-            out[self._pair_index[(mu, nu)]] = 1.0
-        else:
-            out[self._pair_index[(nu, mu)]] = -1.0
-        return out
-
-    def _x_vec(self, mu: int) -> np.ndarray:
-        out = np.zeros(10)
-        out[mu] = 1.0
-        return out
-
-    def bracket_basis(self, i: int, j: int) -> np.ndarray:
-        if i < 4 and j < 4:
-            return self._l_vec(i, j) / self.K
-        if i >= 4 and j < 4:
-            pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
-            mu, nu = pairs[i - 4]
-            rho = j
-            out = np.zeros(10)
-            if mu == rho:
-                out += ETA[mu] * self._x_vec(nu)
-            if nu == rho:
-                out -= ETA[nu] * self._x_vec(mu)
-            return out
-        if i < 4 and j >= 4:
-            return -self.bracket_basis(j, i)
-        pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
-        mu, nu = pairs[i - 4]
-        rho, sig = pairs[j - 4]
-        out = np.zeros(10)
-        if mu == rho:
-            out += ETA[mu] * self._l_vec(nu, sig)
-        if mu == sig:
-            out -= ETA[mu] * self._l_vec(nu, rho)
-        if nu == rho:
-            out -= ETA[nu] * self._l_vec(mu, sig)
-        if nu == sig:
-            out += ETA[nu] * self._l_vec(mu, rho)
-        return out
 
     def position_block(self) -> np.ndarray:
         """Coefficients of {x_rho, x_sigma} on the Lorentz basis; scales as

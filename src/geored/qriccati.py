@@ -190,9 +190,7 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
 class CosetReport:
     max_dev: float
     unitarity_drift: float
-    # the recorded unitary evolution, [(t, U), ...] as evolve_unitary returns it
-    trail: list = field(repr=False, compare=False)
-    # the coset point of each trail entry
+    # the coset point of each entry of the recorded unitary trail
     points: list = field(repr=False, compare=False)
 
 
@@ -207,9 +205,9 @@ def verify_coset_reduction(
     t1.
 
     A singular D block anywhere on the unitary trail raises
-    ``SingularBlock``.  The report carries the recorded unitary trail and
-    the coset point of each of its entries, so callers need neither
-    integrate nor extract again.
+    ``SingularBlock``.  The report carries the coset point of each entry
+    of the recorded unitary trail, so callers need neither integrate nor
+    extract again.
     """
     cfg = cfg or IntegratorConfig()
     t0 = U0.t
@@ -229,7 +227,6 @@ def verify_coset_reduction(
     return CosetReport(
         max_dev=max_dev,
         unitarity_drift=unitarity_drift(final.U),
-        trail=trail,
         points=points,
     )
 

@@ -271,11 +271,9 @@ def test_criterion_5_determinant_matches_published_form(two_particle_points):
 
 def test_criterion_6_noncommuting_positions(two_particle_points):
     cset, space, points = two_particle_points
-    z = points[0]
-    constrained = dirac.position_noncommutativity(cset, space, z)
-    free = dirac.position_noncommutativity(None, space, z)
-    ok = constrained["max_abs"] > 1e-6 and free["max_abs"] < 1e-14
-    _report("criterion 6 position bracket witness", constrained["max_abs"], 1e-6, ok)
+    report = dirac.position_noncommutativity(dirac.DiracFrame(cset, points[0]))
+    ok = report["dirac_max_abs"] > 1e-6 and report["canonical_max_abs"] < 1e-14
+    _report("criterion 6 position bracket witness", report["dirac_max_abs"], 1e-6, ok)
     assert ok
 
 

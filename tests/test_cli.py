@@ -13,6 +13,7 @@ import pytest
 
 from geored.cli import (
     REGISTRY,
+    CsvTable,
     ScenarioConfig,
     list_scenarios,
     main,
@@ -368,6 +369,54 @@ def test_error_run_writes_only_its_report_and_traceback(tmp_path, monkeypatch):
     assert written == ["report.json", "traceback.txt"]
 
 
+def _unwritable_json(config, rng):
+    return {"a": 0.5}, {"fine.json": {"x": 1.0}, "array.json": np.zeros(2)}
+
+
+def _raising_rows():
+    yield (1.0, 2.0)
+    raise RuntimeError("row generator failed")
+
+
+def _unwritable_csv(config, rng):
+    return {"a": 0.5}, {"fine.json": {"x": 1.0}, "x.csv": CsvTable(("t", "y"), _raising_rows())}
+
+
+def _unconvertible_metric(config, rng):
+    return {"a": None}, {"fine.json": {"x": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "runner, error_type",
+    [
+        (_unwritable_json, "TypeError"),
+        (_unwritable_csv, "RuntimeError"),
+        (_unconvertible_metric, "TypeError"),
+    ],
+    ids=["json-ndarray", "csv-rows-raise", "none-metric"],
+)
+def test_unwritable_artifacts_or_metrics_are_an_error_and_run_all_goes_on(
+    tmp_path, monkeypatch, capsys, runner, error_type
+):
+    # artifacts written before the failure are removed, so the directory
+    # holds what every ERROR run leaves
+    from geored import cli as cli_mod
+
+    stub = cli_mod.ScenarioSpec("aaa-unwritable", "stub", ("test stub",), {"a": 1.0}, runner)
+    real = cli_mod.REGISTRY["deformed-poincare-jacobi"]
+    monkeypatch.setattr(cli_mod, "REGISTRY", {stub.name: stub, real.name: real})
+    out = tmp_path / "out"
+    assert main(["run-all", "--out-dir", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["counts"] == {"pass": 1, "fail": 0, "error": 1}
+    failed, passed = summary["reports"]
+    assert failed["status"] == "ERROR" and failed["error"]["type"] == error_type
+    assert failed["artifacts"] == ["traceback.txt"] and failed["metrics"] == {}
+    held = sorted(path.name for path in (out / stub.name).iterdir())
+    assert held == ["report.json", "traceback.txt"]
+    assert passed["status"] == "PASS"
+
+
 def _opens_for_writing(call: ast.Call) -> bool:
     """Whether a call opens a file for writing: ``write_text`` or
     ``write_bytes``, or an ``open`` whose mode writes or is not a string
@@ -457,6 +506,15 @@ _NAN_CASES = [
     ),
     ("dirac-two-particle", "constraint_kill_max", "DiracFrame", "bracket", 3, None, None),
     ("dirac-two-particle", "generator_bracket_gap", "dirac", "canonical_pb", 2, None, None),
+    (
+        "dirac-two-particle-noncommuting-positions",
+        "canonical_max_abs",
+        "DiracFrame",
+        "canonical",
+        2,  # the canonical table is filled first
+        None,
+        None,
+    ),
     ("dirac-two-particle", "flow_constraint_drift", "dirac", "constrained_flow", 1, _nan_state, None),
     (
         "wlc-dynamical-gauge",
@@ -591,6 +649,8 @@ def test_planted_defect_fails_its_gate(tmp_path, monkeypatch, scenario, gate, pl
     "scenario, owner, at_first, count",
     [
         ("wlc-dynamical-gauge", "DiracFrame", False, 1),
+        # one frame gives both position tables
+        ("dirac-two-particle-noncommuting-positions", "DiracFrame", False, 1),
         # the kill loop and the first flow step at the first sampled point
         ("dirac-two-particle", "DiracFrame", True, 2),
         # the Darboux frame at z0 and the one of the {x, x} prefactor fit

@@ -9,7 +9,6 @@ import pytest
 
 from geored import dirac
 from geored.dirac import (
-    Constraint,
     ConstraintRole,
     ConstraintSet,
     DeformedPoincare,
@@ -22,7 +21,6 @@ from geored.dirac import (
     coordinate_fn,
     dirac_bracket,
     hamiltonian_flow_rhs,
-    invariant_separation,
     jacobi_residual,
     laboratory_gauge,
     linear_potential,
@@ -60,10 +58,8 @@ def single_particle_set():
 
     cset = ConstraintSet(
         space,
-        [
-            Constraint("chi", chi, ConstraintRole.GAUGE),
-            Constraint("K", K, ConstraintRole.MASS_SHELL),
-        ],
+        lambda z, tau: [chi(z, tau), K(z, tau)],
+        (("chi", ConstraintRole.GAUGE), ("K", ConstraintRole.MASS_SHELL)),
     )
     return cset, space
 
@@ -126,7 +122,13 @@ def test_mass_shell_is_poincare_invariant():
 
 def test_invariant_separation_is_poincare_scalar():
     cset, space = model()
-    xi = invariant_separation(space)
+    # with no masses and V(xi) = xi, the first shell minus p1^2 is xi itself
+    K1 = two_particle_model(0.0, 0.0, lambda xi: xi)[0].shells[0]
+
+    def xi(z, tau):
+        p = space.p(z, 0)
+        return K1(z, tau) - minkowski_dot(p, p)
+
     rng = np.random.default_rng(4)
     z = sample_on_shell(cset, rng, (1.0, 2.0))
     for gen in poincare_generators(space):
@@ -171,10 +173,8 @@ def test_constraint_matrix_single_particle():
 
     cset2 = ConstraintSet(
         space,
-        [
-            Constraint("chi", chi_px, ConstraintRole.GAUGE),
-            cset.shells[0],
-        ],
+        lambda zz, tau: [chi_px(zz, tau), cset.shells[0](zz, tau)],
+        (("chi", ConstraintRole.GAUGE), ("K", ConstraintRole.MASS_SHELL)),
     )
     z2 = np.array(z)
     # move x so that p.x = 0 (on chi surface at tau=0): shift along p
@@ -326,7 +326,7 @@ def test_gauge_preservation_along_flow_rhs():
     # directional derivative of each gauge along the flow cancels its
     # explicit tau rate
     h = 1e-6
-    for a in DiracFrame(cset, z, 0.4).gauge_ix:
+    for a in cset.gauge_ix:
         g = cset.constraints[a]
         forward = float(g(list(np.asarray(z) + h * rhs), 0.4 + h))
         backward = float(g(list(np.asarray(z) - h * rhs), 0.4 - h))
@@ -337,11 +337,10 @@ def test_position_noncommutativity_tables():
     cset, space = model()
     rng = np.random.default_rng(16)
     z = sample_on_shell(cset, rng, (1.0, 2.0))
-    free = position_noncommutativity(None, space, z)
-    assert free["max_abs"] < 1e-14
-    constrained = position_noncommutativity(cset, space, z)
-    assert constrained["max_abs"] > 1e-6
-    for T in constrained["tables"]:
+    report = position_noncommutativity(DiracFrame(cset, z))
+    assert report["canonical_max_abs"] < 1e-14
+    assert report["dirac_max_abs"] > 1e-6
+    for T in report["dirac_tables"] + report["canonical_tables"]:
         assert np.max(np.abs(T + T.T)) < 1e-12
 
 
@@ -356,10 +355,11 @@ def _nan_on_call(monkeypatch, owner, name, nth):
 
 
 def test_noncommutativity_keeps_a_nan_after_a_finite_bracket(monkeypatch):
-    cset, space = model()
+    cset, _ = model()
     z = sample_on_shell(cset, np.random.default_rng(16), (1.0, 2.0))
-    _nan_on_call(monkeypatch, dirac, "canonical_pb", 2)
-    assert math.isnan(position_noncommutativity(None, space, z)["max_abs"])
+    frame = DiracFrame(cset, z)
+    _nan_on_call(monkeypatch, DiracFrame, "canonical", 2)
+    assert math.isnan(position_noncommutativity(frame)["canonical_max_abs"])
 
 
 def test_wlc_residual_keeps_a_nan_of_the_second_particle(monkeypatch):
@@ -474,10 +474,8 @@ def test_singular_constraint_matrix_detected():
 
     cset = ConstraintSet(
         space,
-        [
-            Constraint("chi", chi, ConstraintRole.GAUGE),
-            Constraint("K", K, ConstraintRole.MASS_SHELL),
-        ],
+        lambda z, tau: [chi(z, tau), K(z, tau)],
+        (("chi", ConstraintRole.GAUGE), ("K", ConstraintRole.MASS_SHELL)),
     )
     rng = np.random.default_rng(22)
     z = on_shell_single(space, rng, tau=0.0)
@@ -491,12 +489,13 @@ def test_published_det_takes_the_potential_derivative_from_the_dual_kernel():
     # on the surface the printed determinant reduces to -2 V'(xi)(m1^2 - m2^2)/P^4;
     # with V = 0.2 xi^2 the derivative V' = 0.4 xi varies from point to point
     cset, space = two_particle_model(1.0, 2.0, lambda xi: 0.2 * xi * xi)
-    xi = invariant_separation(space)
     for seed in range(5):
         z = sample_on_shell(cset, np.random.default_rng(seed), (1.0, 2.0))
         P = np.asarray(space.p(z, 0)) + np.asarray(space.p(z, 1))
         PP = minkowski_dot(P, P)
-        want = -2.0 * 0.4 * float(xi(z, 0.0)) * (1.0 - 4.0) / PP**2
+        r = (np.asarray(space.x(z, 0)) - np.asarray(space.x(z, 1))) / 2.0
+        xi = minkowski_dot(r, r) - minkowski_dot(P, r) ** 2 / PP
+        want = -2.0 * 0.4 * xi * (1.0 - 4.0) / PP**2
         got = published_constraint_matrix(DiracFrame(cset, z))["published_det"]
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -512,12 +511,15 @@ def test_deformed_poincare_jacobi_and_scaling():
 def test_deformed_poincare_specific_entries():
     alg = DeformedPoincare(2.0)
     # {x_0, x_1} = l_01 / K
-    vec = alg.bracket_basis(0, 1)
+    vec = alg.C[0, 1]
     assert vec[4] == pytest.approx(0.5)
     # {l_01, x_0} = eta_00 x_1 = x_1
-    out = alg.bracket_basis(4, 0)
+    out = alg.C[4, 0]
     assert out[1] == pytest.approx(1.0)
     assert np.sum(np.abs(out)) == pytest.approx(1.0)
+    # {l_01, l_12} = -eta_11 l_02 = l_02
+    out = alg.C[4, 7]
+    assert out[5] == 1.0 and np.sum(np.abs(out)) == 1.0
     with pytest.raises(ValueError):
         DeformedPoincare(0.0)
 
@@ -549,9 +551,6 @@ def test_structure_tensor_exact_and_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         alg.K = 3.0
     assert np.array_equal(C, -C.transpose(1, 0, 2))
-    for i in range(10):
-        for j in range(10):
-            assert np.array_equal(C[i, j], alg.bracket_basis(i, j))
 
 
 def test_frame_brackets_equal_fresh_dirac_brackets_exactly():
@@ -655,7 +654,7 @@ def test_newton_zero_energy_slope_raises():
     def K(z, tau):  # no dependence on the energy component p^0
         return z[space.ip(0, 1)] ** 2 - 4.0
 
-    cset = ConstraintSet(space, [Constraint("K", K, ConstraintRole.MASS_SHELL)])
+    cset = ConstraintSet(space, lambda z, tau: [K(z, tau)], (("K", ConstraintRole.MASS_SHELL),))
     z = np.zeros(8)
     z[space.ip(0, 1)] = 1.0
     with pytest.raises(GeoredError, match="zero energy slope"):

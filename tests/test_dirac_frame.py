@@ -17,7 +17,6 @@ import pytest
 from geored import calc, dirac
 from geored.calc import ScalarField, _jvp, gradient
 from geored.dirac import (
-    Constraint,
     ConstraintRole,
     ConstraintSet,
     DiracFrame,
@@ -32,7 +31,7 @@ from geored.dirac import (
 )
 from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import ConstraintDrift, DegenerateLagrangian, OffSurface
-from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, _solve_generic
+from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, _solve_generic, minkowski_dot
 from geored.qriccati import UnitaryState
 
 # -- reference: the per-bracket frame -----------------------------------------
@@ -239,9 +238,46 @@ def model_point(name, seed):
     return cset, sample_on_shell(cset, np.random.default_rng(seed), (1.0, 2.0))
 
 
+def ref_constraint_fns(gauge, masses=(1.0, 2.0), V=linear_potential(0.1)):
+    """The model's constraints one by one as the paper writes them, with
+    r = (x1 - x2)/2, P = p1 + p2, X = (x1 + x2)/2 and n = gauge(P):
+    chi1 = n.r, chi2 = n.X - tau and K_a = p_a^2 - m_a^2 + V(xi) with
+    xi = r^2 - (P.r)^2 / P^2."""
+    space = PhaseSpace(2)
+
+    def relative(z):
+        r = [(a - b) / 2.0 for a, b in zip(space.x(z, 0), space.x(z, 1))]
+        P = [a + b for a, b in zip(space.p(z, 0), space.p(z, 1))]
+        return r, P
+
+    def chi1(z, tau):
+        r, P = relative(z)
+        return _dot(gauge(P), r)
+
+    def chi2(z, tau):
+        _, P = relative(z)
+        X = [(a + b) / 2.0 for a, b in zip(space.x(z, 0), space.x(z, 1))]
+        return _dot(gauge(P), X) - tau
+
+    def shell(alpha):
+        def K(z, tau):
+            r, P = relative(z)
+            Pr = minkowski_dot(P, r)
+            xi = minkowski_dot(r, r) - Pr * Pr / minkowski_dot(P, P)
+            p = space.p(z, alpha)
+            return minkowski_dot(p, p) - masses[alpha] * masses[alpha] + V(xi)
+
+        return K
+
+    return [chi1, chi2, shell(0), shell(1)]
+
+
 @pytest.mark.parametrize("name", GAUGE_MODELS)
 def test_phi_bit_identical_to_constraint_fns(name):
+    # every constraint is a view of phi; phi must equal the constraints as
+    # written one by one, bit for bit, at float and dual points
     cset, z = model_point(name, 41)
+    refs = ref_constraint_fns(GAUGE_MODELS[name])
     rng = np.random.default_rng(41)
     off = (z + rng.uniform(-0.1, 0.1, 16)).tolist()
     scalar = [Dual(v, float(t)) for v, t in zip(z, rng.uniform(-1, 1, 16))]
@@ -250,9 +286,11 @@ def test_phi_bit_identical_to_constraint_fns(name):
     for point in (z.tolist(), off, scalar, vector, nested):
         for tau in (0.0, 0.3):
             got = cset.phi(point, tau)
-            want = [c.fn(point, tau) for c in cset.constraints]
+            want = [ref(point, tau) for ref in refs]
             assert [dual_bits(v) for v in got] == [dual_bits(v) for v in want]
-    assert bits(cset.values(off, 0.3)) == bits([float(c(off, 0.3)) for c in cset.constraints])
+            views = [c.fn(point, tau) for c in cset.constraints]
+            assert [dual_bits(v) for v in views] == [dual_bits(v) for v in want]
+    assert bits(cset.values(off, 0.3)) == bits([float(ref(off, 0.3)) for ref in refs])
 
 
 @pytest.mark.parametrize("name", GAUGE_MODELS)
@@ -276,14 +314,6 @@ def test_constraint_rows_evaluate_xi_once_per_seeding(monkeypatch, name):
     assert [[dual_bits(v) for v in row] for row in rows] == [
         [dual_bits(v) for v in row] for row in want
     ]
-
-
-def test_a_set_of_separate_constraints_maps_to_their_values():
-    cset, _ = model()
-    again = ConstraintSet(cset.space, list(cset.constraints))
-    z = sample_on_shell(cset, np.random.default_rng(43), (1.0, 2.0)).tolist()
-    assert bits(again.phi(z, 0.2)) == bits([c.fn(z, 0.2) for c in cset.constraints])
-    assert bits(dirac._constraint_rows(again, z, 0.2)) == bits(dirac._constraint_rows(cset, z, 0.2))
 
 
 # -- elimination plans ----------------------------------------------------------
@@ -335,10 +365,8 @@ def test_singular_frame_raises_on_every_bracket():
     space = PhaseSpace(1)
     cset = ConstraintSet(
         space,
-        [
-            Constraint("a", lambda z, tau: z[0], ConstraintRole.GAUGE),
-            Constraint("b", lambda z, tau: z[1], ConstraintRole.MASS_SHELL),
-        ],
+        lambda z, tau: [z[0], z[1]],
+        (("a", ConstraintRole.GAUGE), ("b", ConstraintRole.MASS_SHELL)),
     )
     zd = [Dual(0.1 * k, 1.0) for k in range(8)]
     frame = DiracFrame(cset, zd)
@@ -363,11 +391,12 @@ def test_constrained_flow_rejects_nan_drift():
     # a shell whose value turns NaN after tau = 0.1 while its gradient and
     # the flow stay finite: the drift check must stop the run
     cset, _ = model()
-    k1 = cset.constraints[2]
-    poisoned = Constraint(
-        k1.label, lambda z, tau: k1.fn(z, tau) + (math.nan if tau > 0.1 else 0.0), k1.role
-    )
-    bad = ConstraintSet(cset.space, cset.constraints[:2] + [poisoned, cset.constraints[3]])
+
+    def poisoned(z, tau):
+        chi1, chi2, k1, k2 = cset.phi(z, tau)
+        return [chi1, chi2, k1 + (math.nan if tau > 0.1 else 0.0), k2]
+
+    bad = ConstraintSet(cset.space, poisoned, cset.spec)
     z0 = sample_on_shell(cset, np.random.default_rng(39), (1.0, 2.0))
     with pytest.raises(ConstraintDrift) as err:
         constrained_flow(bad, z0, (0.0, 1.0))

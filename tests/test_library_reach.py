@@ -118,7 +118,6 @@ OPTIONS_KEPT = {
     # physics inputs
     "catalog.radial_time_dependent_consistency.t0": "start of the compared time span",
     "catalog.radial_time_dependent_consistency.t1": "end of the compared time span",
-    "dirac.position_noncommutativity.tau": "evolution parameter",
     "lagsym.newton_wigner_fields.m": "particle mass",
     "lagsym.newton_wigner_fields.c": "speed of light",
     # instances are called by value, c(z, tau), which a match by name cannot see

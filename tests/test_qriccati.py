@@ -267,14 +267,27 @@ def _same_trail(a, b):
     [pauli_x_hamiltonian(), seeded_n3_hamiltonian(seed=7)],
     ids=["pauli", "n3"],
 )
-def test_coset_report_carries_trail_outside_equality(H):
+def test_coset_report_carries_trail_outside_equality(H, monkeypatch):
+    # the report keeps the coset point of each entry of its one recorded
+    # unitary evolution, not the unitaries themselves
+    import geored.qriccati as q
+
     U0 = UnitaryState(np.eye(H.dim))
+    evolve, trails = q.evolve_unitary, []
+
+    def recorded(*args):
+        final, trail = evolve(*args)
+        trails.append(trail)
+        return final, trail
+
+    monkeypatch.setattr(q, "evolve_unitary", recorded)
     report = verify_coset_reduction(H, U0, 1.0)
-    _, trail = evolve_unitary(H, U0, 1.0)
-    assert _same_trail(report.trail, trail)
-    bare = dataclasses.replace(report, trail=None)
-    assert report == bare
-    assert repr(report) == repr(bare)
+    (trail,) = trails
+    assert _same_trail(trail, evolve(H, U0, 1.0)[1])
+    assert [point.t for point in report.points] == [t for t, _ in trail]
+    for (t, U), point in zip(trail, report.points):
+        assert point.Z.tobytes() == extract_Z(U, H.n1, H.n2, t=t).Z.tobytes()
+    assert [f.name for f in dataclasses.fields(report)] == ["max_dev", "unitarity_drift", "points"]
 
 
 @pytest.mark.parametrize("name", ["H1", "H2"])
@@ -346,8 +359,9 @@ def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, na
 def test_coset_report_points_reused_outside_equality():
     H = seeded_n3_hamiltonian(seed=7)
     report = verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0)
-    assert len(report.points) == len(report.trail)
-    for (t, U), point in zip(report.trail, report.points):
+    _, trail = evolve_unitary(H, UnitaryState(np.eye(3)), 1.0)
+    assert len(report.points) == len(trail)
+    for (t, U), point in zip(trail, report.points):
         assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, 2, t=t).Z.tobytes()
         assert point.coords().tobytes() == _mat_to_state(point.Z).tobytes()
     bare = dataclasses.replace(report, points=None)
