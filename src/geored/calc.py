@@ -319,20 +319,14 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     return _pack(out, x)
 
 
-def jacobian(fields: Sequence[ScalarField] | Callable, x: Sequence):
-    """Stacked gradients; row i is the gradient of ``fields[i]``.  ``fields``
-    may instead be one map from the point to the sequence of its outputs,
-    whose subexpressions the outputs then share; row i is the gradient of
-    output i, and the map's arity is ``len(x)``.
+def jacobian(fn: Callable, x: Sequence):
+    """Rows of partials of ``fn``, one map from the point to the sequence of
+    its outputs, whose subexpressions the outputs then share: row i is the
+    gradient of output i, one column per coordinate of ``x``.
 
-    Each seeded evaluation covers every field at once.
+    One seeded evaluation covers every output at once.
     """
-    if callable(fields):
-        return _dual_rows(fields, x, len(x))
-    arities = {f.arity for f in fields}
-    if len(arities) != 1:
-        raise ValueError("all fields must share one arity")
-    return _dual_rows(lambda xs: [f(xs) for f in fields], x, arities.pop())
+    return _dual_rows(fn, x, len(x))
 
 
 def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):

@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from geored import dualnum as dn
-from geored.calc import ScalarField
 from geored.errors import DegenerateSpectrum, OriginExcluded, SingularTime
 from geored.flow import Trajectory, VectorFieldSystem, second_order_lift
 from geored.reduce import InvariantSurface, QuotientMap, ReductionScenario
@@ -207,10 +206,12 @@ def calogero_two_body(g: float) -> VectorFieldSystem:
 
 def so3_invariants() -> QuotientMap:
     """The rotation-invariant chart (|r|^2, |v|^2, r.v) on (r, v) space."""
-    xi1 = ScalarField(6, lambda x: _dot3(x[:3], x[:3]), "xi1")
-    xi2 = ScalarField(6, lambda x: _dot3(x[3:6], x[3:6]), "xi2")
-    xi3 = ScalarField(6, lambda x: _dot3(x[:3], x[3:6]), "xi3")
-    return QuotientMap((xi1, xi2, xi3), ("xi1", "xi2", "xi3"))
+
+    def xi(x):
+        r, v = x[:3], x[3:6]
+        return [_dot3(r, r), _dot3(v, v), _dot3(r, v)]
+
+    return QuotientMap(xi, ("xi1", "xi2", "xi3"))
 
 
 def so3_reduced() -> VectorFieldSystem:
@@ -341,11 +342,11 @@ def _scale_state(x, rng) -> np.ndarray:
 
 
 def _radial_quotient() -> QuotientMap:
-    r = ScalarField(6, lambda x: dn.sqrt(_dot3(x[:3], x[:3])), "r")
-    rdot = ScalarField(
-        6, lambda x: _dot3(x[:3], x[3:6]) / dn.sqrt(_dot3(x[:3], x[:3])), "rdot"
-    )
-    return QuotientMap((r, rdot), ("r", "rdot"))
+    def radial(x):
+        r = dn.sqrt(_dot3(x[:3], x[:3]))
+        return [r, _dot3(x[:3], x[3:6]) / r]
+
+    return QuotientMap(radial, ("r", "rdot"))
 
 
 def entry_radial_l() -> ReductionScenario:
@@ -359,9 +360,7 @@ def entry_radial_l() -> ReductionScenario:
         orbit_map=_rotate_state,
         x0=x0,
         t_span=(0.0, 5.0),
-        surface=InvariantSurface(
-            (ScalarField(6, _cross_sq, "l2"),), (l2,), tol=1e-8
-        ),
+        surface=InvariantSurface(lambda x: [_cross_sq(x)], (l2,), tol=1e-8),
         notes="free flow restricted to a fixed angular-momentum level",
     )
 
@@ -378,30 +377,27 @@ def entry_radial_E() -> ReductionScenario:
         x0=x0,
         t_span=(0.0, 5.0),
         surface=InvariantSurface(
-            (ScalarField(6, lambda x: _dot3(x[3:6], x[3:6]), "2E"),),
-            (two_E,),
-            tol=1e-8,
+            lambda x: [_dot3(x[3:6], x[3:6])], (two_E,), tol=1e-8
         ),
         notes="free flow restricted to a fixed kinetic-energy level",
     )
 
 
 def _eigen_quotient() -> QuotientMap:
-    def gap(x):
-        w = x[2] - x[0]
-        u = SQRT2 * x[1]
-        return dn.sqrt(w * w + u * u)
-
-    def gap_rate(x):
+    def eigen(x):
         w, u = x[2] - x[0], SQRT2 * x[1]
         wd, ud = x[5] - x[3], SQRT2 * x[4]
-        return (w * wd + u * ud) / dn.sqrt(w * w + u * u)
+        gap = dn.sqrt(w * w + u * u)
+        rate = (w * wd + u * ud) / gap
+        mean, mean_rate = x[0] + x[2], x[3] + x[5]
+        return [
+            (mean - gap) / 2.0,
+            (mean + gap) / 2.0,
+            (mean_rate - rate) / 2.0,
+            (mean_rate + rate) / 2.0,
+        ]
 
-    q1 = ScalarField(6, lambda x: ((x[0] + x[2]) - gap(x)) / 2.0, "q1")
-    q2 = ScalarField(6, lambda x: ((x[0] + x[2]) + gap(x)) / 2.0, "q2")
-    q1d = ScalarField(6, lambda x: ((x[3] + x[5]) - gap_rate(x)) / 2.0, "q1dot")
-    q2d = ScalarField(6, lambda x: ((x[3] + x[5]) + gap_rate(x)) / 2.0, "q2dot")
-    return QuotientMap((q1, q2, q1d, q2d), ("q1", "q2", "q1dot", "q2dot"))
+    return QuotientMap(eigen, ("q1", "q2", "q1dot", "q2dot"))
 
 
 def entry_calogero() -> ReductionScenario:
@@ -415,9 +411,7 @@ def entry_calogero() -> ReductionScenario:
         orbit_map=_conjugate_matrix_state,
         x0=x0,
         t_span=(0.0, 5.0),
-        surface=InvariantSurface(
-            (ScalarField(6, angular_constant, "g"),), (g,), tol=1e-8
-        ),
+        surface=InvariantSurface(lambda x: [angular_constant(x)], (g,), tol=1e-8),
         notes="eigenvalues of free symmetric-matrix motion obey the pair dynamics",
     )
 
@@ -437,12 +431,11 @@ def entry_so3() -> ReductionScenario:
 
 def entry_riccati() -> ReductionScenario:
     a = b = c = 1.0
-    xi = ScalarField(2, lambda z: z[0] / z[1], "xi")
     return ReductionScenario(
         name="riccati-classical",
         system=linear_2d(a, b, c),
         reduced=riccati_scalar(a, b, c),
-        quotient=QuotientMap((xi,), ("xi",)),
+        quotient=QuotientMap(lambda z: [z[0] / z[1]], ("xi",)),
         orbit_map=_scale_state,
         x0=np.array([1.0, 1.0]),
         t_span=(0.0, 3.0),

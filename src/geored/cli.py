@@ -78,6 +78,7 @@ class ScenarioSpec:
     refs: tuple[str, ...]
     tolerances: dict  # metric name -> max allowed value (gated)
     runner: object  # (config, rng) -> (metrics, {file name: payload})
+    params: dict = field(default_factory=dict)  # the params it reads -> default
 
 
 @dataclass(frozen=True)
@@ -294,18 +295,12 @@ def _run_relativistic_free_particle(config, rng):
     )
 
 
+# the params of the two-particle scenarios, with their defaults
 _TWO_PARTICLE = {"lambda": 0.1, "m1": 1.0, "m2": 2.0}
-# the params each scenario reads, with their defaults; any other scenario
-# reads none
-PARAMS = {
-    "dirac-two-particle": _TWO_PARTICLE,
-    "dirac-two-particle-noncommuting-positions": _TWO_PARTICLE,
-    "wlc-dynamical-gauge": _TWO_PARTICLE,
-}
 
 
 def _two_particle(config):
-    params = {**PARAMS[config.name], **config.params}
+    params = {**REGISTRY[config.name].params, **config.params}
     lam, m1, m2 = (float(params[key]) for key in ("lambda", "m1", "m2"))
     return dirac.two_particle_model(m1, m2, dirac.linear_potential(lam)), (m1, m2)
 
@@ -327,7 +322,7 @@ def _run_dirac_two_particle(config, rng):
         if k >= 3:
             continue
         for i, j in ((0, 1), (0, 6), (3, 8), (2, 5)):
-            pb = float(dirac.canonical_pb(space, gens[i].fn, gens[j].fn, z))
+            pb = float(frame.canonical(gens[i].fn, gens[j].fn))
             db = float(frame.bracket(gens[i].fn, gens[j].fn))
             gen_gap = nan_max(gen_gap, abs(pb - db))
     coords = lagsym.coordinate_fields(space.dim)
@@ -584,6 +579,7 @@ def _build_registry() -> dict:
                 "det_gap": 1e-12,
             },
             _run_dirac_two_particle,
+            _TWO_PARTICLE,
         ),
         ScenarioSpec(
             "dirac-two-particle-noncommuting-positions",
@@ -592,6 +588,7 @@ def _build_registry() -> dict:
             ("position noncommutativity witness",),
             {"canonical_max_abs": 1e-12, "dirac_witness_inverse": 1e6},
             _run_noncommuting_positions,
+            _TWO_PARTICLE,
         ),
         ScenarioSpec(
             "wlc-dynamical-gauge",
@@ -600,6 +597,7 @@ def _build_registry() -> dict:
             ("world-line condition", "dynamical gauge"),
             {"boost_residual_over_omega": 1e-6, "translation_residual": 1e-10},
             _run_wlc,
+            _TWO_PARTICLE,
         ),
         ScenarioSpec(
             "deformed-poincare-jacobi",
@@ -677,7 +675,7 @@ def _check_config(config: ScenarioConfig) -> None:
                 f"finite number no looser than the gate {gates[key]:g}",
                 fields=[key],
             )
-    readable = PARAMS.get(config.name, {})
+    readable = REGISTRY[config.name].params
     for key, value in config.params.items():
         if key not in readable:
             raise ConfigError(f"{config.name} reads no param {key!r}", fields=[key])

@@ -101,13 +101,6 @@ def _constraint_rows(cset: "ConstraintSet", z, tau) -> list:
     return _as_lists(jacobian(lambda xs: cset.phi(xs, tau), z))
 
 
-def canonical_pb(space: PhaseSpace, f, g, point):
-    """Sum over particles of g^{mu nu} (df/dx dg/dp - df/dp dg/dx) at tau = 0."""
-    f, g = as_phase_fn(f), as_phase_fn(g)
-    z = list(point)
-    return _pb_from_grads(space, _grad_z(f, z, 0.0), _grad_z(g, z, 0.0))
-
-
 def _pb_from_grads(space: PhaseSpace, df, dg):
     total = 0.0
     for i, j, d in space.canonical_pairs:

@@ -155,11 +155,11 @@ def evolve_unitary(
     return final, trail
 
 
-def extract_Z(U: UnitaryState | np.ndarray, n1: int, n2: int, t: float = 0.0) -> CosetPoint:
-    """Coset coordinate Z = B D^-1 from the top-right and bottom-right
-    blocks, via a linear solve (D is never inverted explicitly)."""
-    mat = U.U if isinstance(U, UnitaryState) else np.asarray(U, dtype=complex)
-    time = U.t if isinstance(U, UnitaryState) else t
+def extract_Z(U: np.ndarray, n1: int, n2: int, t: float = 0.0) -> CosetPoint:
+    """Coset coordinate Z = B D^-1 of the matrix U at time t, from its
+    top-right and bottom-right blocks, via a linear solve (D is never
+    inverted explicitly)."""
+    mat = np.asarray(U, dtype=complex)
     B = mat[:n1, n1:]
     D = mat[n1:, n1:]
     cond = float(np.linalg.cond(D))
@@ -167,7 +167,7 @@ def extract_Z(U: UnitaryState | np.ndarray, n1: int, n2: int, t: float = 0.0) ->
         raise SingularBlock(cond)
     # Z D = B  =>  D^T Z^T = B^T
     Z = np.linalg.solve(D.T, B.T).T
-    return CosetPoint(Z, t=time)
+    return CosetPoint(Z, t=t)
 
 
 def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
@@ -212,7 +212,7 @@ def verify_coset_reduction(
     cfg = cfg or IntegratorConfig()
     t0 = U0.t
     final, trail = evolve_unitary(H, U0, t1, cfg)
-    z0 = extract_Z(U0, H.n1, H.n2)
+    z0 = extract_Z(U0.U, H.n1, H.n2, t=U0.t)
     riccati = riccati_matrix_system(H)
     direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 # ``gradient`` is not called here; perfbench's tracer test checks that this
 # module-level binding of it is wrapped and restored
-from geored.calc import ScalarField, _jvp, gradient  # noqa: F401
+from geored.calc import _jvp, gradient  # noqa: F401
 from geored.errors import PairNotEquivalent, PreflightFailed, nan_max, require_on_surface
 from geored.flow import IntegratorConfig, Trajectory, VectorFieldSystem, integrate
 
@@ -33,20 +33,16 @@ TOLERANCES = {"surface": 1e-8, "projectable": 1e-8}
 
 @dataclass(frozen=True)
 class InvariantSurface:
-    """Joint level set of constants of motion: on-surface means
-    max_j |K_j(x) - k_j| <= tol."""
+    """Joint level set of constants of motion: ``fn(x)`` returns every K_j(x)
+    as one sequence, and on-surface means max_j |K_j(x) - k_j| <= tol."""
 
-    constraints: tuple[ScalarField, ...]
+    fn: Callable
     values: tuple[float, ...]
     tol: float = 1e-8
 
-    def __post_init__(self):
-        if len(self.constraints) != len(self.values):
-            raise ValueError("constraints and target values differ in length")
-
     def residuals(self, x) -> np.ndarray:
         return np.asarray(
-            [float(K(x)) - k for K, k in zip(self.constraints, self.values)]
+            [float(K) - k for K, k in zip(self.fn(x), self.values, strict=True)]
         )
 
     def require_on_surface(self, x):
@@ -55,32 +51,29 @@ class InvariantSurface:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Invariant functions whose values label equivalence classes."""
+    """Invariant functions whose values label equivalence classes: ``fn(x)``
+    returns every invariant as one sequence, so the invariants share their
+    subexpressions, and ``names`` names each output."""
 
-    invariants: tuple[ScalarField, ...]
+    fn: Callable
     names: tuple[str, ...]
-
-    def __post_init__(self):
-        arities = {f.arity for f in self.invariants}
-        if len(arities) != 1:
-            raise ValueError("quotient invariants must share the ambient arity")
-        if len(self.names) != len(self.invariants):
-            raise ValueError("one name per invariant")
 
     @property
     def size(self) -> int:
-        return len(self.invariants)
+        return len(self.names)
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray([float(f(x)) for f in self.invariants])
+        out = np.asarray([float(v) for v in self.fn(x)])
+        # a map of the wrong length would broadcast against the reduced states
+        if len(out) != self.size:
+            raise ValueError(f"quotient map gave {len(out)} values for {self.size} names")
+        return out
 
     def pushforward(self, sys: VectorFieldSystem, x, t: float = 0.0) -> np.ndarray:
         """D xi (x) . rhs(x, t): the candidate reduced velocity at xi(x),
         every invariant from one directional evaluation."""
         x = list(x)
-        return np.asarray(
-            _jvp(lambda xs: [f(xs) for f in self.invariants], x, sys.eval_rhs(x, t))
-        )
+        return np.asarray(_jvp(self.fn, x, sys.eval_rhs(x, t)))
 
 
 @dataclass
@@ -154,7 +147,7 @@ def check_invariant_surface(
         x = list(x)
         vx = sys.eval_rhs(x, t)
         speed = float(np.linalg.norm(np.asarray(vx, dtype=float)))
-        for rate in _jvp(lambda xs: [K(xs) for K in surface.constraints], x, vx):
+        for rate in _jvp(surface.fn, x, vx):
             # the tangent is finite, but a velocity component the constraints
             # do not read can be NaN; 0.0 * speed carries it into the residual
             res = abs(rate) + 0.0 * speed

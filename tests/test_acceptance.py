@@ -220,8 +220,9 @@ def test_criterion_5_generator_brackets_agree(two_particle_points):
     gens = dirac.poincare_generators(space)
     worst = 0.0
     for z in points[:3]:
+        frame = dirac.DiracFrame(cset, z)
         for i, j in ((0, 1), (0, 6), (3, 8), (2, 5), (6, 9), (1, 4)):
-            pb = float(dirac.canonical_pb(space, gens[i].fn, gens[j].fn, z))
+            pb = float(frame.canonical(gens[i].fn, gens[j].fn))
             db = float(dirac.dirac_bracket(cset, gens[i].fn, gens[j].fn, z))
             worst = max(worst, abs(pb - db))
     ok = worst < 1e-8

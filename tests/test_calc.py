@@ -28,6 +28,12 @@ def cross_sq(x):
     return dot(c, c)
 
 
+def joint(fields):
+    """One map from the point to the values of ``fields``, as ``jacobian``
+    takes it."""
+    return lambda z: [f(z) for f in fields]
+
+
 def test_gradient_constant_field():
     f = ScalarField(3, lambda x: 7.0, "const")
     assert np.allclose(gradient(f, [0.3, -1.0, 4.0]), 0.0)
@@ -54,7 +60,7 @@ def test_gradient_dual_vs_central_oracle():
 
 def test_jacobian_identity_map():
     fields = [ScalarField(2, (lambda i: lambda x: x[i])(i)) for i in range(2)]
-    assert np.allclose(jacobian(fields, [0.2, -0.7]), np.eye(2))
+    assert np.allclose(jacobian(joint(fields), [0.2, -0.7]), np.eye(2))
 
 
 def test_jacobian_component_squares():
@@ -62,7 +68,7 @@ def test_jacobian_component_squares():
         ScalarField(2, lambda x: x[0] * x[0]),
         ScalarField(2, lambda x: x[1] * x[1]),
     ]
-    assert np.allclose(jacobian(fields, [1.0, 2.0]), np.diag([2.0, 4.0]))
+    assert np.allclose(jacobian(joint(fields), [1.0, 2.0]), np.diag([2.0, 4.0]))
 
 
 def test_jacobian_dual_central_agreement_random_polynomial():
@@ -81,7 +87,7 @@ def test_jacobian_dual_central_agreement_random_polynomial():
 
     fields = [ScalarField(3, make(k)) for k in range(3)]
     x = rng.uniform(-1, 1, size=3)
-    jd = jacobian(fields, x)
+    jd = jacobian(joint(fields), x)
     jc = np.array([gradient(f, x, CENTRAL) for f in fields])
     assert np.max(np.abs(jd - jc)) < 1e-6
 
@@ -110,14 +116,14 @@ def test_hessian_matches_jacobian_of_gradient_and_central():
         ScalarField(2, (lambda i: lambda z: gradient(f, z, DUAL)[i])(i))
         for i in range(2)
     ]
-    assert np.max(np.abs(jacobian(grads, x) - Hd)) < 1e-8
+    assert np.max(np.abs(jacobian(joint(grads), x) - Hd)) < 1e-8
 
 
 def _lie(rhs, f, x):
     """Derivative of ``f`` along the autonomous field ``rhs`` at ``x``, by
     the quotient pushforward that the diagram checks use."""
     sys = VectorFieldSystem(f.arity, rhs, tuple(f"x{i}" for i in range(f.arity)))
-    return QuotientMap((f,), ("f",)).pushforward(sys, x)[0]
+    return QuotientMap(lambda z: [f(z)], ("f",)).pushforward(sys, x)[0]
 
 
 def test_lie_derivative_free_flow_conserves_angular_momentum():
@@ -252,11 +258,11 @@ def test_vector_mode_rows_bit_identical_to_scalar_seeding(data):
     fields = [ScalarField(n, fn) for fn in fns]
     rows = _scalar_rows(lambda z: [fn(z) for fn in fns], x)
     assert _same_bits(gradient(fields[0], x), rows[0])
-    assert _same_bits(jacobian(fields, x), rows)
-    assert _same_bits(jacobian(fields, np.asarray(x)), rows)
+    assert _same_bits(jacobian(joint(fields), x), rows)
+    assert _same_bits(jacobian(joint(fields), np.asarray(x)), rows)
     # a square Jacobian: the components of a vector field
     field_rows = _scalar_rows(lambda z: [c(z) for c in comps], x)
-    assert _same_bits(jacobian([ScalarField(n, c) for c in comps], x), field_rows)
+    assert _same_bits(jacobian(joint([ScalarField(n, c) for c in comps]), x), field_rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,8 +286,8 @@ def test_injected_nan_or_inf_names_first_bad_component(data):
     other = ScalarField(n, base)
     for call in (
         lambda: gradient(ScalarField(n, poisoned), x),
-        lambda: jacobian([other, ScalarField(n, poisoned)], x),
-        lambda: jacobian([ScalarField(n, poisoned)] * n, x),
+        lambda: jacobian(joint([other, ScalarField(n, poisoned)]), x),
+        lambda: jacobian(joint([ScalarField(n, poisoned)] * n), x),
     ):
         with pytest.raises(EvaluationError) as err:
             call()
@@ -339,7 +345,7 @@ def test_gradient_of_gradient_at_float_point_matches_hessian():
     f = ScalarField(n, fn)
     grads = [ScalarField(n, (lambda i: lambda z: gradient(f, z)[i])(i)) for i in range(n)]
     x = [0.7, -0.4, 1.3]
-    nested = jacobian(grads, x)
+    nested = jacobian(joint(grads), x)
     # outer and inner vector layers: bit-identical to scalar outer seeding
     assert _same_bits(nested, _scalar_rows(lambda z: [g(z) for g in grads], x))
     # the Hessian is the kernel applied twice, read from its lower triangle
@@ -452,7 +458,7 @@ def test_dual_point_rows_bit_identical_to_scalar_seeding_in_one_evaluation(data)
     ref = _scalar_tangents(lambda z: [fn(z) for fn in fns], x)
     assert _tree(gradient(ScalarField(n, counted[0]), x)) == _tree(ref[0])
     assert counted[0].calls == evaluations
-    assert _tree(jacobian([ScalarField(n, c) for c in counted], x)) == _tree(ref)
+    assert _tree(jacobian(joint([ScalarField(n, c) for c in counted]), x)) == _tree(ref)
     assert _tree(jacobian(lambda z: [c(z) for c in counted], x)) == _tree(ref)
     assert all(c.calls == evaluations * (3 if i == 0 else 2) for i, c in enumerate(counted))
 
@@ -479,7 +485,7 @@ def test_dual_point_injected_nan_or_inf_raises_the_scalar_loop_index(data):
         assert bad
         for call in (
             lambda: gradient(ScalarField(n, poisoned), x),
-            lambda: jacobian([ScalarField(n, base), ScalarField(n, poisoned)], x),
+            lambda: jacobian(joint([ScalarField(n, base), ScalarField(n, poisoned)]), x),
             lambda: jacobian(lambda z: [poisoned(z)] * 2, x),
         ):
             with pytest.raises(EvaluationError) as err:
@@ -694,12 +700,13 @@ def test_pushforward_matches_gradient_dot_velocity_at_catalog_samples():
         for x in points:
             v = sc.system.eval_rhs(list(x))
             got = sc.quotient.pushforward(sc.system, x)
-            for f, value in zip(sc.quotient.invariants, got):
-                terms = gradient(f, x) * np.asarray(v, dtype=float)
+            rows = jacobian(sc.quotient.fn, x)
+            for name, row, value in zip(sc.quotient.names, rows, got, strict=True):
+                terms = row * np.asarray(v, dtype=float)
                 # the two sum the same products in another order, so they
                 # agree to roundoff in the size of the terms
                 scale = float(np.sum(np.abs(terms)))
-                assert abs(value - float(np.sum(terms))) <= 1e-14 * scale, (entry.name, f.label)
+                assert abs(value - float(np.sum(terms))) <= 1e-14 * scale, (sc.name, name)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -272,6 +272,62 @@ def test_all_catalog_entries_verify():
         assert report.max_dev < 1e-6, f"{scenario.name}: max_dev={report.max_dev:.3e}"
 
 
+def _one_closure_per_invariant():
+    """Each catalog quotient written as one closure per invariant, every
+    closure computing the subexpressions it needs for itself."""
+    dot3, dn, s2 = catalog._dot3, catalog.dn, catalog.SQRT2
+
+    def gap(x):
+        w, u = x[2] - x[0], s2 * x[1]
+        return dn.sqrt(w * w + u * u)
+
+    def gap_rate(x):
+        w, u = x[2] - x[0], s2 * x[1]
+        wd, ud = x[5] - x[3], s2 * x[4]
+        return (w * wd + u * ud) / dn.sqrt(w * w + u * u)
+
+    radial = (
+        lambda x: dn.sqrt(dot3(x[:3], x[:3])),
+        lambda x: dot3(x[:3], x[3:6]) / dn.sqrt(dot3(x[:3], x[:3])),
+    )
+    return {
+        "radial-l": radial,
+        "radial-E": radial,
+        "calogero-from-matrix": (
+            lambda x: ((x[0] + x[2]) - gap(x)) / 2.0,
+            lambda x: ((x[0] + x[2]) + gap(x)) / 2.0,
+            lambda x: ((x[3] + x[5]) - gap_rate(x)) / 2.0,
+            lambda x: ((x[3] + x[5]) + gap_rate(x)) / 2.0,
+        ),
+        "so3-quotient": (
+            lambda x: dot3(x[:3], x[:3]),
+            lambda x: dot3(x[3:6], x[3:6]),
+            lambda x: dot3(x[:3], x[3:6]),
+        ),
+        "riccati-classical": (lambda z: z[0] / z[1],),
+    }
+
+
+def test_joint_quotients_bit_identical_to_one_closure_per_invariant():
+    # sharing a subexpression runs the same IEEE operations, so the values
+    # and velocities of the joint map keep every bit
+    from geored.calc import _jvp
+    from geored.reduce import GRID_POINTS
+
+    closures = _one_closure_per_invariant()
+    for name, build in catalog.ENTRY_BUILDERS.items():
+        sc = build()
+        fns = closures[name]
+        t0, t1 = sc.t_span
+        states = integrate(sc.system, sc.x0, t0, t1).resample(np.linspace(t0, t1, GRID_POINTS))
+        for x in states.tolist():
+            want = np.asarray([float(f(x)) for f in fns])
+            assert sc.quotient(x).tobytes() == want.tobytes(), name
+            v = sc.system.eval_rhs(x)
+            rates = np.asarray([_jvp(lambda z: [f(z)], x, v)[0] for f in fns])
+            assert sc.quotient.pushforward(sc.system, x).tobytes() == rates.tobytes(), name
+
+
 def test_calogero_comparison_truncates_at_small_gap():
     # near-degenerate data: the eigenvalue gap dips below the threshold and
     # the pair-dynamics comparison must hold right up to that moment

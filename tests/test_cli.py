@@ -242,10 +242,16 @@ def test_two_particle_params_are_the_only_params(tmp_path):
     from geored import cli as cli_mod
 
     params = {"lambda": 0.2, "m1": 1.1, "m2": 1.9}
+    readers = {name for name in REGISTRY if REGISTRY[name].params}
+    assert readers == {
+        "dirac-two-particle",
+        "dirac-two-particle-noncommuting-positions",
+        "wlc-dynamical-gauge",
+    }
     for name in REGISTRY:
         config = ScenarioConfig(name, params=dict(params), output_dir=str(tmp_path))
-        if name in cli_mod.PARAMS:
-            assert set(cli_mod.PARAMS[name]) == set(params)
+        if REGISTRY[name].params:
+            assert set(REGISTRY[name].params) == set(params)
             cli_mod._check_config(config)
         else:
             with pytest.raises(ConfigError):
@@ -505,7 +511,17 @@ _NAN_CASES = [
         lambda frame, f, g: f.label == "sqrt",  # the Lagrangian's field
     ),
     ("dirac-two-particle", "constraint_kill_max", "DiracFrame", "bracket", 3, None, None),
-    ("dirac-two-particle", "generator_bracket_gap", "dirac", "canonical_pb", 2, None, None),
+    (
+        "dirac-two-particle",
+        "generator_bracket_gap",
+        "DiracFrame",
+        "canonical",
+        3,  # each pair calls it once itself and once through its bracket
+        None,
+        # the kill loop's brackets call canonical too, on coordinates and
+        # constraints; this selects the generator loop's pairs
+        lambda frame, f, g: "poincare_generators" in getattr(f, "__qualname__", ""),
+    ),
     (
         "dirac-two-particle-noncommuting-positions",
         "canonical_max_abs",

@@ -16,7 +16,6 @@ from geored.dirac import (
     PhaseSpace,
     _newton_energies,
     _project_to_surface,
-    canonical_pb,
     constrained_flow,
     coordinate_fn,
     dirac_bracket,
@@ -73,16 +72,23 @@ def on_shell_single(space, rng, tau=0.0):
     return z
 
 
-def test_canonical_pb_signature_convention():
+def plain_pb(space, f, g, z):
+    """The canonical bracket {f, g} at tau = 0 from the two gradients, for
+    checks that build no constraint set."""
+    z = list(z)
+    return dirac._pb_from_grads(space, dirac._grad_z(f, z, 0.0), dirac._grad_z(g, z, 0.0))
+
+
+def test_canonical_bracket_signature_convention():
     space = PhaseSpace(1)
     z = np.random.default_rng(0).uniform(-1, 1, 8)
     x0 = coordinate_fn(space, "x", 0, 0)
     p0 = coordinate_fn(space, "p", 0, 0)
     x1 = coordinate_fn(space, "x", 0, 1)
     p1 = coordinate_fn(space, "p", 0, 1)
-    assert float(canonical_pb(space, x0, p0, z)) == pytest.approx(1.0, abs=1e-14)
-    assert float(canonical_pb(space, x1, p1, z)) == pytest.approx(-1.0, abs=1e-14)
-    assert float(canonical_pb(space, x0, x1, z)) == pytest.approx(0.0, abs=1e-15)
+    assert float(plain_pb(space, x0, p0, z)) == pytest.approx(1.0, abs=1e-14)
+    assert float(plain_pb(space, x1, p1, z)) == pytest.approx(-1.0, abs=1e-14)
+    assert float(plain_pb(space, x0, x1, z)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lorentz_algebra_structure_constants():
@@ -90,9 +96,9 @@ def test_lorentz_algebra_structure_constants():
     space = PhaseSpace(1)
     gens = {g.label: g for g in poincare_generators(space)}
     z = np.random.default_rng(1).uniform(-1, 1, 8)
-    lhs = float(canonical_pb(space, gens["J01"].fn, gens["J12"].fn, z))
+    lhs = float(plain_pb(space, gens["J01"].fn, gens["J12"].fn, z))
     assert lhs == pytest.approx(float(gens["J02"].fn(z, 0.0)), abs=1e-12)
-    lhs2 = float(canonical_pb(space, gens["J12"].fn, gens["J13"].fn, z))
+    lhs2 = float(plain_pb(space, gens["J12"].fn, gens["J13"].fn, z))
     # {l_12, l_13} = eta_11 l_23 = -l_23
     assert lhs2 == pytest.approx(-float(gens["J23"].fn(z, 0.0)), abs=1e-12)
 
@@ -116,8 +122,9 @@ def test_mass_shell_is_poincare_invariant():
     rng = np.random.default_rng(3)
     z = on_shell_single(space, rng)
     K = cset.shells[0]
+    frame = DiracFrame(cset, z)
     for gen in poincare_generators(space):
-        assert abs(float(canonical_pb(space, K.fn, gen.fn, z))) < 1e-12
+        assert abs(float(frame.canonical(K.fn, gen.fn))) < 1e-12
 
 
 def test_invariant_separation_is_poincare_scalar():
@@ -131,8 +138,9 @@ def test_invariant_separation_is_poincare_scalar():
 
     rng = np.random.default_rng(4)
     z = sample_on_shell(cset, rng, (1.0, 2.0))
+    frame = DiracFrame(cset, z)
     for gen in poincare_generators(space):
-        assert abs(float(canonical_pb(space, xi, gen.fn, z))) < 1e-9
+        assert abs(float(frame.canonical(xi, gen.fn))) < 1e-9
 
 
 def test_sample_on_shell_lands_exactly():
@@ -264,12 +272,12 @@ def test_shells_are_first_class_mutually():
     z = rng.uniform(-1, 1, 16)
     K1, K2 = cset.shells
     # V = 0: functions of momenta only, brackets vanish identically
-    assert abs(float(canonical_pb(space, K1.fn, K2.fn, z))) < 1e-14
+    assert abs(float(DiracFrame(cset, z).canonical(K1.fn, K2.fn))) < 1e-14
     cset2, _ = model()
     K1, K2 = cset2.shells
     for _ in range(5):
         z = sample_on_shell(cset2, rng, (1.0, 2.0))
-        assert abs(float(canonical_pb(space, K1.fn, K2.fn, z))) < 1e-9
+        assert abs(float(DiracFrame(cset2, z).canonical(K1.fn, K2.fn))) < 1e-9
 
 
 def test_constrained_flow_single_particle_slope():
@@ -454,8 +462,9 @@ def test_poincare_brackets_match_between_pb_and_db():
     z = sample_on_shell(cset, rng, (1.0, 2.0))
     gens = poincare_generators(space)
     pairs = [(0, 1), (0, 6), (3, 8), (2, 5), (6, 9)]
+    frame = DiracFrame(cset, z)
     for i, j in pairs:
-        pb = float(canonical_pb(space, gens[i].fn, gens[j].fn, z))
+        pb = float(frame.canonical(gens[i].fn, gens[j].fn))
         db = float(dirac_bracket(cset, gens[i].fn, gens[j].fn, z))
         assert db == pytest.approx(pb, abs=1e-8)
 
@@ -645,7 +654,7 @@ def test_infinite_tangent_raises_evaluation_error():
         dirac_bracket(cset, steep, g, z)
     assert err.value.index == 1
     with pytest.raises(EvaluationError):
-        canonical_pb(space, steep, g, z)
+        DiracFrame(cset, z).canonical(steep, g)
 
 
 def test_newton_zero_energy_slope_raises():

@@ -178,7 +178,7 @@ def test_frame_gradients_are_float_lists_and_constraint_rows_are_cached():
         assert frame.grad(c.fn) is row
     fresh = DiracFrame(cset, z)
     assert fresh.matrix == frame.matrix and fresh.grads == frame.grads
-    assert type(dirac.canonical_pb(space, cset.constraints[0], cset.constraints[2], z)) is float
+    assert type(fresh.canonical(cset.constraints[0], cset.constraints[2])) is float
 
 
 def test_flow_rhs_bit_identical():

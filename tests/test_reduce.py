@@ -7,7 +7,6 @@ import pytest
 
 from geored import catalog
 from geored.catalog import ENTRY_BUILDERS
-from geored.calc import ScalarField
 from geored.errors import OffSurface, PairNotEquivalent, PreflightFailed
 from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
 from geored.reduce import (
@@ -45,9 +44,7 @@ def _on_l2_sample():
 
 
 def test_surface_tangency_angular_momentum():
-    surface = InvariantSurface(
-        (ScalarField(6, _cross_sq, "l2"),), (1.0,), tol=1e-8
-    )
+    surface = InvariantSurface(lambda z: [_cross_sq(z)], (1.0,), tol=1e-8)
     samples = [_on_l2_sample() for _ in range(6)]
     rep = check_invariant_surface(FREE, surface, samples, [0.0] * len(samples))
     assert rep.ok and rep.worst < 1e-10
@@ -55,9 +52,7 @@ def test_surface_tangency_angular_momentum():
 
 def test_surface_rejects_nonconserved_level():
     x = np.array([1.0, 0.0, 0.0, 0.5, 1.0, 0.0])
-    surface = InvariantSurface(
-        (ScalarField(6, lambda z: _dot3(z[:3], z[:3]), "r2"),), (1.0,), tol=1e-8
-    )
+    surface = InvariantSurface(lambda z: [_dot3(z[:3], z[:3])], (1.0,), tol=1e-8)
     rep = check_invariant_surface(FREE, surface, [x], [0.0])
     assert not rep.ok
     # residual is |d(r.r)/dt| = |2 r.v|
@@ -65,9 +60,7 @@ def test_surface_rejects_nonconserved_level():
 
 
 def test_surface_off_surface_sample_rejected():
-    surface = InvariantSurface(
-        (ScalarField(6, _cross_sq, "l2"),), (1.0,), tol=1e-10
-    )
+    surface = InvariantSurface(lambda z: [_cross_sq(z)], (1.0,), tol=1e-10)
     bad = np.array([2.0, 0.0, 0.0, 0.0, 3.0, 0.0])
     with pytest.raises(OffSurface):
         check_invariant_surface(FREE, surface, [bad], [0.0])
@@ -85,7 +78,7 @@ def test_projectable_rotation_orbits():
 
 def test_projectable_scaling_orbits_linear_system():
     sys = catalog.linear_2d(1.0, 1.0, 1.0)
-    xi = QuotientMap((ScalarField(2, lambda z: z[0] / z[1], "xi"),), ("xi",))
+    xi = QuotientMap(lambda z: [z[0] / z[1]], ("xi",))
     pairs = []
     for _ in range(8):
         z = RNG.uniform(0.5, 2.0, size=2)
@@ -95,9 +88,7 @@ def test_projectable_scaling_orbits_linear_system():
 
 
 def test_projectable_fails_for_insufficient_invariants():
-    quotient = QuotientMap(
-        (ScalarField(6, lambda x: _dot3(x[:3], x[:3]), "r2"),), ("r2",)
-    )
+    quotient = QuotientMap(lambda x: [_dot3(x[:3], x[:3])], ("r2",))
     # same r.r but unrelated velocities: the pushforward 2 r.v differs
     m = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     m2 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -118,7 +109,7 @@ def test_reduced_field_free_quotient_values():
 
 def test_reduced_field_riccati_value():
     sys = catalog.linear_2d(1.0, 1.0, 1.0)
-    xi = QuotientMap((ScalarField(2, lambda z: z[0] / z[1], "xi"),), ("xi",))
+    xi = QuotientMap(lambda z: [z[0] / z[1]], ("xi",))
     assert xi.pushforward(sys, [1.0, 1.0])[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -158,7 +149,7 @@ def test_diagram_refuses_without_preflight():
         x0=so3.x0,
         t_span=(0.0, 1.0),
         surface=InvariantSurface(
-            (ScalarField(6, lambda x: _dot3(x[:3], x[:3]), "r2"),),
+            lambda x: [_dot3(x[:3], x[:3])],
             (float(_dot3(so3.x0[:3], so3.x0[:3])),),
             tol=1e6,  # membership passes; tangency cannot
         ),
@@ -232,6 +223,75 @@ def test_projectability_rejects_unrelated_pair():
         check_projectable(FREE, quotient, [(m, m2)], [0.0])
 
 
+# -- one joint map per quotient and per level set ------------------------------
+
+
+class _Counted:
+    """A joint map that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_quotient_and_surface_call_their_map_once_per_point():
+    so3 = catalog.so3_invariants()
+    xi = _Counted(so3.fn)
+    quotient = QuotientMap(xi, so3.names)
+    x = [0.4, -0.7, 0.1, 0.5, 0.2, -0.9]
+    assert quotient(x).tobytes() == so3(x).tobytes() and xi.calls == 1
+    assert quotient.pushforward(FREE, x).tobytes() == so3.pushforward(FREE, x).tobytes()
+    assert xi.calls == 2
+    pairs = [(x, catalog._rotate_state(x, RNG)) for _ in range(3)]
+    check_projectable(FREE, quotient, pairs, [0.0] * 3)
+    # each point of a pair: its class label and its velocity
+    assert xi.calls == 2 + 4 * 3
+
+    l2 = _Counted(lambda z: [_cross_sq(z)])
+    surface = InvariantSurface(l2, (1.0,), tol=1e-8)
+    sample = _on_l2_sample()
+    assert abs(surface.residuals(sample)[0]) < 1e-12 and l2.calls == 1
+    samples = [_on_l2_sample() for _ in range(4)]
+    assert check_invariant_surface(FREE, surface, samples, [0.0] * 4).ok
+    # each sample: its membership, then every rate from one tangent evaluation
+    assert l2.calls == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_quotient_map_of_the_wrong_length_raises(count):
+    # two names: one value would broadcast against two reduced coordinates,
+    # three would be cut short
+    quotient = QuotientMap(lambda z: [z[0] / z[1]] * count, ("a", "b"))
+    with pytest.raises(ValueError):
+        quotient([1.0, 2.0])
+    scenario = ReductionScenario(
+        name="wrong-length",
+        system=catalog.linear_2d(1.0, 1.0, 1.0),
+        reduced=VectorFieldSystem(2, lambda y: [y[0], y[1]], ("a", "b")),
+        quotient=quotient,
+        orbit_map=catalog._scale_state,
+        x0=np.array([1.0, 1.0]),
+        t_span=(0.0, 0.1),
+    )
+    with pytest.raises(ValueError):
+        verify_commuting_diagram(scenario)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_surface_map_of_the_wrong_length_raises(count):
+    surface = InvariantSurface(lambda z: [_cross_sq(z)] * count, (1.0,))
+    x = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        surface.residuals(x)
+    with pytest.raises(ValueError):
+        surface.require_on_surface(x)
+    with pytest.raises(ValueError):
+        check_invariant_surface(FREE, surface, [x], [0.0])
+
+
 # -- non-autonomous fields in the preflight -----------------------------------
 
 
@@ -243,8 +303,7 @@ def _spiral_out():
 
 
 def _circle(tol):
-    r2 = ScalarField(2, lambda z: z[0] * z[0] + z[1] * z[1], "r2")
-    return InvariantSurface((r2,), (1.0,), tol)
+    return InvariantSurface(lambda z: [z[0] * z[0] + z[1] * z[1]], (1.0,), tol)
 
 
 def test_surface_check_evaluates_field_at_sample_time():
@@ -260,7 +319,7 @@ def test_surface_check_evaluates_field_at_sample_time():
 def test_projectability_evaluates_field_at_pair_time():
     # x' = t y, y' = 0: the pushforward of x is t y, different on (1, 0) and (1, 1)
     sys = VectorFieldSystem(2, lambda z, t: [t * z[1], 0.0], ("x", "y"), autonomous=False)
-    quotient = QuotientMap((ScalarField(2, lambda z: z[0], "x"),), ("x",))
+    quotient = QuotientMap(lambda z: [z[0]], ("x",))
     pair = (np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     assert check_projectable(sys, quotient, [pair], [0.0]).ok
     rep = check_projectable(sys, quotient, [pair], [0.5])
@@ -277,7 +336,7 @@ def test_non_autonomous_field_leaving_the_surface_fails_preflight():
         system=_spiral_out(),
         # r^2 = exp(t^2) stays within 3e-3 of the circle up to t = 0.05
         reduced=VectorFieldSystem(1, lambda y, t: [2.0 * t * y[0]], ("r2",), autonomous=False),
-        quotient=QuotientMap(_circle(1e-2).constraints, ("r2",)),
+        quotient=QuotientMap(_circle(1e-2).fn, ("r2",)),
         orbit_map=rotate,
         x0=np.array([1.0, 0.0]),
         t_span=(0.0, 0.05),
@@ -310,7 +369,7 @@ def test_diagram_projection_bit_identical_to_array_rows(tol):
 
 @pytest.mark.parametrize("index", [0, 4])
 def test_require_on_surface_rejects_nan_coordinate(index):
-    surface = InvariantSurface((ScalarField(6, _cross_sq, "l2"),), (1.0,))
+    surface = InvariantSurface(lambda z: [_cross_sq(z)], (1.0,))
     x = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
     surface.require_on_surface(x)
     x[index] = math.nan
@@ -329,7 +388,7 @@ def test_surface_tangency_rejects_nan_velocity(index):
         return out
 
     sys = VectorFieldSystem(6, rhs, tuple("abcdef"))
-    surface = InvariantSurface((ScalarField(6, lambda z: _dot3(z[3:], z[3:]), "v2"),), (1.0,))
+    surface = InvariantSurface(lambda z: [_dot3(z[3:], z[3:])], (1.0,))
     rep = check_invariant_surface(sys, surface, [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]], [0.0])
     assert not rep.ok and math.isnan(rep.worst)
 
@@ -354,7 +413,7 @@ class _NaNVelocityQuotient(QuotientMap):
 @pytest.mark.parametrize("which", [0, 1])
 def test_projectable_rejects_nan_velocity(which):
     so3 = catalog.so3_invariants()
-    quotient = _NaNVelocityQuotient(so3.invariants, so3.names)
+    quotient = _NaNVelocityQuotient(so3.fn, so3.names)
     m = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     pair = (m, -m) if which else (-m, m)
     rep = check_projectable(FREE, quotient, [pair], [0.0])
