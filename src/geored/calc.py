@@ -2,6 +2,11 @@
 finite-difference oracle, which ``gradient`` and ``hessian`` offer as
 ``CENTRAL``.
 
+Every derivative is a Python list under either scheme: a gradient is a
+list, a Jacobian or a Hessian a list of rows.  At a float point every
+entry is a builtin float, at a dual point the entries are duals, so the
+same code reads a derivative at both kinds of point.
+
 Every bracket, Lie derivative and two-form in the package routes through the
 operations here.  Fields are plain closures over coordinate sequences; they
 must be written generically (indexing, arithmetic, and the ``dualnum`` math
@@ -36,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from geored.dualnum import Dual, is_dual, real_part, tangent_part
+from geored.dualnum import Dual, real_part, tangent_part
 from geored.errors import EvaluationError
 
 
@@ -217,8 +222,8 @@ def _vector_rows(outputs, x: Sequence, n: int):
     d the ndim of the tangent arrays ``x`` carries.  At a point holding
     duals of depth D, ``u_j`` is wrapped in D layers ``Dual(., zero)``, so
     that it meets floats and arrays at the leaves of those duals and never
-    a ``Dual`` from the numpy side.  A float point gives an m x n float
-    array, a point holding duals nested lists split per direction.
+    a ``Dual`` from the numpy side.  The rows are lists: of floats at a
+    float point, of entries split per direction at a point holding duals.
 
     Numpy signals a zero division inside a tangent array with a warning,
     where a scalar tangent raises; the traps turn that (and overflow or an
@@ -246,7 +251,7 @@ def _vector_rows(outputs, x: Sequence, n: int):
             if depth == 0:
                 rows = np.array([t if isinstance(t, np.ndarray) else np.full(n, t) for t in ts])
                 # a sum is finite iff every entry is (inf - inf traps as invalid)
-                return rows if math.isfinite(rows.sum()) else None
+                return rows.tolist() if math.isfinite(rows.sum()) else None
             if all(map(_finite, ts)):
                 return [_split(t, n, d, zero) for t in ts]
     except ArithmeticError:
@@ -262,8 +267,7 @@ def _dual_rows(outputs, x: Sequence, n: int):
     one scalar-seeded evaluation per direction, which makes every failure
     raise exactly as the scalar loop raises it (the first bad seed index).
     The entries are bit-identical either way: each tangent slot sees the
-    same IEEE operations in the same order.  Float array at a float point,
-    nested lists when duals are involved.
+    same IEEE operations in the same order.  A list of rows either way.
     """
     rows = _vector_rows(outputs, x, n)
     if rows is not None:
@@ -272,7 +276,7 @@ def _dual_rows(outputs, x: Sequence, n: int):
     for i in range(n):
         ys = _eval(outputs, _seed(x, i), i)
         cols.append([_check_finite(tangent_part(y), i) for y in ys])
-    return _pack_rows([list(row) for row in zip(*cols)], x)
+    return [list(row) for row in zip(*cols)]
 
 
 def _jvp(outputs, x: Sequence, v: Sequence) -> list:
@@ -284,20 +288,6 @@ def _jvp(outputs, x: Sequence, v: Sequence) -> list:
     xs = [Dual(_plain(x[j]), _plain(v[j])) for j in range(len(x))]
     ys = _eval(outputs, xs, None)
     return [_check_finite(tangent_part(y), r) for r, y in enumerate(ys)]
-
-
-def _pack(values, x):
-    """Float arrays for float points, plain lists when duals are involved."""
-    if any(is_dual(v) for v in values) or any(is_dual(c) for c in x):
-        return list(values)
-    return np.asarray([float(v) for v in values])
-
-
-def _pack_rows(rows, x):
-    """``_pack`` for a matrix given as a list of rows."""
-    if any(is_dual(v) for row in rows for v in row) or any(is_dual(c) for c in x):
-        return rows
-    return np.asarray(rows, dtype=float)
 
 
 def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
@@ -316,7 +306,7 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
         xp = [x[j] + (hi if j == i else 0.0) for j in range(n)]
         xm = [x[j] - (hi if j == i else 0.0) for j in range(n)]
         out.append(_check_finite((_eval(f, xp, i) - _eval(f, xm, i)) / (2.0 * hi), i))
-    return _pack(out, x)
+    return list(map(_plain, out))
 
 
 def jacobian(fn: Callable, x: Sequence):
@@ -345,8 +335,6 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     n = f.arity
     if scheme is DUAL:
         R = _dual_rows(lambda xs: gradient(f, xs), x, n)
-        if isinstance(R, np.ndarray):
-            return np.where(np.tri(n, dtype=bool), R, R.T)
         return [[R[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
     # second differences lose eps/h^2 to roundoff; sqrt(step) balances that
     # against the O(h^2) truncation term
@@ -374,4 +362,4 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
                     + ev(-hi, -hj, i, j)
                 ) / (4.0 * hi * hj)
             H[i, j] = H[j, i] = _check_finite(val, i)
-    return 0.5 * (H + H.T)
+    return (0.5 * (H + H.T)).tolist()

@@ -433,8 +433,8 @@ def _run_kernel_crosscheck(config, rng):
         f = ScalarField(3, fn)
         for _ in range(10):
             x = rng.uniform(-2, 2, 3).tolist()
-            gd = gradient(f, x, DUAL)
-            gc = gradient(f, x, CENTRAL)
+            gd = np.asarray(gradient(f, x, DUAL))
+            gc = np.asarray(gradient(f, x, CENTRAL))
             rel = float(np.max(np.abs(gd - gc)) / (1.0 + np.max(np.abs(gd))))
             worst = nan_max(worst, rel)
 

@@ -84,21 +84,15 @@ def coordinate_fn(space: PhaseSpace, kind: str, alpha: int, mu: int) -> Callable
     return lambda z, tau: z[idx]
 
 
-def _as_lists(rows):
-    """A float array from ``calc`` as Python float lists (nested for a
-    matrix), bit for bit; lists of duals pass through."""
-    return rows.tolist() if isinstance(rows, np.ndarray) else rows
-
-
 def _grad_z(fn: Callable, z, tau):
     """Gradient of a phase function in the coordinates, tau held fixed."""
-    return _as_lists(gradient(ScalarField(len(z), lambda xs: fn(xs, tau)), z))
+    return gradient(ScalarField(len(z), lambda xs: fn(xs, tau)), z)
 
 
 def _constraint_rows(cset: "ConstraintSet", z, tau) -> list:
     """Gradients of every constraint, one row each, from one seeding of the
     set's joint map ``phi``."""
-    return _as_lists(jacobian(lambda xs: cset.phi(xs, tau), z))
+    return jacobian(lambda xs: cset.phi(xs, tau), z)
 
 
 def _pb_from_grads(space: PhaseSpace, df, dg):

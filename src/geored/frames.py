@@ -129,7 +129,7 @@ def frobenius_residual(theta: Callable, points: Sequence) -> float:
     for pt in points:
         pt = [float(c) for c in pt]
         th = np.asarray(theta(pt), dtype=float)
-        J = jacobian(theta, pt)  # J[k, m] = d theta_k / d x^m
+        J = np.asarray(jacobian(theta, pt))  # J[k, m] = d theta_k / d x^m
         d_theta = J.T - J  # (d theta)_{m k} = d_m theta_k - d_k theta_m
         total = 0.0
         for a in range(4):

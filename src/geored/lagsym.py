@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from geored import dualnum as dn
-from geored.calc import DUAL, ScalarField, gradient, hessian
+from geored.calc import ScalarField, gradient, hessian
 from geored.dualnum import is_dual, real_part
 from geored.errors import (
     ConnectionInvalid,
@@ -86,11 +86,6 @@ def relativistic_lagrangian(m: float = 1.0, c: float = 1.0) -> LagrangianModel:
 # -- generic helpers (work on float or dual points) --------------------------
 
 
-def _grad_list(f: ScalarField, z) -> list:
-    g = gradient(f, z, DUAL)
-    return list(g)
-
-
 def _dot(u, v):
     total = 0.0
     for ui, vi in zip(u, v):
@@ -149,7 +144,7 @@ def _two_form_rows(model: LagrangianModel, z) -> list:
     Blocks: [q,v] = d2L/dv dv, [q,q] = antisymmetrized d2L/dv dq, [v,v] = 0.
     """
     n = model.n
-    H = hessian(model.L, z, DUAL)
+    H = hessian(model.L, z)
     rows = [[0.0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
@@ -168,7 +163,7 @@ def _two_form_rows(model: LagrangianModel, z) -> list:
 def cartan_one_form(model: LagrangianModel, point) -> np.ndarray:
     """(dL/dv) on the dq slots, zero on the dv slots."""
     n = model.n
-    g = gradient(model.L, list(point), DUAL)
+    g = gradient(model.L, list(point))
     out = np.zeros(2 * n)
     out[:n] = [float(g[n + i]) for i in range(n)]
     return out
@@ -195,7 +190,7 @@ def energy(model: LagrangianModel, point):
     """v . dL/dv - L, evaluated exactly through the dual scheme."""
     n = model.n
     z = list(point)
-    g = gradient(model.L, z, DUAL)
+    g = gradient(model.L, z)
     return _dot(z[n:], g[n:]) - model.L(z)
 
 
@@ -212,7 +207,7 @@ def is_regular(model: LagrangianModel, point) -> RegularityReport:
     z = list(point)
     q = z[: model.n]
     restricted = ScalarField(n, lambda v: model.L(list(q) + list(v)))
-    H = hessian(restricted, z[n:], DUAL)
+    H = hessian(restricted, z[n:])
     H = np.asarray(H, dtype=float)
     svals = np.linalg.svd(H, compute_uv=False)
     rank = int(np.sum(svals > KERNEL_RTOL * max(svals[0], 1e-300)))
@@ -233,7 +228,7 @@ def el_field(model: LagrangianModel, point) -> np.ndarray:
     z = [float(v) for v in point]
     W = lagrangian_two_form(model, z).matrix
     e_field = ScalarField(2 * n, lambda w: energy(model, w), "E")
-    dE = np.asarray(_grad_list(e_field, z), dtype=float)
+    dE = np.asarray(gradient(e_field, z), dtype=float)
     gamma = np.linalg.solve(W, -dE)
     if not np.max(np.abs(gamma[:n] - z[n:])) <= 1e-7 * (1.0 + np.max(np.abs(z))):
         raise DegenerateLagrangian("solution lost second-order structure")
@@ -248,17 +243,16 @@ def pb_regular(model: LagrangianModel, f: ScalarField, g: ScalarField, point):
     """
     z = list(point)
     W = _two_form_rows(model, z)
-    df = _grad_list(f, z)
-    dg = _grad_list(g, z)
+    df = gradient(f, z)
+    dg = gradient(g, z)
     xg = _solve_generic(W, [-v for v in dg])
     return -_dot(df, xg)
 
 
-def kernel_basis(omega) -> list[np.ndarray]:
+def kernel_basis(omega: TwoFormAtPoint) -> list[np.ndarray]:
     """Orthonormal basis of the two-form kernel (singular vectors below
     KERNEL_RTOL * sigma_max)."""
-    M = omega.matrix if isinstance(omega, TwoFormAtPoint) else np.asarray(omega)
-    _, svals, vh = np.linalg.svd(M)
+    _, svals, vh = np.linalg.svd(omega.matrix)
     cutoff = KERNEL_RTOL * max(float(svals[0]), 1e-300)
     return [vh[i] for i in range(len(svals)) if svals[i] <= cutoff]
 
@@ -299,8 +293,7 @@ class ConnectionField:
         )
         if not np.max(np.abs(A @ A - A)) <= 1e-9:
             raise ConnectionInvalid("A is not idempotent at the queried point")
-        W = lagrangian_two_form(model, point).matrix
-        null = kernel_basis(TwoFormAtPoint(W, tuple(point)))
+        null = kernel_basis(lagrangian_two_form(model, point))
         for vec in null:
             if not np.max(np.abs(A @ vec)) <= 1e-8 * (1.0 + np.linalg.norm(A)):
                 raise ConnectionInvalid("kernel of the two-form is not killed by A")
@@ -309,10 +302,11 @@ class ConnectionField:
             raise ConnectionInvalid("rank of A does not complement the kernel")
 
 
-def relativistic_connection(m: float = 1.0, c: float = 1.0) -> ConnectionField:
+def relativistic_connection() -> ConnectionField:
     """Flat Lorentz-invariant connection for the square-root model: the
     identity minus the projector onto the span of the dynamical and dilation
-    directions, built from degree-zero covectors."""
+    directions, built from degree-zero covectors.  The mass and light-speed
+    constants cancel from it, so it takes neither."""
     n = len(ETA)
 
     def at(z):
@@ -369,7 +363,7 @@ class ConnectionFrame:
         # keyed by id with the field held alive, so the id cannot be reused
         hit = self._lifts.get(id(f))
         if hit is None:
-            df = _grad_list(f, self.z)
+            df = gradient(f, self.z)
             hit = self._lifts[id(f)] = (
                 f,
                 [_dot(df, w) for w in self.w_cols],
@@ -473,7 +467,7 @@ def measured_position_brackets(point, m: float = 1.0, c: float = 1.0) -> dict:
     next to the published closed form m^2 c^2 / L, which is not asserted.
     """
     model = relativistic_lagrangian(m, c)
-    A = relativistic_connection(m, c)
+    A = relativistic_connection()
     n = len(ETA)
     z = [float(u) for u in point]
     coords = coordinate_fields(2 * n, [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)])

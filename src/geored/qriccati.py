@@ -155,10 +155,11 @@ def evolve_unitary(
     return final, trail
 
 
-def extract_Z(U: np.ndarray, n1: int, n2: int, t: float = 0.0) -> CosetPoint:
+def extract_Z(U: np.ndarray, n1: int, *, t: float = 0.0) -> CosetPoint:
     """Coset coordinate Z = B D^-1 of the matrix U at time t, from its
     top-right and bottom-right blocks, via a linear solve (D is never
-    inverted explicitly)."""
+    inverted explicitly).  The first n1 rows and columns split the blocks;
+    the rest of U fixes the other block size."""
     mat = np.asarray(U, dtype=complex)
     B = mat[:n1, n1:]
     D = mat[n1:, n1:]
@@ -212,7 +213,7 @@ def verify_coset_reduction(
     cfg = cfg or IntegratorConfig()
     t0 = U0.t
     final, trail = evolve_unitary(H, U0, t1, cfg)
-    z0 = extract_Z(U0.U, H.n1, H.n2, t=U0.t)
+    z0 = extract_Z(U0.U, H.n1, t=U0.t)
     riccati = riccati_matrix_system(H)
     direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
 
@@ -220,7 +221,7 @@ def verify_coset_reduction(
     max_dev = 0.0
     points: list = []
     for (t, U), y in zip(trail, direct_states):
-        z_unitary = extract_Z(U, H.n1, H.n2, t=t)
+        z_unitary = extract_Z(U, H.n1, t=t)
         z_direct = _state_to_mat(y, (H.n1, H.n2))
         max_dev = nan_max(max_dev, float(np.linalg.norm(z_unitary.Z - z_direct)))
         points.append(z_unitary)

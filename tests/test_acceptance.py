@@ -340,8 +340,8 @@ def test_criterion_9_kernel_crosscheck():
         f = ScalarField(3, fn)
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
-            gd = gradient(f, x, DUAL)
-            gc = gradient(f, x, CENTRAL)
+            gd = np.asarray(gradient(f, x, DUAL))
+            gc = np.asarray(gradient(f, x, CENTRAL))
             worst = max(worst, float(np.max(np.abs(gd - gc)) / (1 + np.max(np.abs(gd)))))
     ok_corpus = worst < 1e-5
     _report("criterion 9 dual vs central on corpus", worst, 1e-5, ok_corpus)

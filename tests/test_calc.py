@@ -53,8 +53,8 @@ def test_gradient_dual_vs_central_oracle():
     f = ScalarField(3, smooth)
     for _ in range(5):
         x = rng.uniform(-2, 2, size=3)
-        gd = gradient(f, x, DUAL)
-        gc = gradient(f, x, CENTRAL)
+        gd = np.asarray(gradient(f, x, DUAL))
+        gc = np.asarray(gradient(f, x, CENTRAL))
         assert np.max(np.abs(gd - gc)) < 1e-6 * (1.0 + np.linalg.norm(gd))
 
 
@@ -108,8 +108,8 @@ def test_hessian_matches_jacobian_of_gradient_and_central():
 
     f = ScalarField(2, fn)
     x = [0.4, -0.9]
-    Hd = hessian(f, x, DUAL)
-    Hc = hessian(f, x, CENTRAL)
+    Hd = np.asarray(hessian(f, x, DUAL))
+    Hc = np.asarray(hessian(f, x, CENTRAL))
     assert np.allclose(Hd, Hd.T)
     assert np.max(np.abs(Hd - Hc)) < 1e-6
     grads = [
@@ -117,6 +117,41 @@ def test_hessian_matches_jacobian_of_gradient_and_central():
         for i in range(2)
     ]
     assert np.max(np.abs(jacobian(joint(grads), x) - Hd)) < 1e-8
+
+
+def test_every_derivative_is_a_list_of_floats_or_duals():
+    """One format under both schemes: a gradient is a list, a Jacobian or a
+    Hessian a list of rows; builtin floats at a float point (also one given
+    as an array), duals at a dual point."""
+    f = ScalarField(3, lambda x: dn.exp(x[0] * x[1] * x[2]))
+    fields = joint([f, ScalarField(3, lambda x: x[0] * x[1] * x[2])])
+
+    def derivatives(x):
+        yield gradient(f, x, DUAL)
+        yield gradient(f, x, CENTRAL)
+        yield from jacobian(fields, x)
+        yield from hessian(f, x, DUAL)
+        if not any(map(dn.is_dual, x)):
+            # the four-point stencil fills a float array, so floats only
+            yield from hessian(f, x, CENTRAL)
+
+    for x, kind in [
+        ([0.3, -0.5, 0.8], float),
+        (np.array([0.3, -0.5, 0.8]), float),
+        ([dn.Dual(0.3, 1.0), -0.5, dn.Dual(0.8, 0.25)], dn.Dual),
+        # a length-1 tangent array takes the scalar-seeded fallback
+        ([dn.Dual(0.3, np.ones(1)), -0.5, 0.8], dn.Dual),
+    ]:
+        rows = list(derivatives(x))
+        assert len(rows) == 2 + 2 + 3 + (3 if kind is float else 0)
+        for row in rows:
+            assert type(row) is list and len(row) == 3
+            assert all(type(v) is kind for v in row), (kind, row)
+    # a float point whose tangent row sums past the float range takes the
+    # scalar-seeded fallback, whose entries are builtin floats too
+    huge = ScalarField(2, lambda x: 1e308 * x[0] + 1e308 * x[1])
+    assert gradient(huge, [0.1, 0.2]) == [1e308, 1e308]
+    assert all(type(v) is float for v in gradient(huge, [0.1, 0.2]))
 
 
 def _lie(rhs, f, x):
@@ -183,8 +218,8 @@ def test_dual_vs_central_on_corpus():
     for f in _random_field_corpus():
         for _ in range(10):
             x = rng.uniform(-2, 2, size=3)
-            gd = gradient(f, x, DUAL)
-            gc = gradient(f, x, CENTRAL)
+            gd = np.asarray(gradient(f, x, DUAL))
+            gc = np.asarray(gradient(f, x, CENTRAL))
             rel = np.max(np.abs(gd - gc)) / (1.0 + np.max(np.abs(gd)))
             assert rel < 1e-5
 
@@ -196,7 +231,7 @@ def test_gradient_linearity_property(pt):
     g = ScalarField(3, lambda x: x[2] * x[2] + x[1])
     fg = ScalarField(3, lambda x: f(x) + 3.0 * g(x))
     lhs = gradient(fg, pt)
-    rhs = gradient(f, pt) + 3.0 * gradient(g, pt)
+    rhs = np.asarray(gradient(f, pt)) + 3.0 * np.asarray(gradient(g, pt))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -628,25 +663,47 @@ def test_dual_point_hessian_bit_identical_to_nested_scalar_seeding(data):
         assert _tree(hessian(ScalarField(n, fn), x)) == _tree(ref)
 
 
-def test_only_the_kernel_constructs_duals():
-    """Every production derivative goes through calc: no other module of the
-    package builds a ``Dual`` of its own."""
+def _name(node):
+    """The name a ``Name`` or ``Attribute`` node reads; None for others."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _package_calls(allowed, matches) -> list:
+    """``module:line`` of every call that ``matches`` flags in the package
+    modules whose file names are not in ``allowed``."""
     import ast
     from pathlib import Path
 
     import geored
 
-    allowed = {"calc.py", "dualnum.py", "_dual_py.py"}
-    offenders = []
-    for path in sorted(Path(geored.__file__).parent.glob("*.py")):
-        if path.name in allowed:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if name == "Dual":
-                    offenders.append(f"{path.name}:{node.lineno}")
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(geored.__file__).parent.glob("*.py"))
+        if path.name not in allowed
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and matches(node)
+    ]
+
+
+def test_only_the_kernel_constructs_duals():
+    """Every production derivative goes through calc: no other module of the
+    package builds a ``Dual`` of its own."""
+    offenders = _package_calls(
+        {"calc.py", "dualnum.py", "_dual_py.py"}, lambda call: _name(call.func) == "Dual"
+    )
+    assert not offenders, offenders
+
+
+def test_only_the_kernel_tests_for_arrays():
+    """A derivative has one format, so no module but calc asks whether a
+    value is an ``np.ndarray``."""
+    import ast
+
+    offenders = _package_calls(
+        {"calc.py"},
+        lambda call: _name(call.func) == "isinstance"
+        and any(_name(sub) == "ndarray" for arg in call.args[1:] for sub in ast.walk(arg)),
+    )
     assert not offenders, offenders
 
 
@@ -656,7 +713,7 @@ def test_central_hessian_evaluates_centre_once_through_eval():
         hessian(f, [0.5, 1.0, 2.0], CENTRAL)
     assert err.value.index == 0
     counted = _counted(lambda z: dn.exp(z[0] * z[1]) + z[2] ** 3)
-    H = hessian(ScalarField(3, counted), [0.2, 0.4, -0.6], CENTRAL)
+    H = np.asarray(hessian(ScalarField(3, counted), [0.2, 0.4, -0.6], CENTRAL))
     # centre once, two points per diagonal entry, four per off-diagonal pair
     assert counted.calls == 1 + 2 * 3 + 4 * 3
     assert np.max(np.abs(H - hessian(ScalarField(3, counted), [0.2, 0.4, -0.6]))) < 1e-6

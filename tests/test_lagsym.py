@@ -459,8 +459,8 @@ def test_connection_frame_equals_per_call_bracket_at_nested_dual_points():
 
 
 def test_connection_frame_takes_one_gradient_per_field(monkeypatch):
-    grad_list, calls = lagsym._grad_list, []
-    monkeypatch.setattr(lagsym, "_grad_list", lambda f, z: calls.append(f) or grad_list(f, z))
+    grad, calls = lagsym.gradient, []
+    monkeypatch.setattr(lagsym, "gradient", lambda f, z: calls.append(f) or grad(f, z))
     fields = _frame_fields()
     frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=26)[0])
     for f in fields:
@@ -559,7 +559,7 @@ def _nan_el_field(monkeypatch):
     import geored.lagsym as lagsym
 
     # a regular model whose energy gradient is NaN: the solve returns NaN
-    monkeypatch.setattr(lagsym, "_grad_list", lambda f, z: [math.nan] * len(z))
+    monkeypatch.setattr(lagsym, "gradient", lambda f, z: [math.nan] * len(z))
     el_field(mechanical_lagrangian(1, potential=lambda q: 0.5 * q[0] ** 2), [0.7, 0.4])
 
 

@@ -110,34 +110,38 @@ def test_polar_projection_fails_closed_when_not_converged(U):
 
 
 def test_extract_Z_identity_and_block_diagonal():
-    assert np.allclose(extract_Z(np.eye(3), 1, 2).Z, 0.0)
+    assert np.allclose(extract_Z(np.eye(3), 1).Z, 0.0)
+    assert extract_Z(np.eye(3), 1).Z.shape == (1, 2)
+    # the time is keyword-only: a third positional argument cannot land in it
+    with pytest.raises(TypeError):
+        extract_Z(np.eye(3), 1, 2)
     # an element of the isotropy subgroup: block-diagonal unitary
     phase = np.exp(0.3j)
     lower = np.linalg.qr(np.random.default_rng(1).normal(size=(2, 2)) + 0j)[0]
     blockdiag = np.zeros((3, 3), dtype=complex)
     blockdiag[0, 0] = phase
     blockdiag[1:, 1:] = lower
-    assert np.max(np.abs(extract_Z(blockdiag, 1, 2).Z)) < 1e-14
+    assert np.max(np.abs(extract_Z(blockdiag, 1).Z)) < 1e-14
 
 
 def test_extract_Z_invariant_under_right_isotropy_action():
     rng = np.random.default_rng(3)
     U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    z_ref = extract_Z(U, 1, 2).Z
+    z_ref = extract_Z(U, 1).Z
     for _ in range(10):
         u1 = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.ones((1, 1))
         u2 = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         h = np.zeros((3, 3), dtype=complex)
         h[:1, :1] = u1
         h[1:, 1:] = u2
-        z = extract_Z(U @ h, 1, 2).Z
+        z = extract_Z(U @ h, 1).Z
         assert np.max(np.abs(z - z_ref)) < 1e-12
 
 
 def test_extract_Z_singular_block():
     U = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # D block is zero
     with pytest.raises(SingularBlock):
-        extract_Z(U, 1, 1)
+        extract_Z(U, 1)
 
 
 def test_riccati_rhs_values():
@@ -184,7 +188,7 @@ def test_coset_reduction_pauli_tangent_closed_form():
     H = pauli_x_hamiltonian()
     final, trail = evolve_unitary(H, UnitaryState(np.eye(2)), 1.0)
     for t, U in trail[1:]:
-        z = extract_Z(U, 1, 1).Z[0, 0]
+        z = extract_Z(U, 1).Z[0, 0]
         assert abs(z - (-1j * math.tan(t))) < 1e-9
     report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 1.0)
     assert report.max_dev < 1e-8
@@ -286,7 +290,7 @@ def test_coset_report_carries_trail_outside_equality(H, monkeypatch):
     assert _same_trail(trail, evolve(H, U0, 1.0)[1])
     assert [point.t for point in report.points] == [t for t, _ in trail]
     for (t, U), point in zip(trail, report.points):
-        assert point.Z.tobytes() == extract_Z(U, H.n1, H.n2, t=t).Z.tobytes()
+        assert point.Z.tobytes() == extract_Z(U, H.n1, t=t).Z.tobytes()
     assert [f.name for f in dataclasses.fields(report)] == ["max_dev", "unitarity_drift", "points"]
 
 
@@ -307,7 +311,7 @@ def _coset_csv_lines(H, trail):
     entries = [(i, j) for i in range(H.n1) for j in range(H.n2)]
     lines = [",".join(["t"] + [f"{part}Z{i}{j}" for i, j in entries for part in ("Re", "Im")])]
     for t, U in trail:
-        Z = extract_Z(U, H.n1, H.n2, t=t).Z
+        Z = extract_Z(U, H.n1, t=t).Z
         cells = [t] + [v for z in Z.ravel() for v in (z.real, z.imag)]
         lines.append(",".join(f"{v:.17g}" for v in cells))
     return "".join(line + "\n" for line in lines)
@@ -337,7 +341,7 @@ def _count_extractions(monkeypatch):
     extract = q.extract_Z
 
     def counted(*args, **kwargs):
-        calls.append(args[-1] if len(args) > 3 else kwargs.get("t"))
+        calls.append(kwargs.get("t"))
         return extract(*args, **kwargs)
 
     monkeypatch.setattr(q, "extract_Z", counted)
@@ -362,7 +366,7 @@ def test_coset_report_points_reused_outside_equality():
     _, trail = evolve_unitary(H, UnitaryState(np.eye(3)), 1.0)
     assert len(report.points) == len(trail)
     for (t, U), point in zip(trail, report.points):
-        assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, 2, t=t).Z.tobytes()
+        assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, t=t).Z.tobytes()
         assert point.coords().tobytes() == _mat_to_state(point.Z).tobytes()
     bare = dataclasses.replace(report, points=None)
     assert report == bare and repr(report) == repr(bare)
