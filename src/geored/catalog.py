@@ -341,6 +341,15 @@ def _scale_state(x, rng) -> np.ndarray:
     return lam * np.asarray(x, dtype=float)
 
 
+def _mobius_pairs(x, rng) -> np.ndarray:
+    """One GL(2) map on every (x, y) pair, then a scale per pair: the charts
+    x/y move by one Moebius map, which keeps their cross ratio.  Within 0.2 of
+    the identity in each entry, the map keeps y > 0 where x/y is in (0, 3]."""
+    A = np.eye(2) + rng.uniform(-0.2, 0.2, size=(2, 2))
+    pairs = np.asarray(x, dtype=float).reshape(-1, 2) @ A.T
+    return (pairs * rng.uniform(0.5, 2.0, size=(len(pairs), 1))).ravel()
+
+
 def _radial_quotient() -> QuotientMap:
     def radial(x):
         r = dn.sqrt(_dot3(x[:3], x[:3]))
@@ -440,6 +449,28 @@ def entry_riccati() -> ReductionScenario:
         x0=np.array([1.0, 1.0]),
         t_span=(0.0, 3.0),
         notes="linear planar flow projected to the x/y chart",
+    )
+
+
+def entry_cross_ratio() -> ReductionScenario:
+    """Four solutions of one linear planar flow as one 8-dimensional system,
+    projected to the cross ratio of their charts x/y.  The charts obey one
+    Riccati equation, whose flow is a Moebius map, so the ratio is constant:
+    the reduced flow is the zero field, and the deviation is its drift."""
+    # linear_2d(1, 1, 1), the matrix [[b, c], [a, -b]], on each (x, y) pair
+    M, ks = np.kron(np.eye(4), [[1.0, 1.0], [1.0, -1.0]]), range(0, 8, 2)
+    names = tuple(f"{c}{k}" for k in "1234" for c in "xy")
+    return ReductionScenario(
+        name="riccati-cross-ratio",
+        system=VectorFieldSystem(8, lambda z: M @ np.asarray(z, dtype=float), names),
+        reduced=VectorFieldSystem(1, lambda w: [0.0], ("cross_ratio",)),
+        quotient=QuotientMap(
+            lambda z: [cross_ratio(*(z[k] / z[k + 1] for k in ks))], ("cross_ratio",)
+        ),
+        orbit_map=_mobius_pairs,
+        x0=np.array([0.3, 1.0, 1.0, 1.0, 1.7, 1.0, 2.9, 1.0]),
+        t_span=(0.0, 2.5),
+        notes="four solutions of one linear flow keep the cross ratio of their x/y charts",
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from geored import catalog, dirac, dualnum, frames, lagsym, qriccati
 from geored.errors import ConfigError, UnknownScenario, nan_max
-from geored.flow import Dopri45Stepper, IntegratorConfig, integrate
+from geored.flow import Dopri45Stepper, IntegratorConfig
 from geored.reduce import TOLERANCES, verify_commuting_diagram
 
 PASS, FAIL, ERROR = "PASS", "FAIL", "ERROR"
@@ -112,14 +112,6 @@ def _trajectory_table(traj, time_label: str) -> CsvTable:
     )
 
 
-def _coset_table(H: qriccati.BlockHamiltonian, report: qriccati.CosetReport) -> CsvTable:
-    """Time plus Re and Im of each coset entry along the unitary trail."""
-    return CsvTable(
-        ("t", *qriccati.riccati_matrix_system(H).coord_names),
-        ((point.t, *point.coords()) for point in report.points),
-    )
-
-
 def _rng_for(name: str, seed: int) -> np.random.Generator:
     digest = hashlib.sha256(name.encode()).digest()
     child = int.from_bytes(digest[:8], "big") ^ (seed & 0xFFFFFFFFFFFFFFFF)
@@ -129,42 +121,30 @@ def _rng_for(name: str, seed: int) -> np.random.Generator:
 # -- scenario runners ---------------------------------------------------------
 
 
-def _catalog_spec(name: str, description: str, refs: tuple[str, ...]) -> ScenarioSpec:
-    """The spec of a catalog reduction: its commuting diagram, gated on the
-    diagram deviation."""
+def _diagram_spec(name, description, refs, build, gates, deviation="max_dev", trail=None):
+    """The spec of a reduction: the diagram of the scenario ``build(rng)``,
+    its deviation reported as the metric ``deviation``, and ``trail(ambient)``
+    adding metrics read off the step states of the ambient trajectory."""
 
     def runner(config, rng):
-        scenario = catalog.ENTRY_BUILDERS[name]()
+        scenario = build(rng)
         report = verify_commuting_diagram(scenario, config.integrator, seed=config.seed)
-        record = {
-            "name": scenario.name,
-            "x0": [float(v) for v in scenario.x0],
-            "t_span": list(scenario.t_span),
-            "tolerances": TOLERANCES,
-            "notes": scenario.notes,
+        metrics = {deviation: report.max_dev, **(trail(report.ambient) if trail else {})}
+        record = {"name": scenario.name, "x0": list(map(float, scenario.x0))}
+        record.update(t_span=list(scenario.t_span), tolerances=TOLERANCES, notes=scenario.notes)
+        return metrics, {
+            "ambient.csv": _trajectory_table(report.ambient, "t"),
+            "diagram.json": report.body(),
+            "scenario.json": record,
         }
-        return (
-            {"max_dev": report.max_dev},
-            {
-                "ambient.csv": _trajectory_table(report.ambient, "t"),
-                "diagram.json": report.body(),
-                "scenario.json": record,
-            },
-        )
 
-    return ScenarioSpec(name, description, refs, {"max_dev": 1e-6}, runner)
+    return ScenarioSpec(name, description, refs, gates, runner)
 
 
-def _run_riccati_cross_ratio(config, rng):
-    sys_lin = catalog.linear_2d(1.0, 1.0, 1.0)
-    seeds = [0.3, 1.0, 1.7, 2.9]
-    trajs = [integrate(sys_lin, [s, 1.0], 0.0, 2.5, config.integrator) for s in seeds]
-    ts = np.linspace(0.0, 2.5, 64)
-    xis = [s[:, 0] / s[:, 1] for s in (t.resample(ts) for t in trajs)]
-    ratios = catalog.cross_ratio(*xis)
-    drift = float(np.max(np.abs(ratios - ratios[0])))
-    table = CsvTable(("t", "xi1", "xi2", "xi3", "xi4", "cross_ratio"), zip(ts, *xis, ratios))
-    return {"cross_ratio_drift": drift}, {"cross_ratio.csv": table}
+def _catalog_spec(name: str, description: str, refs: tuple[str, ...]) -> ScenarioSpec:
+    """The spec of a catalog reduction, gated on the diagram deviation."""
+    build = catalog.ENTRY_BUILDERS[name]
+    return _diagram_spec(name, description, refs, lambda rng: build(), {"max_dev": 1e-6})
 
 
 def _run_radial_time_dependent(config, rng):
@@ -186,19 +166,8 @@ def _run_radial_time_dependent(config, rng):
     )
 
 
-def _run_qriccati_pauli(config, rng):
-    H = qriccati.BlockHamiltonian(
-        1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))
-    )
-    state0 = qriccati.UnitaryState(np.eye(2))
-    report = qriccati.verify_coset_reduction(H, state0, 1.0, config.integrator)
-    worst = 0.0
-    for point in report.points[1:]:
-        worst = nan_max(worst, abs(point.Z[0, 0] - (-1j * np.tan(point.t))))
-    return (
-        {"closed_form_dev": float(worst), "coset_dev": report.max_dev},
-        {"coset.csv": _coset_table(H, report)},
-    )
+# the two-level exchange generator, whose coset coordinate is -i tan(t)
+_PAULI_X = qriccati.BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
 
 
 def _seeded_hamiltonian_n3(rng):
@@ -218,17 +187,22 @@ def _seeded_hamiltonian_n3(rng):
     return H
 
 
-def _run_qriccati_n3(config, rng):
-    H = _seeded_hamiltonian_n3(rng)
-    state0 = qriccati.UnitaryState(np.eye(3))
-    report = qriccati.verify_coset_reduction(H, state0, 1.0, config.integrator)
-    return (
-        {
-            "coset_dev": report.max_dev,
-            "unitarity_drift": report.unitarity_drift,
-        },
-        {"coset.csv": _coset_table(H, report)},
-    )
+def _coset_trail(n: int, closed_form=None):
+    """The worst unitarity drift of a coset diagram's n x n unitary step states
+    (upper block 1 x 1) and, with ``closed_form(t)``, the worst gap of Z to it.
+    Z is extracted at every state, so a singular D block raises SingularBlock."""
+
+    def metrics(ambient):
+        drift = gap = 0.0
+        for t, y in zip(ambient.times.tolist(), ambient.states):
+            U = qriccati._state_to_mat(y, (n, n))
+            Z = qriccati.extract_Z(U, 1)
+            drift = nan_max(drift, qriccati.unitarity_drift(U))
+            if closed_form is not None:
+                gap = nan_max(gap, float(np.max(np.abs(Z - closed_form(t)))))
+        return {"unitarity_drift": drift, **({"closed_form_dev": gap} if closed_form else {})}
+
+    return metrics
 
 
 def _run_relativistic_free_particle(config, rng):
@@ -517,13 +491,14 @@ def _build_registry() -> dict:
             "scalar Riccati equation",
             ("projective reduction of linear flow", "scalar Riccati equation"),
         ),
-        ScenarioSpec(
+        _diagram_spec(
             "riccati-cross-ratio",
             "constancy of the anharmonic ratio of four Riccati solutions "
             "sharing one linear ambient system",
             ("nonlinear superposition of Riccati solutions",),
+            lambda rng: catalog.entry_cross_ratio(),
             {"cross_ratio_drift": 1e-8},
-            _run_riccati_cross_ratio,
+            deviation="cross_ratio_drift",
         ),
         ScenarioSpec(
             "radial-time-dependent",
@@ -533,21 +508,25 @@ def _build_registry() -> dict:
             {"static_stratum_dev": 1e-6},
             _run_radial_time_dependent,
         ),
-        ScenarioSpec(
+        _diagram_spec(
             "qriccati-pauli",
             "two-level exchange generator: coset coordinate against the "
             "closed-form tangent solution",
             ("unitary coset reduction", "two-level closed form"),
+            lambda rng: qriccati.coset_scenario("qriccati-pauli", _PAULI_X),
             {"closed_form_dev": 1e-8, "coset_dev": 1e-8},
-            _run_qriccati_pauli,
+            deviation="coset_dev",
+            trail=_coset_trail(2, lambda t: -1j * math.tan(t)),
         ),
-        ScenarioSpec(
+        _diagram_spec(
             "qriccati-n3",
             "three-level seeded Hermitian generator: unitary flow versus the "
             "matrix Riccati coset flow",
             ("unitary coset reduction", "matrix Riccati flow"),
+            lambda rng: qriccati.coset_scenario("qriccati-n3", _seeded_hamiltonian_n3(rng)),
             {"coset_dev": 1e-6, "unitarity_drift": 1e-9},
-            _run_qriccati_n3,
+            deviation="coset_dev",
+            trail=_coset_trail(3),
         ),
         ScenarioSpec(
             "relativistic-free-particle",

@@ -13,12 +13,14 @@ zero (``calc._Zero``) up to the nesting depth of the point's duals, so an
 ndarray never meets a ``Dual`` from the numpy side.  The
 helpers below act on tangents only through ``+ - * /`` with real parts,
 which numpy applies entry by entry with the same IEEE operations as on
-floats.
+floats.  ``sqrt`` takes float arrays too, for ``reduce.QuotientMap.columns``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from geored._dual_py import Dual, _real
 
@@ -60,7 +62,7 @@ def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
         return Dual(r, x.b / (2.0 * r))
-    return math.sqrt(x)
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 def exp(x):

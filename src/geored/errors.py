@@ -69,12 +69,12 @@ class OffSurface(GeoredError):
         self.residual = residual
 
 
-class PairNotEquivalent(GeoredError):
-    """A sampled point pair does not lie on the same equivalence class."""
-
-
 class PreflightFailed(GeoredError):
     """Surface or projectability checks failed before diagram verification."""
+
+
+class PairNotEquivalent(PreflightFailed):
+    """A sampled point pair does not lie on the same equivalence class."""
 
 
 class DegenerateSpectrum(GeoredError):
@@ -86,13 +86,6 @@ class DegenerateSpectrum(GeoredError):
 
 class OriginExcluded(GeoredError):
     """The projective charts do not cover the origin."""
-
-
-class UnitarityLost(GeoredError):
-    def __init__(self, t: float, drift: float):
-        super().__init__(f"unitarity drift {drift:.3e} at t={t!r} exceeds limit")
-        self.t = t
-        self.drift = drift
 
 
 class SingularBlock(GeoredError):

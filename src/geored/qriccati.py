@@ -1,23 +1,22 @@
-"""Unitary evolution on U(N), coset extraction Z = B D^-1, and the matrix
-Riccati flow on the coset chart, with cross-verification of the reduction.
+"""The unitary coset reduction as a commuting diagram: the flow
+i dU/dt = G U on U(N), the coset coordinate Z = B D^-1 and the matrix
+Riccati flow on the coset chart, packaged by ``coset_scenario``.
 
 Complex matrices ride inside the real ODE state as interleaved (re, im)
-pairs so the flow module is reused unchanged.  Unitarity is maintained by
-polar re-projection (Newton-Schulz, no SVD) whenever the per-step drift
-exceeds 1e-12.
+pairs, so the flow module is reused unchanged.  Nothing projects the
+unitary flow back onto the group: its drift from U^dagger U = 1 follows the
+RK45 tolerance (about 5e-10 at the default 1e-10 over [0, 1]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from geored.errors import SingularBlock, UnitarityLost, nan_max
-from geored.flow import IntegratorConfig, VectorFieldSystem, integrate
-
-PROJECT_TRIGGER = 1e-12
-UNITARITY_HARD_LIMIT = 1e-6
+from geored.errors import SingularBlock
+from geored.flow import VectorFieldSystem
+from geored.reduce import InvariantSurface, QuotientMap, ReductionScenario
 
 
 @dataclass(frozen=True)
@@ -56,61 +55,13 @@ def unitarity_drift(U: np.ndarray) -> float:
     return float(np.linalg.norm(U.conj().T @ U - np.eye(n)))
 
 
-@dataclass
-class UnitaryState:
-    U: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=complex)
-        drift = unitarity_drift(self.U)
-        if not drift <= 1e-9:
-            raise ValueError(f"state is not unitary (drift {drift:.3e})")
-
-
-@dataclass
-class CosetPoint:
-    Z: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.Z = np.asarray(self.Z, dtype=complex)
-        if not np.all(np.isfinite(self.Z)):
-            raise ValueError("coset point must be finite")
-
-    def coords(self) -> np.ndarray:
-        """Re and Im of each entry of Z, in the coordinate order of
-        ``riccati_matrix_system``."""
-        return _mat_to_state(self.Z)
-
-
-def polar_project(U: np.ndarray) -> np.ndarray:
-    """Nearest unitary via Newton-Schulz; quadratic for small drift, so at
-    most 8 iterations, stopping once |U^dagger U - 1| <= 1e-15.  Raises
-    ValueError if 8 iterations leave the drift above that bound (or NaN)."""
-    Y = np.array(U, dtype=complex)
-    n = Y.shape[0]
-    for _ in range(8):
-        gram = Y.conj().T @ Y
-        if np.linalg.norm(gram - np.eye(n)) <= 1e-15:
-            return Y
-        Y = Y @ (1.5 * np.eye(n) - 0.5 * gram)
-    drift = unitarity_drift(Y)
-    if not drift <= 1e-15:
-        raise ValueError(f"polar projection did not converge (drift {drift:.3e})")
-    return Y
-
-
+# a complex array and its real state share one memory layout: (re, im) pairs
 def _mat_to_state(M: np.ndarray) -> np.ndarray:
-    flat = M.ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
+    return np.ascontiguousarray(M, dtype=complex).view(np.float64).ravel()
 
 
 def _state_to_mat(y: np.ndarray, shape) -> np.ndarray:
-    return (y[0::2] + 1j * y[1::2]).reshape(shape)
+    return np.ascontiguousarray(y, dtype=float).view(complex).reshape(shape)
 
 
 def _complex_names(symbol: str, rows: int, cols: int) -> tuple[str, ...]:
@@ -121,45 +72,12 @@ def _complex_names(symbol: str, rows: int, cols: int) -> tuple[str, ...]:
     )
 
 
-def evolve_unitary(
-    H: BlockHamiltonian,
-    U0: UnitaryState,
-    t1: float,
-    cfg: IntegratorConfig | None = None,
-):
-    """Integrate i dU/dt = H U from U0.t to t1 with polar re-projection.
-
-    Raises UnitarityLost if a single step drifts past 1e-6 before
-    re-projection (a sign of too-coarse stepping).  Returns the final state
-    and the trail [(t, U), ...] of the start and every accepted step.
-    """
-    n = H.dim
-    shape = (n, n)
-    G = H.assembled
-
-    def rhs(y):
-        return _mat_to_state(-1j * (G @ _state_to_mat(y, shape)))
-
-    def onto_group(t, y):
-        U = _state_to_mat(y, shape)
-        drift = unitarity_drift(U)
-        if not drift <= UNITARITY_HARD_LIMIT:
-            raise UnitarityLost(t, drift)
-        return _mat_to_state(polar_project(U)) if drift > PROJECT_TRIGGER else y
-
-    names = _complex_names("U", n, n)
-    system = VectorFieldSystem(2 * n * n, rhs, names)
-    traj = integrate(system, _mat_to_state(U0.U), U0.t, t1, cfg, project=onto_group)
-    final = UnitaryState(_state_to_mat(traj.states[-1], shape), t=traj.t1)
-    trail = [(t, _state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
-    return final, trail
-
-
-def extract_Z(U: np.ndarray, n1: int, *, t: float = 0.0) -> CosetPoint:
-    """Coset coordinate Z = B D^-1 of the matrix U at time t, from its
-    top-right and bottom-right blocks, via a linear solve (D is never
-    inverted explicitly).  The first n1 rows and columns split the blocks;
-    the rest of U fixes the other block size."""
+def extract_Z(U: np.ndarray, n1: int) -> np.ndarray:
+    """Coset coordinate Z = B D^-1 of the matrix U, from its top-right and
+    bottom-right blocks, via a linear solve (D is never inverted
+    explicitly).  The first n1 rows and columns split the blocks; the rest
+    of U fixes the other block size.  Raises ``SingularBlock`` when the
+    condition number of D reaches 1e8."""
     mat = np.asarray(U, dtype=complex)
     B = mat[:n1, n1:]
     D = mat[n1:, n1:]
@@ -167,8 +85,7 @@ def extract_Z(U: np.ndarray, n1: int, *, t: float = 0.0) -> CosetPoint:
     if not np.isfinite(cond) or cond >= 1e8:
         raise SingularBlock(cond)
     # Z D = B  =>  D^T Z^T = B^T
-    Z = np.linalg.solve(D.T, B.T).T
-    return CosetPoint(Z, t=t)
+    return np.linalg.solve(D.T, B.T).T
 
 
 def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
@@ -180,54 +97,119 @@ def riccati_matrix_system(H: BlockHamiltonian) -> VectorFieldSystem:
     v_dagger = v.conj().T
 
     def rhs(y):
-        Z = _state_to_mat(np.asarray(y, dtype=float), shape)
+        Z = _state_to_mat(y, shape)
         dZ = -1j * (v + h1 @ Z - Z @ h2 - Z @ v_dagger @ Z)
         return _mat_to_state(dZ)
 
     return VectorFieldSystem(2 * n1 * n2, rhs, _complex_names("Z", n1, n2))
 
 
-@dataclass
-class CosetReport:
-    max_dev: float
-    unitarity_drift: float
-    # the coset point of each entry of the recorded unitary trail
-    points: list = field(repr=False, compare=False)
+# -- the coset reduction in real arithmetic -----------------------------------
+#
+# A complex number is an (re, im) pair of anything that supports + - * /:
+# floats, duals (so ``calc`` differentiates the maps) or column arrays (so
+# ``QuotientMap.columns`` projects a whole trajectory at once).
 
 
-def verify_coset_reduction(
-    H: BlockHamiltonian,
-    U0: UnitaryState,
-    t1: float,
-    cfg: IntegratorConfig | None = None,
-) -> CosetReport:
-    """Max Frobenius gap between the coset coordinate of the unitary flow
-    and the direct matrix Riccati flow started at Z(U0), both from U0.t to
-    t1.
+def _cmul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
 
-    A singular D block anywhere on the unitary trail raises
-    ``SingularBlock``.  The report carries the coset point of each entry
-    of the recorded unitary trail, so callers need neither integrate nor
-    extract again.
-    """
-    cfg = cfg or IntegratorConfig()
-    t0 = U0.t
-    final, trail = evolve_unitary(H, U0, t1, cfg)
-    z0 = extract_Z(U0.U, H.n1, t=U0.t)
-    riccati = riccati_matrix_system(H)
-    direct = integrate(riccati, _mat_to_state(z0.Z), t0, t1, cfg)
 
-    direct_states = direct.resample(np.clip([t for t, _ in trail], t0, t1))
-    max_dev = 0.0
-    points: list = []
-    for (t, U), y in zip(trail, direct_states):
-        z_unitary = extract_Z(U, H.n1, t=t)
-        z_direct = _state_to_mat(y, (H.n1, H.n2))
-        max_dev = nan_max(max_dev, float(np.linalg.norm(z_unitary.Z - z_direct)))
-        points.append(z_unitary)
-    return CosetReport(
-        max_dev=max_dev,
-        unitarity_drift=unitarity_drift(final.U),
-        points=points,
+def _csub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cdiv(p, q):
+    den = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / den, (p[1] * q[0] - p[0] * q[1]) / den)
+
+
+def _entry(x, n: int, i: int, j: int):
+    """U_ij of an n x n matrix held in ``_mat_to_state`` order."""
+    k = 2 * (i * n + j)
+    return x[k], x[k + 1]
+
+
+def coset_quotient(n1: int, n2: int) -> QuotientMap:
+    """Z = B D^-1 on the state of an (n1 + n2)-square matrix, in the
+    coordinate order of ``riccati_matrix_system``: one complex division per
+    entry for n2 = 1, the adjugate of D over its determinant for n2 = 2."""
+    if n2 not in (1, 2):
+        raise ValueError(f"the coset quotient takes a lower block of size 1 or 2, not {n2}")
+    n = n1 + n2
+
+    def coset(x):
+        B = [[_entry(x, n, i, n1 + j) for j in range(n2)] for i in range(n1)]
+        if n2 == 1:
+            Z = [[_cdiv(b, _entry(x, n, n1, n1))] for (b,) in B]
+        else:
+            (a, b), (c, d) = ([_entry(x, n, n1 + i, n1 + j) for j in (0, 1)] for i in (0, 1))
+            det = _csub(_cmul(a, d), _cmul(b, c))
+            # [p, q] adj(D) = [p d - q c, q a - p b]
+            rows = [
+                (_csub(_cmul(p, d), _cmul(q, c)), _csub(_cmul(q, a), _cmul(p, b))) for p, q in B
+            ]
+            Z = [[_cdiv(u, det), _cdiv(v, det)] for u, v in rows]
+        return [part for row in Z for z in row for part in z]
+
+    return QuotientMap(coset, _complex_names("Z", n1, n2))
+
+
+def unitarity_surface(n: int) -> InvariantSurface:
+    """U^dagger U = 1 as the level set 0 of the n^2 real entries of
+    U^dagger U - 1: the diagonal, then Re and Im of each entry above it."""
+
+    def gram(x):
+        cols = [[_entry(x, n, i, j) for i in range(n)] for j in range(n)]
+        out = [sum(a[0] * a[0] + a[1] * a[1] for a in col) - 1.0 for col in cols]
+        for j in range(n):
+            for k in range(j + 1, n):
+                # the conjugate of column j dotted with column k
+                out.append(sum(a[0] * b[0] + a[1] * b[1] for a, b in zip(cols[j], cols[k])))
+                out.append(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(cols[j], cols[k])))
+        return out
+
+    return InvariantSurface(gram, (0.0,) * (n * n))
+
+
+def _haar_unitary(n: int, rng) -> np.ndarray:
+    """A Haar-random element of U(1), a phase, or of U(2), a phase times a
+    unit quaternion."""
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    if n == 1:
+        return np.array([[phase]])
+    q = rng.normal(size=4)
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return phase / np.linalg.norm(q) * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def coset_scenario(name: str, H: BlockHamiltonian) -> ReductionScenario:
+    """The coset reduction of dU/dt = -i G U from the identity over [0, 1]:
+    Riccati flow of Z = B D^-1, surface U^dagger U = 1, and an orbit map that
+    multiplies U on the right by a drawn element of U(n1) x U(n2)."""
+    n1, n2, n = H.n1, H.n2, H.dim
+    if n1 not in (1, 2):  # the sizes _haar_unitary draws; coset_quotient checks n2
+        raise ValueError(f"the coset scenario takes an upper block of size 1 or 2, not {n1}")
+    shape = (n, n)
+    G = H.assembled
+
+    def rhs(y):
+        return _mat_to_state(-1j * (G @ _state_to_mat(y, shape)))
+
+    def isotropy(x, rng):
+        h = np.zeros(shape, dtype=complex)
+        h[:n1, :n1] = _haar_unitary(n1, rng)
+        h[n1:, n1:] = _haar_unitary(n2, rng)
+        return _mat_to_state(_state_to_mat(x, shape) @ h)
+
+    return ReductionScenario(
+        name=name,
+        system=VectorFieldSystem(2 * n * n, rhs, _complex_names("U", n, n)),
+        reduced=riccati_matrix_system(H),
+        quotient=coset_quotient(n1, n2),
+        orbit_map=isotropy,
+        x0=_mat_to_state(np.eye(n)),
+        t_span=(0.0, 1.0),
+        surface=unitarity_surface(n),
+        notes="unitary flow projected to the coset chart Z = B D^-1",
     )
-

@@ -62,12 +62,23 @@ class QuotientMap:
     def size(self) -> int:
         return len(self.names)
 
-    def __call__(self, x) -> np.ndarray:
-        out = np.asarray([float(v) for v in self.fn(x)])
+    def _values(self, out) -> list:
+        out = list(out)
         # a map of the wrong length would broadcast against the reduced states
         if len(out) != self.size:
             raise ValueError(f"quotient map gave {len(out)} values for {self.size} names")
         return out
+
+    def __call__(self, x) -> np.ndarray:
+        return np.asarray([float(v) for v in self._values(self.fn(x))])
+
+    def columns(self, states: np.ndarray) -> np.ndarray:
+        """The map at every row of ``states`` from one evaluation on its
+        columns, each invariant a column array, or one number that is
+        broadcast to every row; entry by entry, the bits of one row."""
+        out = self._values(self.fn(states.T))
+        rows = len(states)
+        return np.column_stack([np.broadcast_to(np.asarray(v, dtype=float), rows) for v in out])
 
     def pushforward(self, sys: VectorFieldSystem, x, t: float = 0.0) -> np.ndarray:
         """D xi (x) . rhs(x, t): the candidate reduced velocity at xi(x),
@@ -225,11 +236,11 @@ def verify_commuting_diagram(
 
     n_check = min(SAMPLE_COUNT, len(states))
     idx = np.linspace(0, len(states) - 1, n_check).astype(int)
-    _preflight(scenario, [states[i] for i in idx], grid[idx].tolist(), rng)
+    # Python-float samples: the maps run the same IEEE operations as on numpy
+    # scalars, without numpy's per-scalar overhead
+    _preflight(scenario, states[idx].tolist(), grid[idx].tolist(), rng)
 
-    # Python-float states: the invariants run the same IEEE operations as on
-    # numpy scalars, without numpy's per-scalar overhead
-    projected = np.asarray([scenario.quotient(s) for s in states.tolist()])
+    projected = scenario.quotient.columns(states)
     reduced_traj = integrate(scenario.reduced, scenario.quotient(x0), t0, t1, cfg)
     reduced_states = reduced_traj.resample(grid)
 

@@ -1,5 +1,4 @@
 import ast
-import copy
 import dataclasses
 import itertools
 import json
@@ -71,9 +70,10 @@ def test_deterministic_reports(tmp_path):
     bytes_a = (tmp_path / "a" / "qriccati-n3" / "report.json").read_bytes()
     bytes_b = (tmp_path / "b" / "qriccati-n3" / "report.json").read_bytes()
     assert bytes_a == bytes_b
-    csv_a = (tmp_path / "a" / "qriccati-n3" / "coset.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "qriccati-n3" / "coset.csv").read_bytes()
-    assert csv_a == csv_b
+    assert a.artifacts == b.artifacts == ["ambient.csv", "diagram.json", "scenario.json"]
+    for artifact in a.artifacts:
+        bytes_a = (tmp_path / "a" / "qriccati-n3" / artifact).read_bytes()
+        assert bytes_a == (tmp_path / "b" / "qriccati-n3" / artifact).read_bytes(), artifact
 
 
 def test_tightened_tolerance_fails(tmp_path):
@@ -481,11 +481,10 @@ def _nan_state(traj):
     return dataclasses.replace(traj, states=states)
 
 
-def _nan_coset_point(point):
-    # a copy skips the finiteness check a new CosetPoint makes
-    nan_point = copy.copy(point)
-    nan_point.Z = np.full(point.Z.shape, math.nan)
-    return nan_point
+def _nan_grid_row(columns):
+    columns = columns.copy()
+    columns[3] = math.nan
+    return columns
 
 
 _NAN_CASES = [
@@ -569,10 +568,10 @@ _NAN_CASES = [
         lambda R: SimpleNamespace(R=np.full((4, 4), math.nan)),
         None,
     ),
-    # the first extraction is Z(U0) and the closed-form loop skips the first
-    # trail point, so the fourth lands in the loop
-    ("qriccati-pauli", "closed_form_dev", "qriccati", "extract_Z", 4, _nan_coset_point, None),
-    ("qriccati-n3", "coset_dev", "qriccati", "extract_Z", 4, _nan_coset_point, None),
+    # Z at the fourth step state of the unitary flow
+    ("qriccati-pauli", "closed_form_dev", "qriccati", "extract_Z", 4, lambda Z: np.full_like(Z, math.nan), None),
+    # the fourth grid state of the one column pass that projects the unitary flow
+    ("qriccati-n3", "coset_dev", "QuotientMap", "columns", 1, _nan_grid_row, None),
 ]
 
 
@@ -584,7 +583,7 @@ _NAN_CASES = [
 def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric, owner, name, nth, value, when):
     # a NaN met after the first finite value must reach the gate, not vanish
     # under the built-in max
-    from geored import calc, dirac, flow, frames, lagsym, qriccati
+    from geored import calc, dirac, flow, frames, lagsym, qriccati, reduce
 
     owners = {
         "lagsym": lagsym,
@@ -595,6 +594,7 @@ def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric,
         "DiracFrame": dirac.DiracFrame,
         "ConnectionFrame": lagsym.ConnectionFrame,
         "Dopri45Stepper": flow.Dopri45Stepper,
+        "QuotientMap": reduce.QuotientMap,
     }
     _poison(monkeypatch, owners[owner], name, nth, value, when)
     report = run(_make_config(scenario, output_dir=str(tmp_path)))

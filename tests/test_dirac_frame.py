@@ -32,7 +32,7 @@ from geored.dirac import (
 from geored.dualnum import Dual, is_dual, real_part, tangent_part
 from geored.errors import ConstraintDrift, DegenerateLagrangian, OffSurface
 from geored.lagsym import ETA, _apply_plan, _dot, _eliminate, _solve_generic, minkowski_dot
-from geored.qriccati import UnitaryState
+from geored.qriccati import unitarity_surface
 
 # -- reference: the per-bracket frame -----------------------------------------
 
@@ -414,5 +414,7 @@ def test_wlc_residual_rejects_nan_omega():
 
 
 def test_unitary_state_rejects_nan_matrix():
-    with pytest.raises(ValueError, match="not unitary"):
-        UnitaryState(np.full((2, 2), np.nan))
+    # the coset diagram's membership check of U^dagger U = 1
+    with pytest.raises(OffSurface) as err:
+        unitarity_surface(2).require_on_surface(np.full(8, np.nan))
+    assert math.isnan(err.value.residual)

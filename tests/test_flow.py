@@ -388,12 +388,10 @@ def test_lean_step_bit_identical_to_reference_evolve_unitary(monkeypatch, tol):
     H = qriccati.BlockHamiltonian(
         1, 2, np.array([[0.2]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]])
     )
-    U0 = qriccati.UnitaryState(np.eye(3))
     lean, ref = _with_both_steppers(
-        monkeypatch, lambda: qriccati.evolve_unitary(H, U0, 1.0, cfg)
+        monkeypatch, lambda: _evolve_unitary(H, np.eye(3), 0.0, 1.0, cfg)
     )
-    ((final, trail), (stepper,)), ((ref_final, ref_trail), (ref_stepper,)) = lean, ref
-    assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
+    (trail, (stepper,)), (ref_trail, (ref_stepper,)) = lean, ref
     assert len(trail) == len(ref_trail) > 2
     for (t, U), (ref_t, ref_U) in zip(trail, ref_trail):
         assert t == ref_t and U.tobytes() == ref_U.tobytes()
@@ -526,8 +524,38 @@ def _loop_constrained_flow(cset, point0, tau_span, cfg=None, drift_limit=1e-9, h
     return flow.Trajectory.from_rk45(times, states, records, tuple(names))
 
 
-def _loop_evolve_unitary(H, U0, t1, cfg=None):
-    """``qriccati.evolve_unitary`` as it was with its own stepping loop."""
+def _polar_project(U):
+    """Nearest unitary by Newton-Schulz iteration, quadratic for small
+    drift: at most 8 iterations, stopping once |U^dagger U - 1| <= 1e-15."""
+    Y = np.array(U, dtype=complex)
+    n = len(Y)
+    for _ in range(8):
+        gram = Y.conj().T @ Y
+        if np.linalg.norm(gram - np.eye(n)) <= 1e-15:
+            break
+        Y = Y @ (1.5 * np.eye(n) - 0.5 * gram)
+    return Y
+
+
+def _evolve_unitary(H, U0, t0, t1, cfg=None):
+    """The unitary flow of ``H`` from U0 at t0 to t1, polar-projected back
+    onto the group by the projection hook of ``integrate`` after every step
+    that drifts past 1e-12; the trail [(t, U), ...] of its states."""
+    from geored import qriccati as q
+
+    shape = (H.dim, H.dim)
+
+    def onto_group(t, y):
+        U = q._state_to_mat(y, shape)
+        return q._mat_to_state(_polar_project(U)) if q.unitarity_drift(U) > 1e-12 else y
+
+    system = q.coset_scenario("unitary", H).system
+    traj = integrate(system, q._mat_to_state(U0), t0, t1, cfg, project=onto_group)
+    return [(t, q._state_to_mat(y, shape)) for t, y in zip(traj.times.tolist(), traj.states)]
+
+
+def _loop_evolve_unitary(H, U0, t0, t1, cfg=None):
+    """``_evolve_unitary`` with its own stepping loop."""
     from geored import qriccati as q
 
     cfg = cfg or IntegratorConfig()
@@ -537,22 +565,17 @@ def _loop_evolve_unitary(H, U0, t1, cfg=None):
         U = q._state_to_mat(y, shape)
         return q._mat_to_state(-1j * (H.assembled @ U))
 
-    stepper = flow.Dopri45Stepper(rhs, U0.t, q._mat_to_state(U0.U), cfg)
-    trail = [(U0.t, U0.U.copy())]
+    stepper = flow.Dopri45Stepper(rhs, t0, q._mat_to_state(U0), cfg)
+    trail = [(t0, np.array(U0, dtype=complex))]
     while stepper.t < t1 - 1e-14 * max(1.0, abs(t1)):
         t, y, _ = stepper.step(t1)
         U = q._state_to_mat(y, shape)
-        drift = q.unitarity_drift(U)
-        if drift > q.UNITARITY_HARD_LIMIT:
-            raise q.UnitarityLost(t, drift)
-        if drift > q.PROJECT_TRIGGER:
-            U = q.polar_project(U)
+        if q.unitarity_drift(U) > 1e-12:
+            U = _polar_project(U)
             stepper.y = q._mat_to_state(U)
             stepper.reset_derivative()
         trail.append((t, U.copy()))
-    final = q.UnitaryState(q._state_to_mat(stepper.y, shape), t=stepper.t)
-    trail[-1] = (stepper.t, final.U.copy())
-    return final, trail
+    return trail
 
 
 def _assert_same_arrays(traj, want):
@@ -582,7 +605,7 @@ def _unitary_cases(from_identity):
     if not from_identity:
         # a unitary start that is not the identity
         H = q.BlockHamiltonian(1, 2, np.array([[0.4]]), np.diag([0.3, -0.2]), np.array([[0.5, 0.25j]]))
-        yield H, q.polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
+        yield H, _polar_project(np.eye(3) + 0.1j * np.arange(9).reshape(3, 3) / 9)
         return
     yield q.BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1))), np.eye(2)
     for seed in (0, 7):
@@ -593,15 +616,13 @@ def _unitary_cases(from_identity):
 @pytest.mark.parametrize("from_identity", [False, True])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
 def test_evolve_unitary_bit_identical_to_its_stepping_loop(tol, from_identity):
-    from geored import qriccati
-
+    # the projection hook against the stepping loop it stands for, with a
+    # hook that replaces the state whenever a step drifts past 1e-12
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
     for H, U in _unitary_cases(from_identity):
         assert np.array_equal(U, np.eye(H.dim)) == from_identity
-        U0 = qriccati.UnitaryState(U, t=0.25)
-        final, trail = qriccati.evolve_unitary(H, U0, 1.25, cfg)
-        ref_final, ref_trail = _loop_evolve_unitary(H, U0, 1.25, cfg)
-        assert final.t == ref_final.t and final.U.tobytes() == ref_final.U.tobytes()
+        trail = _evolve_unitary(H, U, 0.25, 1.25, cfg)
+        ref_trail = _loop_evolve_unitary(H, U, 0.25, 1.25, cfg)
         assert len(trail) == len(ref_trail)
         for (t, U), (ref_t, ref_U) in zip(trail, ref_trail):
             assert t == ref_t and U.tobytes() == ref_U.tobytes()

@@ -4,20 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from geored.errors import SingularBlock, UnitarityLost
+from geored.errors import GeoredError, OffSurface, PreflightFailed, SingularBlock
 from geored.flow import IntegratorConfig, integrate
 from geored.qriccati import (
     BlockHamiltonian,
-    UnitaryState,
-    evolve_unitary,
+    coset_scenario,
     extract_Z,
-    polar_project,
     riccati_matrix_system,
     unitarity_drift,
-    verify_coset_reduction,
     _mat_to_state,
     _state_to_mat,
 )
+from geored.reduce import check_invariant_surface, verify_commuting_diagram
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -57,85 +55,107 @@ def test_block_hamiltonian_assembly_and_hermiticity():
             block[0, 0] = 1j
 
 
+
+
+def _evolve(H, t1, cfg=None):
+    """The unitary flow of ``H`` from the identity at t = 0 to t1."""
+    scenario = coset_scenario("unitary", H)
+    return integrate(scenario.system, scenario.x0, 0.0, t1, cfg)
+
+
+def _trail(traj, n):
+    """(t, U) at each step state of a unitary trajectory."""
+    return [(t, _state_to_mat(y, (n, n))) for t, y in zip(traj.times.tolist(), traj.states)]
+
+
 def test_zero_hamiltonian_freezes_state():
     H = BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), 2.0)
-    assert np.max(np.abs(out.U - np.eye(2))) < 1e-12
+    (_, U), = _trail(_evolve(H, 2.0), 2)[-1:]
+    assert np.max(np.abs(U - np.eye(2))) < 1e-12
 
 
 def test_constant_diagonal_hamiltonian_phases():
     lam = np.array([0.7, -1.3])
     H = BlockHamiltonian(1, 1, lam[0] * np.ones((1, 1)), lam[1] * np.ones((1, 1)), np.zeros((1, 1)))
     t1 = 1.5
-    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
+    (_, U), = _trail(_evolve(H, t1), 2)[-1:]
     expected = np.diag(np.exp(-1j * lam * t1))
-    assert np.max(np.abs(out.U - expected)) < 1e-9
+    assert np.max(np.abs(U - expected)) < 1e-9
 
 
 def test_pauli_generator_closed_form():
     H = pauli_x_hamiltonian()
     t1 = 1.0
-    out, _ = evolve_unitary(H, UnitaryState(np.eye(2)), t1)
+    (_, U), = _trail(_evolve(H, t1), 2)[-1:]
     expected = math.cos(t1) * np.eye(2) - 1j * math.sin(t1) * SIGMA1
-    assert np.max(np.abs(out.U - expected)) < 1e-9
+    assert np.max(np.abs(U - expected)) < 1e-9
 
 
-def test_unitarity_maintained_over_long_span():
-    # bounded generator (spectral norm up to 5) over ten time units
+def test_unitarity_drift_scales_with_the_tolerance_over_a_long_span():
+    # nothing projects the flow back onto the group: over ten time units of
+    # a generator of spectral norm 5 the drift follows the RK45 tolerance
+    # (4.3e-9 at 1e-10), and a hundredfold tighter tolerance shrinks it
     H = seeded_n3_hamiltonian(seed=7, norm_cap=5.0)
-    out, _ = evolve_unitary(H, UnitaryState(np.eye(3)), 10.0)
-    assert unitarity_drift(out.U) < 1e-9
-
-
-def test_polar_projection_restores_unitarity():
-    rng = np.random.default_rng(0)
-    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    dirty = U + 1e-8 * rng.normal(size=(3, 3))
-    clean = polar_project(dirty)
-    assert unitarity_drift(clean) < 1e-14
-
-
-@pytest.mark.parametrize(
-    "U",
-    [3.0 * np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])],
-    ids=["diverges", "slow"],
-)
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
-def test_polar_projection_fails_closed_when_not_converged(U):
-    # Newton-Schulz diverges from 3 I (to NaN) and converges only linearly
-    # from a singular value of 0.618, leaving a drift near 7e-10 after 8
-    # iterations; neither result may be returned as unitary
-    with pytest.raises(ValueError, match="did not converge"):
-        polar_project(U)
+    drifts = []
+    for tol in (1e-10, 1e-12):
+        cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+        drifts.append(max(unitarity_drift(U) for _, U in _trail(_evolve(H, 10.0, cfg), 3)))
+        assert drifts[-1] < 100.0 * tol
+    assert drifts[1] < drifts[0] / 30.0
 
 
 def test_extract_Z_identity_and_block_diagonal():
-    assert np.allclose(extract_Z(np.eye(3), 1).Z, 0.0)
-    assert extract_Z(np.eye(3), 1).Z.shape == (1, 2)
-    # the time is keyword-only: a third positional argument cannot land in it
-    with pytest.raises(TypeError):
-        extract_Z(np.eye(3), 1, 2)
+    assert np.allclose(extract_Z(np.eye(3), 1), 0.0)
+    assert extract_Z(np.eye(3), 1).shape == (1, 2)
     # an element of the isotropy subgroup: block-diagonal unitary
     phase = np.exp(0.3j)
     lower = np.linalg.qr(np.random.default_rng(1).normal(size=(2, 2)) + 0j)[0]
     blockdiag = np.zeros((3, 3), dtype=complex)
     blockdiag[0, 0] = phase
     blockdiag[1:, 1:] = lower
-    assert np.max(np.abs(extract_Z(blockdiag, 1).Z)) < 1e-14
+    assert np.max(np.abs(extract_Z(blockdiag, 1))) < 1e-14
 
 
 def test_extract_Z_invariant_under_right_isotropy_action():
     rng = np.random.default_rng(3)
     U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    z_ref = extract_Z(U, 1).Z
+    z_ref = extract_Z(U, 1)
     for _ in range(10):
         u1 = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.ones((1, 1))
         u2 = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         h = np.zeros((3, 3), dtype=complex)
         h[:1, :1] = u1
         h[1:, 1:] = u2
-        z = extract_Z(U @ h, 1).Z
+        z = extract_Z(U @ h, 1)
         assert np.max(np.abs(z - z_ref)) < 1e-12
+
+
+def _herm(rng, n):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (A + A.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_extract_Z_matches_the_coset_quotient_at_drawn_unitaries(n1, n2):
+    # the quotient in real arithmetic gives the linear solve's Z; evaluated
+    # in dual arithmetic along the unitary field it gives the Riccati field
+    # at Z; and the drawn subgroup elements of the orbit map move neither
+    rng = np.random.default_rng(10 * n1 + n2)
+    n = n1 + n2
+    H = BlockHamiltonian(n1, n2, _herm(rng, n1), _herm(rng, n2), rng.normal(size=(n1, n2)) + 0j)
+    scenario = coset_scenario("drawn", H)
+    riccati = riccati_matrix_system(H)
+    for _ in range(20):
+        U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        x = _mat_to_state(U)
+        z = _mat_to_state(extract_Z(U, n1))
+        scale = 1.0 + np.max(np.abs(z))
+        assert np.max(np.abs(scenario.quotient(x) - z)) <= 1e-13 * scale**2
+        rate = scenario.quotient.pushforward(scenario.system, x)
+        assert np.max(np.abs(rate - riccati.eval_rhs(z))) <= 1e-12 * scale**3
+        x2 = scenario.orbit_map(x, rng)
+        assert unitarity_drift(_state_to_mat(x2, (n, n))) < 1e-14
+        assert np.max(np.abs(scenario.quotient(x2) - z)) <= 1e-12 * scale**2
 
 
 def test_extract_Z_singular_block():
@@ -179,18 +199,17 @@ def test_scalar_riccati_cross_check():
 
 def test_coset_reduction_zero_hamiltonian():
     H = BlockHamiltonian(1, 1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 1.0)
+    report = verify_commuting_diagram(coset_scenario("zero", H))
     assert report.max_dev < 1e-14
 
 
 def test_coset_reduction_pauli_tangent_closed_form():
     # B/D = -i tan(t) for the exchange generator
     H = pauli_x_hamiltonian()
-    final, trail = evolve_unitary(H, UnitaryState(np.eye(2)), 1.0)
-    for t, U in trail[1:]:
-        z = extract_Z(U, 1).Z[0, 0]
+    for t, U in _trail(_evolve(H, 1.0), 2)[1:]:
+        z = extract_Z(U, 1)[0, 0]
         assert abs(z - (-1j * math.tan(t))) < 1e-9
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 1.0)
+    report = verify_commuting_diagram(coset_scenario("pauli", H))
     assert report.max_dev < 1e-8
 
 
@@ -198,29 +217,33 @@ def test_coset_reduction_starts_at_the_unitary_state_time():
     # the same exchange flow started at t = 0.5 from the identity: the
     # Riccati flow starts there too, and Z = -i tan(t - 0.5)
     H = pauli_x_hamiltonian()
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2), t=0.5), 1.5)
+    scenario = dataclasses.replace(coset_scenario("pauli", H), t_span=(0.5, 1.5))
+    report = verify_commuting_diagram(scenario)
     assert report.max_dev < 1e-8
-    assert report.points[0].t == 0.5 and report.points[-1].t == 1.5
-    for point in report.points:
-        assert abs(point.Z[0, 0] - (-1j * math.tan(point.t - 0.5))) < 1e-8
+    assert report.ambient.times[0] == 0.5 and report.ambient.times[-1] == 1.5
+    for t, U in _trail(report.ambient, 2):
+        assert abs(extract_Z(U, 1)[0, 0] - (-1j * math.tan(t - 0.5))) < 1e-8
 
 
 def test_coset_reduction_n3_seeded():
     H = seeded_n3_hamiltonian(seed=42)
-    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0)
+    report = verify_commuting_diagram(coset_scenario("n3", H))
     assert report.max_dev < 1e-6
-    assert report.unitarity_drift < 1e-9
+    assert max(unitarity_drift(U) for _, U in _trail(report.ambient, 3)) < 1e-9
 
 
 def test_coset_reduction_tightening_tolerance_shrinks_deviation():
     H = seeded_n3_hamiltonian(seed=9)
+    scenario = coset_scenario("n3", H)
     devs = []
-    for tol in (1e-6, 1e-8):
+    for tol in (1e-9, 1e-11):
         cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-        devs.append(
-            verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0, cfg).max_dev
-        )
+        devs.append(verify_commuting_diagram(scenario, cfg).max_dev)
     assert devs[1] < devs[0] / 10.0
+    # at 1e-6 the flow leaves U^dagger U = 1 by more than the surface
+    # tolerance of 1e-8, and the preflight refuses its samples
+    with pytest.raises(OffSurface):
+        verify_commuting_diagram(scenario, IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6))
 
 
 def test_state_matrix_roundtrip():
@@ -232,38 +255,28 @@ def test_state_matrix_roundtrip():
 def test_coset_csv_export(tmp_path):
     from geored import cli
 
-    H = pauli_x_hamiltonian()
-    report = verify_coset_reduction(H, UnitaryState(np.eye(2)), 0.5)
-    path = tmp_path / "z.csv"
-    cli._write_csv(path, cli._coset_table(H, report))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,ReZ00,ImZ00"
+    cli.run(cli._make_config("qriccati-pauli", output_dir=str(tmp_path)))
+    lines = (tmp_path / "qriccati-pauli" / "ambient.csv").read_text().splitlines()
+    assert lines[0] == "t,ReU00,ImU00,ReU01,ImU01,ReU10,ImU10,ReU11,ImU11"
     last = [float(c) for c in lines[-1].split(",")]
-    assert last[2] == pytest.approx(-math.tan(0.5), abs=1e-9)
+    assert last[0] == 1.0
+    z = extract_Z(_state_to_mat(np.array(last[1:]), (2, 2)), 1)[0, 0]
+    assert z == pytest.approx(-1j * math.tan(1.0), abs=1e-9)
 
 
 def test_unitarity_lost_on_coarse_stepping():
-    from geored.errors import UnitarityLost
-
+    # coarse steps leave U^dagger U = 1, and the surface check of the
+    # preflight refuses the samples
     H = BlockHamiltonian(
         1, 1, np.array([[30.0]]), np.array([[-40.0]]), np.array([[25.0]])
     )
-    with pytest.raises(UnitarityLost):
-        evolve_unitary(
-            H,
-            UnitaryState(np.eye(2)),
-            2.0,
-            IntegratorConfig(abs_tol=5e-2, rel_tol=5e-2),
+    with pytest.raises(OffSurface):
+        verify_commuting_diagram(
+            coset_scenario("coarse", H), IntegratorConfig(abs_tol=5e-2, rel_tol=5e-2)
         )
 
 
 # -- one unitary evolution per coset check ------------------------------------
-
-
-def _same_trail(a, b):
-    return len(a) == len(b) and all(
-        ta == tb and Ua.tobytes() == Ub.tobytes() for (ta, Ua), (tb, Ub) in zip(a, b)
-    )
 
 
 @pytest.mark.parametrize(
@@ -271,27 +284,16 @@ def _same_trail(a, b):
     [pauli_x_hamiltonian(), seeded_n3_hamiltonian(seed=7)],
     ids=["pauli", "n3"],
 )
-def test_coset_report_carries_trail_outside_equality(H, monkeypatch):
-    # the report keeps the coset point of each entry of its one recorded
-    # unitary evolution, not the unitaries themselves
-    import geored.qriccati as q
-
-    U0 = UnitaryState(np.eye(H.dim))
-    evolve, trails = q.evolve_unitary, []
-
-    def recorded(*args):
-        final, trail = evolve(*args)
-        trails.append(trail)
-        return final, trail
-
-    monkeypatch.setattr(q, "evolve_unitary", recorded)
-    report = verify_coset_reduction(H, U0, 1.0)
-    (trail,) = trails
-    assert _same_trail(trail, evolve(H, U0, 1.0)[1])
-    assert [point.t for point in report.points] == [t for t, _ in trail]
-    for (t, U), point in zip(trail, report.points):
-        assert point.Z.tobytes() == extract_Z(U, H.n1, t=t).Z.tobytes()
-    assert [f.name for f in dataclasses.fields(report)] == ["max_dev", "unitarity_drift", "points"]
+def test_coset_report_carries_trail_outside_equality(H):
+    # the diagram report keeps its one recorded unitary evolution, outside
+    # its equality and its JSON body
+    scenario = coset_scenario("trail", H)
+    report = verify_commuting_diagram(scenario)
+    fresh = integrate(scenario.system, scenario.x0, 0.0, 1.0)
+    assert report.ambient.times.tobytes() == fresh.times.tobytes()
+    assert report.ambient.states.tobytes() == fresh.states.tobytes()
+    bare = dataclasses.replace(report, ambient=None)
+    assert report == bare and repr(report) == repr(bare) and report.body() == bare.body()
 
 
 @pytest.mark.parametrize("name", ["H1", "H2"])
@@ -305,16 +307,12 @@ def test_non_hermitian_block_raises_at_construction(name):
     assert BlockHamiltonian(1, 2, **blocks).assembled.shape == (3, 3)
 
 
-def _coset_csv_lines(H, trail):
-    """The coset CSV of a recorded unitary evolution, written out here from
-    one extraction per trail entry."""
-    entries = [(i, j) for i in range(H.n1) for j in range(H.n2)]
-    lines = [",".join(["t"] + [f"{part}Z{i}{j}" for i, j in entries for part in ("Re", "Im")])]
-    for t, U in trail:
-        Z = extract_Z(U, H.n1, t=t).Z
-        cells = [t] + [v for z in Z.ravel() for v in (z.real, z.imag)]
-        lines.append(",".join(f"{v:.17g}" for v in cells))
-    return "".join(line + "\n" for line in lines)
+def _scenario_hamiltonian(name):
+    from geored import cli
+
+    if name == "qriccati-pauli":
+        return pauli_x_hamiltonian()
+    return cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
 
 
 @pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
@@ -323,115 +321,142 @@ def test_coset_csv_equals_a_fresh_recorded_evolution(tmp_path, name):
 
     config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
     cli.run(config)
-    if name == "qriccati-pauli":
-        H = pauli_x_hamiltonian()
-    else:
-        H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
-    _, trail = evolve_unitary(H, UnitaryState(np.eye(H.dim)), 1.0, config.integrator)
-    assert (tmp_path / name / "coset.csv").read_text() == _coset_csv_lines(H, trail)
+    H = _scenario_hamiltonian(name)
+    traj = _evolve(H, 1.0, config.integrator)
+    header = ["t"] + [f"{part}U{i}{j}" for i in range(H.dim) for j in range(H.dim) for part in ("Re", "Im")]
+    rows = [[t, *y] for t, y in zip(traj.times, traj.states)]
+    want = "".join(line + "\n" for line in [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows])
+    assert (tmp_path / name / "ambient.csv").read_text() == want
 
 
 # -- each coset coordinate extracted once -------------------------------------
 
 
-def _count_extractions(monkeypatch):
+@pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
+def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, name):
     import geored.qriccati as q
+    from geored import cli
 
     calls = []
     extract = q.extract_Z
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("t"))
-        return extract(*args, **kwargs)
-
-    monkeypatch.setattr(q, "extract_Z", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
-def test_coset_scenario_extracts_each_trail_point_once(tmp_path, monkeypatch, name):
-    from geored import cli
-
-    calls = _count_extractions(monkeypatch)
+    monkeypatch.setattr(q, "extract_Z", lambda *args: calls.append(args) or extract(*args))
     config = cli._make_config(name, seed=0, output_dir=str(tmp_path))
     cli.run(config)
-    rows = (tmp_path / name / "coset.csv").read_text().splitlines()
-    # Z(U0) for the direct flow, then one extraction per trail point
-    assert len(calls) == 1 + (len(rows) - 1)
+    rows = (tmp_path / name / "ambient.csv").read_text().splitlines()
+    # one extraction per step state, the start included
+    assert len(calls) == len(rows) - 1
 
 
-def test_coset_report_points_reused_outside_equality():
-    H = seeded_n3_hamiltonian(seed=7)
-    report = verify_coset_reduction(H, UnitaryState(np.eye(3)), 1.0)
-    _, trail = evolve_unitary(H, UnitaryState(np.eye(3)), 1.0)
-    assert len(report.points) == len(trail)
-    for (t, U), point in zip(trail, report.points):
-        assert point.t == t and point.Z.tobytes() == extract_Z(U, 1, t=t).Z.tobytes()
-        assert point.coords().tobytes() == _mat_to_state(point.Z).tobytes()
-    bare = dataclasses.replace(report, points=None)
-    assert report == bare and repr(report) == repr(bare)
+def test_coset_report_points_reused_outside_equality(tmp_path, monkeypatch):
+    # the run integrates the unitary flow once: its trail metrics read the
+    # step states that the diagram report carries outside its equality
+    from geored import cli, reduce
+
+    dims, integrate_once = [], reduce.integrate
+    monkeypatch.setattr(
+        reduce, "integrate", lambda sys, *args: dims.append(sys.dim) or integrate_once(sys, *args)
+    )
+    report = cli.run(cli._make_config("qriccati-n3", output_dir=str(tmp_path)))
+    assert dims == [18, 4]  # the unitary flow, then the Riccati flow
+    rows = np.loadtxt(tmp_path / "qriccati-n3" / "ambient.csv", delimiter=",", skiprows=1)
+    drifts = [unitarity_drift(_state_to_mat(row[1:], (3, 3))) for row in rows]
+    assert report.metrics["unitarity_drift"] == max(drifts)
 
 
-def _trail_singular_at(k):
-    """evolve_unitary whose recorded trail has a zero D block at entry k."""
-    import geored.qriccati as q
+def _report_singular_at(k):
+    """verify_commuting_diagram whose report's ambient trajectory has a zero
+    D block at step state k, planted after the diagram is compared."""
+    from geored import cli
 
-    evolve = q.evolve_unitary
+    verify = cli.verify_commuting_diagram
 
-    def evolve_singular(*args, **kwargs):
-        final, trail = evolve(*args, **kwargs)
-        t, U = trail[k]
-        U = U.copy()
+    def verify_singular(scenario, *args, **kwargs):
+        report = verify(scenario, *args, **kwargs)
+        states = report.ambient.states
+        n = math.isqrt(states.shape[1] // 2)
+        U = _state_to_mat(states[k], (n, n))
         U[1:, 1:] = 0.0
-        trail[k] = (t, U)
-        return final, trail
+        states[k] = _mat_to_state(U)
+        return report
 
-    return evolve_singular
+    return verify_singular
 
 
 @pytest.mark.parametrize("name", ["qriccati-pauli", "qriccati-n3"])
 def test_singular_block_still_raises_where_it_did(tmp_path, monkeypatch, name):
-    import geored.qriccati as q
     from geored import cli
 
-    monkeypatch.setattr(q, "evolve_unitary", _trail_singular_at(5))
-    if name == "qriccati-pauli":
-        H = pauli_x_hamiltonian()
-    else:
-        H = cli._seeded_hamiltonian_n3(cli._rng_for(name, 0))
-    with pytest.raises(SingularBlock):
-        verify_coset_reduction(H, UnitaryState(np.eye(H.dim)), 1.0)
-    # the scenario is an ERROR that writes no coset CSV
+    monkeypatch.setattr(cli, "verify_commuting_diagram", _report_singular_at(5))
+    # the scenario is an ERROR that writes no artifact
     report = cli.run(cli._make_config(name, seed=0, output_dir=str(tmp_path)))
     assert report.status == "ERROR" and report.error["type"] == "SingularBlock"
     assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["report.json", "traceback.txt"]
 
 
+# -- negative controls of the coset diagram ------------------------------------
+
+
+def test_coset_flow_through_a_singular_block_never_passes():
+    # exchange between the first two levels: D = diag(cos t, 1) is singular
+    # at t = pi/2, where Z = (-i tan t, 0) and the Riccati flow have a pole
+    V = np.array([[1.0, 0.0]])
+    H = BlockHamiltonian(1, 2, np.zeros((1, 1)), np.zeros((2, 2)), V)
+    scenario = dataclasses.replace(coset_scenario("through-pole", H), t_span=(0.0, 2.0))
+    with pytest.raises(GeoredError):
+        verify_commuting_diagram(scenario)
+
+
+def test_orbit_map_leaving_the_subgroup_fails_preflight():
+    # a full unitary on the right moves Z: the sampled pairs are not on one class
+    scenario = coset_scenario("n3", seeded_n3_hamiltonian(seed=42))
+
+    def full_unitary(x, rng):
+        W = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        return _mat_to_state(_state_to_mat(np.asarray(x), (3, 3)) @ W)
+
+    with pytest.raises(PreflightFailed):
+        verify_commuting_diagram(dataclasses.replace(scenario, orbit_map=full_unitary))
+
+
+def test_non_hermitian_generator_fails_the_surface_check():
+    # BlockHamiltonian refuses such blocks, so the generator is built
+    # without it; its flow leaves U^dagger U = 1 at a rate of order one
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(4)
+    H1 = np.array([[0.5 + 0.3j]])
+    H2, V = _herm(rng, 2), rng.normal(size=(1, 2)) + 0j
+    G = np.block([[H1, V], [V.conj().T, H2]])
+    H = SimpleNamespace(n1=1, n2=2, dim=3, H1=H1, H2=H2, V=V, assembled=G)
+    scenario = coset_scenario("non-hermitian", H)
+    # tangency fails at the start, and every later sample is off the surface
+    rep = check_invariant_surface(scenario.system, scenario.surface, [scenario.x0], [0.0])
+    assert not rep.ok and rep.worst > 0.1
+    with pytest.raises(OffSurface):
+        verify_commuting_diagram(scenario)
+
+
 # -- guards fail closed on NaN --------------------------------------------------
 
 
-def _nan_block(monkeypatch):
-    BlockHamiltonian(1, 1, np.array([[math.nan]]), np.zeros((1, 1)), np.zeros((1, 1)))
+def _nan_block(monkeypatch, tmp_path):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        BlockHamiltonian(1, 1, np.array([[math.nan]]), np.zeros((1, 1)), np.zeros((1, 1)))
 
 
-def _nan_drift(monkeypatch):
+def _nan_drift(monkeypatch, tmp_path):
+    # a NaN drift at the fourth step state reaches the unitarity gate
     import geored.qriccati as q
+    from geored import cli
 
-    U0 = UnitaryState(np.eye(2))
-    # the stepper raises BlowUp on a NaN state before the hook sees it, so
-    # the drift itself is made NaN
-    monkeypatch.setattr(q, "unitarity_drift", lambda U: math.nan)
-    evolve_unitary(pauli_x_hamiltonian(), U0, 0.5)
+    drift, calls = q.unitarity_drift, []
+    monkeypatch.setattr(
+        q, "unitarity_drift", lambda U: calls.append(U) or (math.nan if len(calls) == 4 else drift(U))
+    )
+    report = cli.run(cli._make_config("qriccati-n3", output_dir=str(tmp_path)))
+    assert report.status == "FAIL" and math.isnan(report.metrics["unitarity_drift"])
 
 
-@pytest.mark.parametrize(
-    "inject, error, match",
-    [
-        (_nan_block, ValueError, "not Hermitian"),
-        (_nan_drift, UnitarityLost, "nan"),
-    ],
-    ids=["hermitian", "unitarity"],
-)
-def test_qriccati_guards_reject_nan(monkeypatch, inject, error, match):
-    with pytest.raises(error, match=match):
-        inject(monkeypatch)
+@pytest.mark.parametrize("inject", [_nan_block, _nan_drift], ids=["hermitian", "unitarity"])
+def test_qriccati_guards_reject_nan(monkeypatch, tmp_path, inject):
+    inject(monkeypatch, tmp_path)

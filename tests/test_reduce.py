@@ -346,22 +346,59 @@ def test_non_autonomous_field_leaving_the_surface_fails_preflight():
         verify_commuting_diagram(scenario)
 
 
+def _diagram_scenarios():
+    """Every reduction scenario of the registry, built as its runner builds
+    it at seed 0."""
+    from geored import cli, qriccati
+
+    yield from (build() for build in ENTRY_BUILDERS.values())
+    yield catalog.entry_cross_ratio()
+    yield qriccati.coset_scenario("qriccati-pauli", cli._PAULI_X)
+    n3 = cli._seeded_hamiltonian_n3(cli._rng_for("qriccati-n3", 0))
+    yield qriccati.coset_scenario("qriccati-n3", n3)
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_diagram_projection_bit_identical_to_array_rows(tol):
-    # the grid states are projected as Python floats; each invariant must give
-    # the bits it gives on the rows of the resampled array
+    # the grid states are projected in one pass on their columns; each
+    # invariant must give the bits it gives on each row, as a numpy row and
+    # as Python floats
     cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
-    for build in ENTRY_BUILDERS.values():
-        sc = build()
+    for sc in _diagram_scenarios():
         t0, t1 = sc.t_span
         report = verify_commuting_diagram(sc, cfg)
         grid = np.linspace(t0, t1, GRID_POINTS)
         rows = report.ambient.resample(grid)
-        projected = np.asarray([sc.quotient(row) for row in rows])
+        projected = sc.quotient.columns(rows)
+        per_row = np.asarray([sc.quotient(row) for row in rows])
         as_floats = np.asarray([sc.quotient(row) for row in rows.tolist()])
-        assert projected.tobytes() == as_floats.tobytes(), sc.name
+        assert projected.tobytes() == per_row.tobytes() == as_floats.tobytes(), sc.name
         reduced = integrate(sc.reduced, sc.quotient(sc.x0), t0, t1, cfg)
         assert report.max_dev == float(np.max(np.abs(projected - reduced.resample(grid))))
+
+
+def test_column_pass_broadcasts_constants_and_checks_the_length():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 8.0]])
+    quotient = QuotientMap(lambda z: [z[0] / z[1], 0.5], ("xi", "half"))
+    assert quotient.columns(rows).tolist() == [[0.5, 0.5], [0.75, 0.5], [0.625, 0.5]]
+    for count in (1, 3):
+        short_or_long = QuotientMap(lambda z: [z[0] / z[1]] * count, ("a", "b"))
+        with pytest.raises(ValueError, match="values for 2 names"):
+            short_or_long.columns(rows)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_quotient_dividing_by_zero_at_one_grid_state_does_not_pass():
+    # x/y written as x (y - c) / (y (y - c)), with c the y of one grid state
+    # that preflight does not sample: 0/0 there, x/y everywhere else
+    sc = ENTRY_BUILDERS["riccati-classical"]()
+    t0, t1 = sc.t_span
+    grid = np.linspace(t0, t1, GRID_POINTS)
+    c = integrate(sc.system, sc.x0, t0, t1).resample(grid)[1][1]
+    xi = QuotientMap(lambda z: [z[0] * (z[1] - c) / (z[1] * (z[1] - c))], ("xi",))
+    report = verify_commuting_diagram(dataclasses.replace(sc, quotient=xi))
+    assert not report.max_dev <= 1e-6
+    assert math.isnan(report.max_dev)
 
 
 # -- guards fail closed on NaN --------------------------------------------------
