@@ -58,6 +58,8 @@ class ScalarField:
             raise ValueError("arity must be a positive integer")
 
     def __call__(self, x):
+        if len(x) != self.arity:
+            raise ValueError(f"{self.label}: arity {self.arity}, point of length {len(x)}")
         return self.fn(x)
 
 
@@ -296,7 +298,7 @@ def gradient(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     DUAL mode is exact on smooth closed-form fields; CENTRAL is the
     second-order finite-difference oracle with per-component step scaling.
     """
-    n = f.arity
+    n = len(x)
     if scheme is DUAL:
         return _dual_rows(lambda xs: (f(xs),), x, n)[0]
     h = _CENTRAL_STEP
@@ -332,7 +334,7 @@ def hessian(f: ScalarField, x: Sequence, scheme: DiffScheme = DUAL):
     partial under the first i that meets one.  CENTRAL uses the four-point
     stencil and is symmetrized on return.
     """
-    n = f.arity
+    n = len(x)
     if scheme is DUAL:
         R = _dual_rows(lambda xs: gradient(f, xs), x, n)
         return [[R[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]

@@ -235,25 +235,19 @@ def _run_relativistic_free_particle(config, rng):
     frames = [lagsym.ConnectionFrame(model, conn, z) for z in pts[:5]]
     darboux_gap = 0.0
     for frame in frames:
-        for i in range(3):
-            for j in range(3):
-                qp = float(frame.bracket(Qs[i], Ps[j]))
-                darboux_gap = nan_max(darboux_gap, abs(qp - (1.0 if i == j else 0.0)))
-                qq = float(frame.bracket(Qs[i], Qs[j]))
-                pp = float(frame.bracket(Ps[i], Ps[j]))
-                darboux_gap = nan_max(nan_max(darboux_gap, abs(qq)), abs(pp))
-    coords = lagsym.coordinate_fields(
-        8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)]
-    )
+        for rows, cols, table in ((Qs, Ps, np.eye(3)), (Qs, Qs, 0.0), (Ps, Ps, 0.0)):
+            M = lagsym.bracket_matrix(frame.bracket, rows, cols)
+            darboux_gap = nan_max(darboux_gap, lagsym.table_gap(M, table))
+    coords = lagsym.coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
     frame0 = frames[0]  # at z0
     jacobi_max = 0.0
     for f, g, h in [(coords[0], coords[1], coords[5]), (coords[2], coords[4], coords[7])]:
         jacobi_max = nan_max(jacobi_max, lagsym.jacobi_residual(frame0, f, g, h))
-    casimir_max = 0.0
-    for f in coords:
-        casimir_max = nan_max(casimir_max, abs(float(frame0.bracket(model.L, f))))
-    table = lagsym.bracket_table(frame0, coords)
-    position_report = lagsym.measured_position_brackets(z0)
+    casimir_max = lagsym.table_gap(lagsym.bracket_matrix(frame0.bracket, [model.L], coords))
+    # one table of the coordinates' brackets at z0 serves both artifacts
+    C = lagsym.bracket_matrix(frame0.bracket, coords, coords)
+    table = lagsym.bracket_table(z0, coords, C)
+    position_report = lagsym.measured_position_brackets(frame0, C)
     return (
         {
             "energy_max": energy_max,
@@ -290,19 +284,16 @@ def _run_dirac_two_particle(config, rng):
         frame = dirac.DiracFrame(cset, z)
         if k == 0:
             frame0 = frame  # the Jacobi and determinant checks run on it too
-        for c in cset.constraints:
-            for f in xs:
-                kill_max = nan_max(kill_max, abs(float(frame.bracket(f, c.fn))))
+        M = lagsym.bracket_matrix(frame.bracket, xs, [c.fn for c in cset.constraints])
+        kill_max = nan_max(kill_max, lagsym.table_gap(M))
         if k >= 3:
             continue
         for i, j in ((0, 1), (0, 6), (3, 8), (2, 5)):
             pb = float(frame.canonical(gens[i].fn, gens[j].fn))
             db = float(frame.bracket(gens[i].fn, gens[j].fn))
             gen_gap = nan_max(gen_gap, abs(pb - db))
-    coords = lagsym.coordinate_fields(space.dim)
-    jacobi_max = lagsym.jacobi_residual(
-        frame0, coords[space.ix(0, 1)], coords[space.ix(0, 2)], coords[space.ip(0, 1)]
-    )
+    triple = [dirac.coordinate_fn(space, k, 0, mu) for k, mu in (("x", 1), ("x", 2), ("p", 1))]
+    jacobi_max = lagsym.jacobi_residual(frame0, *triple)
     det_report = dirac.published_constraint_matrix(frame0)
     derived = det_report["derived_det"]
     traj = dirac.constrained_flow(cset, points[0], (0.0, 3.0), config.integrator)

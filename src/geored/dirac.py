@@ -38,6 +38,8 @@ SURFACE_TOL = 1e-9
 NEWTON_TOL = 1e-12
 # constrained_flow aborts once the constraints drift past this
 HARD_DRIFT_LIMIT = 1e-7
+# a constraint matrix whose condition number reaches this is singular
+COND_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,13 @@ class ConstraintSet:
         require_on_surface(z, self.values(z, tau), SURFACE_TOL)
 
 
+def _require_conditioned(M) -> None:
+    """``SingularConstraintMatrix`` unless ``M``'s condition is below ``COND_LIMIT``."""
+    cond = float(np.linalg.cond(M))
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
+        raise SingularConstraintMatrix(cond)
+
+
 class DiracFrame:
     """Constraint data at one phase-space point, built once: the constraint
     gradients (one ``calc.jacobian`` seeding) and their pairwise
@@ -238,10 +247,7 @@ class DiracFrame:
         constraint matrix (computed by linear solves, never inversion)."""
         if self._plan is None:
             if not any(is_dual(u) for u in self.z):
-                M_float = np.asarray([[real_part(v) for v in row] for row in self.matrix])
-                cond = float(np.linalg.cond(M_float))
-                if not np.isfinite(cond) or cond >= 1e10:
-                    raise SingularConstraintMatrix(cond)
+                _require_conditioned([[real_part(v) for v in row] for row in self.matrix])
             self._plan = _eliminate(self.matrix)
         space = self.cset.space
         df, dg = self.grad(f), self.grad(g)
@@ -268,9 +274,7 @@ class DiracFrame:
         space, A = self.cset.space, self.gauge_shell_block()
         tau_rates = _jvp(lambda ts: self.cset.phi(self.z, ts[0]), [self.tau], [1.0])
         rhs_tau = np.asarray([-tau_rates[a] for a in self.cset.gauge_ix])
-        cond = float(np.linalg.cond(A))
-        if not np.isfinite(cond) or cond >= 1e10:
-            raise SingularConstraintMatrix(cond)
+        _require_conditioned(A)
         v = np.linalg.solve(A, rhs_tau)
         out = [0.0] * space.dim
         for vi, s in zip(v.tolist(), self.cset.shell_ix):

@@ -15,6 +15,7 @@ independent.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +28,6 @@ from geored.errors import (
     ConnectionInvalid,
     DegenerateLagrangian,
     DomainError,
-    nan_max,
 )
 
 KERNEL_RTOL = 1e-8
@@ -384,7 +384,7 @@ class ConnectionFrame:
         return self.weight * total
 
 
-def jacobi_residual(frame, f: ScalarField, g: ScalarField, h: ScalarField) -> float:
+def jacobi_residual(frame, f, g, h) -> float:
     """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| at ``frame.z``.  The outer
     brackets share ``frame``; each inner bracket is a field whose value at
     a point ``zz`` is ``frame.at(zz).bracket``, differentiated by the nested
@@ -393,7 +393,7 @@ def jacobi_residual(frame, f: ScalarField, g: ScalarField, h: ScalarField) -> fl
     arity, at = len(frame.z), frame.at
 
     def pairfield(a, b):
-        return ScalarField(arity, lambda z: at(z).bracket(a, b), f"{{{a.label},{b.label}}}")
+        return ScalarField(arity, lambda z: at(z).bracket(a, b))
 
     total = (
         frame.bracket(f, pairfield(g, h))
@@ -431,23 +431,34 @@ def poisson_compatibility(model: LagrangianModel, A: ConnectionField, point):
     return {"lambda_omega_lambda": residual, "kernel_image_min_singular_value": min_sv}
 
 
-def bracket_table(frame, fields: Sequence[ScalarField]) -> dict:
-    """All pairwise bracket values at ``frame.z`` plus antisymmetry
-    residuals, in the JSON-exportable layout."""
-    pairs = []
-    worst_antisym = 0.0
-    for i, f in enumerate(fields):
-        for j, g in enumerate(fields):
-            if j <= i:
-                continue
-            val = float(frame.bracket(f, g))
-            rev = float(frame.bracket(g, f))
-            worst_antisym = nan_max(worst_antisym, abs(val + rev))
-            pairs.append({"f": f.label, "g": g.label, "value": val})
+def bracket_matrix(bracket: Callable, rows: Sequence, cols: Sequence) -> np.ndarray:
+    """The floats ``bracket(f, g)`` as one array, a row for each f in
+    ``rows`` and a column for each g in ``cols``.  ``bracket`` is any
+    frame's ``bracket`` or ``canonical``."""
+    M = [[float(bracket(f, g)) for g in cols] for f in rows]
+    return np.array(M).reshape(len(rows), len(cols))
+
+
+def table_gap(M: np.ndarray, table=0.0) -> float:
+    """The largest |M - table| over the entries of a bracket matrix, 0.0 for
+    an empty one; NaN once any entry is NaN."""
+    return float(np.max(np.abs(M - table), initial=0.0))
+
+
+def bracket_table(point, fields: Sequence[ScalarField], M: np.ndarray) -> dict:
+    """The pairs of ``M = bracket_matrix(bracket, fields, fields)`` above its
+    diagonal and its antisymmetry residual, at ``point``, in the
+    JSON-exportable layout."""
+    pairs = [
+        {"f": f.label, "g": g.label, "value": float(M[i, j])}
+        for i, f in enumerate(fields)
+        for j, g in enumerate(fields)
+        if j > i
+    ]
     return {
-        "point": [float(v) for v in frame.z],
+        "point": [float(v) for v in point],
         "pairs": pairs,
-        "residuals": {"antisymmetry": worst_antisym},
+        "residuals": {"antisymmetry": table_gap(M, -M.T)},
     }
 
 
@@ -458,40 +469,30 @@ def coordinate_fields(dim: int, names: Sequence[str] | None = None) -> list[Scal
     ]
 
 
-def measured_position_brackets(point, m: float = 1.0, c: float = 1.0) -> dict:
+def measured_position_brackets(
+    frame: ConnectionFrame, M: np.ndarray, m: float = 1.0, c: float = 1.0
+) -> dict:
     """Bracket table of the physical coordinates for the degenerate model
-    with the mass and light-speed constants restored.
+    with the mass and light-speed constants restored, read off the frame's
+    weight L and ``M``, the ``bracket_matrix`` of (x^0..x^3, v^0..v^3).
 
     The {x, x} block is fitted to the antisymmetric combination
     (v^sigma x^rho - v^rho x^sigma); the measured prefactor is reported
     next to the published closed form m^2 c^2 / L, which is not asserted.
+    ``ValueError`` unless L = m c sqrt(v.v), so both refer to one model.
     """
-    model = relativistic_lagrangian(m, c)
-    A = relativistic_connection()
     n = len(ETA)
-    z = [float(u) for u in point]
-    coords = coordinate_fields(2 * n, [f"x{i}" for i in range(n)] + [f"v{i}" for i in range(n)])
-    xs, vs = coords[:n], coords[n:]
-
-    frame = ConnectionFrame(model, A, z)
-
-    def br(f, g):
-        return float(frame.bracket(f, g))
-
-    vv = np.array([[br(vs[r], vs[s]) for s in range(n)] for r in range(n)])
-    vx = np.array([[br(vs[r], xs[s]) for s in range(n)] for r in range(n)])
-    xx = np.array([[br(xs[r], xs[s]) for s in range(n)] for r in range(n)])
-
-    x, v = np.asarray(z[:n]), np.asarray(z[n:])
-    pattern = np.empty((n, n))
-    for r in range(n):
-        for s in range(n):
-            pattern[r, s] = v[s] * x[r] - v[r] * x[s]
+    z = np.asarray(frame.z, dtype=float)
+    x, v = z[:n], z[n:]
+    lag = float(frame.weight)
+    if not math.isclose(lag, m * c * math.sqrt(minkowski_dot(v, v)), rel_tol=1e-12):
+        raise ValueError(f"the frame's weight {lag} is not the Lagrangian of m={m}, c={c}")
+    xx, vx, vv = M[:n, :n], M[n:, :n], M[n:, n:]
+    pattern = np.outer(x, v) - np.outer(v, x)  # v^s x^r - v^r x^s
     mask = np.abs(pattern) > 1e-9
     ratios = xx[mask] / pattern[mask]
-    lag = float(model.L(z))
     return {
-        "vv_max_abs": float(np.max(np.abs(vv))),
+        "vv_max_abs": table_gap(vv),
         "vx": vx.tolist(),
         "xx": xx.tolist(),
         "xx_prefactor_measured": float(np.mean(ratios)) if ratios.size else 0.0,

@@ -192,6 +192,27 @@ def test_scalar_field_rejects_zero_arity():
         ScalarField(0, lambda x: 1.0)
 
 
+@pytest.mark.parametrize("scheme", [DUAL, CENTRAL])
+@pytest.mark.parametrize(
+    "arity, fn, point",
+    [
+        # a shorter field would be evaluated on a truncated point
+        (2, lambda x: x[0] * x[1], [1.0, 2.0, 3.0]),
+        # a longer one would pad the gradient with zeros
+        (4, lambda x: x[0] * x[1], [1.0, 2.0]),
+    ],
+    ids=["field-shorter-than-point", "field-longer-than-point"],
+)
+def test_field_of_another_arity_than_its_point_raises(scheme, arity, fn, point):
+    f = ScalarField(arity, fn)
+    with pytest.raises(ValueError, match="arity"):
+        f(point)
+    with pytest.raises(ValueError, match="arity"):
+        gradient(f, point, scheme)
+    with pytest.raises(ValueError, match="arity"):
+        hessian(f, point, scheme)
+
+
 def _random_field_corpus(n_fields=20, seed=123):
     """Random polynomial/rational fields on R^3 for the cross-check corpus."""
     rng = np.random.default_rng(seed)

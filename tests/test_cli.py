@@ -603,6 +603,23 @@ def test_scenario_accumulators_keep_nan(tmp_path, monkeypatch, scenario, metric,
     assert report.status == "FAIL"
 
 
+def test_nan_darboux_bracket_on_the_identity_block_fails(tmp_path, monkeypatch):
+    # a diagonal {Q, P} entry of the third Darboux frame, whose declared
+    # table is the identity, reads NaN
+    from geored import lagsym
+
+    _poison(
+        monkeypatch,
+        lagsym.ConnectionFrame,
+        "bracket",
+        3,
+        when=lambda frame, f, g: (f.label, g.label) == ("Q2", "P2"),
+    )
+    report = run(_make_config("relativistic-free-particle", output_dir=str(tmp_path)))
+    assert math.isnan(report.metrics["darboux_gap"])
+    assert report.status == "FAIL"
+
+
 def test_relativistic_free_particle_rejects_an_invalid_connection(tmp_path, monkeypatch):
     # negative control: twice the projector is not idempotent, and the run
     # must stop at the connection's validation rather than gate its brackets
@@ -669,8 +686,9 @@ def test_planted_defect_fails_its_gate(tmp_path, monkeypatch, scenario, gate, pl
         ("dirac-two-particle-noncommuting-positions", "DiracFrame", False, 1),
         # the kill loop and the first flow step at the first sampled point
         ("dirac-two-particle", "DiracFrame", True, 2),
-        # the Darboux frame at z0 and the one of the {x, x} prefactor fit
-        ("relativistic-free-particle", "ConnectionFrame", True, 2),
+        # the Darboux frame at z0 also gives the Jacobi, Casimir and
+        # coordinate tables, and the {x, x} prefactor fit reads the last
+        ("relativistic-free-particle", "ConnectionFrame", True, 1),
     ],
 )
 def test_float_point_frames_built_per_run(tmp_path, monkeypatch, scenario, owner, at_first, count):

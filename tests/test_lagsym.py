@@ -17,7 +17,9 @@ from geored.lagsym import (
     ConnectionField,
     ConnectionFrame,
     TwoFormAtPoint,
+    bracket_matrix,
     bracket_table,
+    table_gap,
     cartan_one_form,
     coordinate_fields,
     el_field,
@@ -336,10 +338,14 @@ def test_velocity_brackets_vanish():
                 assert abs(val) < 1e-10
 
 
+COORDS = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
+
+
 def test_position_brackets_proportional_to_boost_combination():
     z = timelike_points(1, seed=18)[0]
     for m, c in ((1.0, 1.0), (1.7, 0.6)):
-        report = measured_position_brackets(z, m=m, c=c)
+        frame = ConnectionFrame(relativistic_lagrangian(m, c), CONN, z)
+        report = measured_position_brackets(frame, bracket_matrix(frame.bracket, COORDS, COORDS), m=m, c=c)
         assert report["vv_max_abs"] < 1e-10
         # one scalar prefactor across all index pairs
         assert report["xx_prefactor_spread"] < 1e-8 * (1 + abs(report["xx_prefactor_measured"]))
@@ -347,8 +353,21 @@ def test_position_brackets_proportional_to_boost_combination():
         # "Conventions"); the published closed form has the opposite sign
         L = m * c * math.sqrt(minkowski_dot(z[4:], z[4:]))
         derived = -m * m * c * c / L
+        assert report["lagrangian"] == pytest.approx(L, rel=1e-12)
         assert report["xx_prefactor_measured"] == pytest.approx(derived, rel=1e-10)
         assert report["xx_prefactor_published_form"] == pytest.approx(-derived, rel=1e-10)
+
+
+def test_position_brackets_reject_a_frame_of_other_constants():
+    # the published form would be that of (m, c) while the measured
+    # prefactor is that of the frame's own model
+    z = timelike_points(1, seed=18)[0]
+    frame = ConnectionFrame(relativistic_lagrangian(1.7, 0.6), CONN, z)
+    M = bracket_matrix(frame.bracket, COORDS, COORDS)
+    with pytest.raises(ValueError, match="weight"):
+        measured_position_brackets(frame, M)
+    with pytest.raises(ValueError, match="weight"):
+        measured_position_brackets(ConnectionFrame(REL, CONN, z), M, m=1.7, c=0.6)
 
 
 def test_lagrangian_is_casimir():
@@ -507,27 +526,69 @@ def test_poisson_compatibility_conditions():
 
 
 def test_bracket_table_json_schema():
-    coords = coordinate_fields(8, [f"x{i}" for i in range(4)] + [f"v{i}" for i in range(4)])
     z = timelike_points(1, seed=23)[0]
-    payload = json.loads(json.dumps(bracket_table(ConnectionFrame(REL, CONN, z), coords[:3])))
+    frame = ConnectionFrame(REL, CONN, z)
+    table = bracket_table(z, COORDS[:3], bracket_matrix(frame.bracket, COORDS[:3], COORDS[:3]))
+    payload = json.loads(json.dumps(table))
     assert set(payload) == {"point", "pairs", "residuals"}
     assert payload["point"] == z.tolist()
-    assert len(payload["pairs"]) == 3
+    assert [(p["f"], p["g"]) for p in payload["pairs"]] == [("x0", "x1"), ("x0", "x2"), ("x1", "x2")]
+    assert [p["value"] for p in payload["pairs"]] == [
+        float(frame.bracket(COORDS[i], COORDS[j])) for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
     assert payload["residuals"]["antisymmetry"] < 1e-10
+
+
+class StubFrame:
+    """Brackets of the coordinate fields z0..z2 that read 0.0, except the
+    reversed pair {z2, z0}, which reads NaN."""
+
+    z = [0.0, 0.0, 0.0]
+
+    def bracket(self, f, g):
+        return math.nan if (f.label, g.label) == ("z2", "z0") else 0.0
 
 
 def test_bracket_table_keeps_a_nan_antisymmetry_residual():
     # the second pair's reversed bracket is NaN; the built-in max would keep
     # the first pair's finite residual instead
-    class StubFrame:
-        z = [0.0, 0.0, 0.0]
-
-        def bracket(self, f, g):
-            return math.nan if (f.label, g.label) == ("z2", "z0") else 0.0
-
-    table = bracket_table(StubFrame(), coordinate_fields(3))
+    fields = coordinate_fields(3)
+    table = bracket_table(StubFrame.z, fields, bracket_matrix(StubFrame().bracket, fields, fields))
     assert [pair["value"] for pair in table["pairs"]] == [0.0, 0.0, 0.0]
     assert math.isnan(table["residuals"]["antisymmetry"])
+
+
+def test_bracket_matrix_shape_with_no_rows_or_no_columns():
+    frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=29)[0])
+    assert bracket_matrix(frame.bracket, [], COORDS[:3]).shape == (0, 3)
+    assert bracket_matrix(frame.bracket, COORDS[:3], []).shape == (3, 0)
+    assert bracket_matrix(frame.bracket, [], []).shape == (0, 0)
+
+
+def test_bracket_matrix_holds_the_frame_brackets():
+    Qs, Ps = newton_wigner_fields()
+    frame = ConnectionFrame(REL, CONN, timelike_points(1, seed=30)[0])
+    rows, cols = Qs + [REL.L], Ps + COORDS
+    M = bracket_matrix(frame.bracket, rows, cols)
+    assert M.shape == (4, 11) and M.dtype == float
+    for i, f in enumerate(rows):
+        for j, g in enumerate(cols):
+            assert bits(M[i, j]) == bits(float(frame.bracket(f, g)))
+    assert bracket_matrix(frame.bracket, Ps, Qs).tolist() == (-M[:3, :3].T).tolist()
+
+
+def test_bracket_matrix_keeps_a_nan_bracket():
+    fields = coordinate_fields(3)
+    M = bracket_matrix(StubFrame().bracket, fields, fields)
+    assert [(i, j) for i, j in zip(*np.nonzero(np.isnan(M)))] == [(2, 0)]
+    # the gap to a declared table is NaN, not its finite entries' maximum
+    assert math.isnan(table_gap(M)) and math.isnan(table_gap(M, np.eye(3)))
+    assert table_gap(M[:2], np.eye(3)[:2]) == 1.0
+
+
+def test_table_gap_of_an_empty_matrix_is_zero():
+    assert table_gap(np.zeros((0, 3))) == 0.0
+    assert table_gap(np.zeros((3, 0)), 1.0) == 0.0
 
 
 def test_minkowski_product_and_lowering():
